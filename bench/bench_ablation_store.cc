@@ -38,6 +38,7 @@
 #include <vector>
 
 #include "bench/bench_util.h"
+#include "common/thread_pool.h"
 #include "efind/efind_job_runner.h"
 #include "store/packed_store.h"
 #include "workloads/synthetic.h"
@@ -95,7 +96,8 @@ Cell RunCell(const bench::BenchOptions& opts, const IndexJobConf& conf,
   cell.coalesced = result.counters.Get("efind.store.coalesced_page_reads");
   cell.batches = result.counters.Get("efind.store.batches");
   cell.outputs = std::move(result.outputs);
-  harness->Add(label, cell.sim_seconds, result.plan.ToString(), wall_ms);
+  harness->Add(label, cell.sim_seconds, result.plan.ToString(), wall_ms,
+               ResolveThreadCount(eopts.threads));
   std::printf(
       "{\"bench\": \"ablation_store/%s\", \"sim_seconds\": %.6f, "
       "\"lookups\": %.0f, \"page_reads\": %.0f, \"coalesced\": %.0f, "

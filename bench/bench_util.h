@@ -501,6 +501,9 @@ struct Measurement {
   double sim_seconds = 0;
   std::string plan;
   double wall_ms = 0;
+  /// Worker threads the measurement ran with; 0 means the process's
+  /// resolved count (--threads / EFIND_THREADS).
+  int threads = 0;
 };
 
 /// Collects measurements and emits the table, the JSON wall-clock report,
@@ -510,8 +513,9 @@ class FigureHarness {
   explicit FigureHarness(std::string figure) : figure_(std::move(figure)) {}
 
   void Add(const std::string& name, double sim_seconds,
-           const std::string& plan = "", double wall_ms = 0) {
-    measurements_.push_back({name, sim_seconds, plan, wall_ms});
+           const std::string& plan = "", double wall_ms = 0,
+           int threads = 0) {
+    measurements_.push_back({name, sim_seconds, plan, wall_ms, threads});
   }
 
   /// Runs the six paper configurations for one (conf, input) point:
@@ -632,7 +636,8 @@ class FigureHarness {
     for (const auto& m : measurements_) {
       std::printf(
           "{\"bench\": \"%s/%s\", \"wall_ms\": %.3f, \"threads\": %d}\n",
-          figure_.c_str(), m.name.c_str(), m.wall_ms, threads);
+          figure_.c_str(), m.name.c_str(), m.wall_ms,
+          m.threads > 0 ? m.threads : threads);
     }
     std::fflush(stdout);
   }

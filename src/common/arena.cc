@@ -49,7 +49,7 @@ void* Arena::AllocateSlow(size_t size, size_t align) {
   if (size + align > block_bytes_ / 2) {
     Block spill;
     spill.size = size + align;
-    spill.data = std::make_unique<char[]>(spill.size);
+    spill.data = std::make_unique_for_overwrite<char[]>(spill.size);
     ++heap_allocations_;
     bytes_reserved_ += spill.size;
     char* base = spill.data.get();
@@ -64,7 +64,7 @@ void* Arena::AllocateSlow(size_t size, size_t align) {
   if (current_ >= blocks_.size()) {
     Block b;
     b.size = block_bytes_;
-    b.data = std::make_unique<char[]>(b.size);
+    b.data = std::make_unique_for_overwrite<char[]>(b.size);
     ++heap_allocations_;
     bytes_reserved_ += b.size;
     blocks_.push_back(std::move(b));

@@ -573,6 +573,18 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
     sb.submitted.clear();
     sb.pending_keys.clear();
   }
+  // Refs still to take each resolved list: refs sharing a pending ticket
+  // copy it, and the last one takes it by move.
+  std::vector<std::vector<uint32_t>> takers(tasks_.size());
+  for (size_t t = 0; t < tasks_.size(); ++t) {
+    takers[t].assign(resolved[t].size(), 0);
+  }
+  for (const auto& pr : bs->buffered) {
+    for (const BatchState::Ref& ref : pr.refs) {
+      const uint64_t i = ref.ticket - base[ref.t];
+      if (i < takers[ref.t].size()) ++takers[ref.t][i];
+    }
+  }
   // Emit the buffered records in arrival order, results attached.
   for (auto& pr : bs->buffered) {
     if (!pr.refs.empty()) {
@@ -581,7 +593,12 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
         const int j = tasks_[ref.t].index;
         auto& results = attachment->results[j];
         const uint64_t i = ref.ticket - base[ref.t];
-        if (ref.key_index < results.size() && i < resolved[ref.t].size()) {
+        if (i >= resolved[ref.t].size()) continue;
+        const bool last = --takers[ref.t][i] == 0;
+        if (ref.key_index >= results.size()) continue;
+        if (last) {
+          results[ref.key_index] = std::move(resolved[ref.t][i]);
+        } else {
           results[ref.key_index] = resolved[ref.t][i];
         }
       }

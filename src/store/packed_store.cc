@@ -9,6 +9,7 @@
 #include <unistd.h>
 
 #include <algorithm>
+#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -40,18 +41,29 @@ void PutU64(std::string* out, uint64_t v) {
   out->append(buf, 8);
 }
 
+uint16_t LoadU16(const char* p) {
+  uint16_t v = 0;
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap16(v);
+  }
+  return v;
+}
+
 uint32_t LoadU32(const char* p) {
   uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap32(v);
   }
   return v;
 }
 
 uint64_t LoadU64(const char* p) {
   uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
+  std::memcpy(&v, p, sizeof(v));
+  if constexpr (std::endian::native == std::endian::big) {
+    v = __builtin_bswap64(v);
   }
   return v;
 }
@@ -245,8 +257,7 @@ std::string FormatManifest(const PackedStoreOptions& options,
 
 /// Decodes an object payload ([u32 count] then per value [u32 len][bytes]
 /// [u64 extra]) into IndexValues.
-Status DecodeValues(const std::string& payload,
-                    std::vector<IndexValue>* out) {
+Status DecodeValues(std::string_view payload, std::vector<IndexValue>* out) {
   const char* p = payload.data();
   const char* end = p + payload.size();
   uint32_t count = 0;
@@ -274,16 +285,45 @@ Status DecodeValues(const std::string& payload,
   return Status::OK();
 }
 
-/// Direct pread-backed page source (the serial `Get` path).
+/// Direct pread-backed page source (the serial `Get` path). Pages land in a
+/// lookup-local arena whose first block holds four pages: a typical
+/// lookup's pages share one uninitialized block and are never copied.
 class DirectPageReader : public PackedObjectStore::PageReader {
  public:
-  explicit DirectPageReader(const PackedObjectStore* s) : store_(s) {}
-  Status Read(int partition, uint64_t page, char* dst) override {
+  explicit DirectPageReader(const PackedObjectStore* s)
+      : store_(s), pages_(4 * s->page_bytes()) {}
+  Status Read(int partition, uint64_t page, const char** data) override {
+    char* dst = pages_.AllocateBytes(store_->page_bytes());
+    *data = dst;
     return store_->ReadPage(partition, page, dst);
   }
 
  private:
   const PackedObjectStore* store_;
+  Arena pages_;
+};
+
+/// Page pointers of one lookup, indexed from its first candidate block.
+/// Inline storage covers the usual one or two pages without allocating.
+class LookupPages {
+ public:
+  void push_back(const char* page) {
+    if (size_ < kInline) {
+      inline_[size_] = page;
+    } else {
+      spill_.push_back(page);
+    }
+    ++size_;
+  }
+  const char* operator[](size_t i) const {
+    return i < kInline ? inline_[i] : spill_[i - kInline];
+  }
+
+ private:
+  static constexpr size_t kInline = 8;
+  const char* inline_[kInline] = {};
+  std::vector<const char*> spill_;
+  size_t size_ = 0;
 };
 
 }  // namespace
@@ -479,90 +519,121 @@ Status PackedObjectStore::LookupWith(PageReader* reader, std::string_view key,
 
   const uint64_t page_bytes = options_.page_bytes;
   const uint64_t used = usable_;
-  std::string buf((p - q + 1) * page_bytes, '\0');
-  uint64_t last_page = p;
+  LookupPages pages;
   for (uint64_t k = q; k <= p; ++k) {
-    const Status rs = reader->Read(partition, k, &buf[(k - q) * page_bytes]);
+    const char* data = nullptr;
+    const Status rs = reader->Read(partition, k, &data);
     if (!rs.ok()) return rs;
+    pages.push_back(data);
   }
+  uint64_t last_page = p;
   info->pages = p - q + 1;
 
   // First object start at or after block q. A block with no start is fully
   // covered by an object that began earlier (and whose bin is < `bin` by
-  // the choice of q), so skipping it is safe.
-  uint64_t cur = part.payload_bytes;
+  // the choice of q), so skipping it is safe. With no start in [q, p] the
+  // scan below never runs.
+  uint64_t pg = p + 1;  // Cursor: page, and offset in its object stream.
+  uint64_t off = 0;
+  uint16_t first_start = kNoObjectStarts;
   for (uint64_t k = q; k <= p; ++k) {
-    const char* tp = &buf[(k - q) * page_bytes + page_bytes - 2];
-    const uint16_t trailer = static_cast<uint16_t>(
-        static_cast<unsigned char>(tp[0]) |
-        (static_cast<unsigned char>(tp[1]) << 8));
-    if (trailer != kNoObjectStarts) {
-      cur = k * used + trailer;
+    first_start = LoadU16(pages[k - q] + page_bytes - 2);
+    if (first_start != kNoObjectStarts) {
+      pg = k;
       break;
     }
   }
+  // Moves the cursor `n` stream bytes forward; divides only when the move
+  // leaves the current page, so most objects cost none.
+  auto advance = [&](uint64_t n) {
+    off += n;
+    if (off >= used) {
+      pg += off / used;
+      off %= used;
+    }
+  };
+  if (first_start != kNoObjectStarts) advance(first_start);
 
-  // Fetches pages past the prefetched range (an object straddling block p).
-  auto ensure_page = [&](uint64_t page) -> Status {
-    while (page > last_page) {
-      ++last_page;
-      buf.resize(buf.size() + page_bytes);
-      const Status rs =
-          reader->Read(partition, last_page, &buf[(last_page - q) * page_bytes]);
+  // Returns page `k`, fetching pages past the prefetched range (an object
+  // straddling block p). Propagates the reader's status so a torn page
+  // (DataLoss) stays distinguishable from a malformed object stream
+  // (Internal).
+  auto page_at = [&](uint64_t k, const char** data) -> Status {
+    if (k >= part.num_blocks) {
+      return Status::Internal("packed store: object stream overruns data file");
+    }
+    while (k > last_page) {
+      const char* next = nullptr;
+      const Status rs = reader->Read(partition, last_page + 1, &next);
       if (!rs.ok()) return rs;
+      ++last_page;
+      pages.push_back(next);
       ++info->pages;
     }
+    *data = pages[k - q];
     return Status::OK();
   };
-  // Copies `n` stream bytes at the cursor into dst, advancing the cursor.
-  // Propagates the reader's status so a torn page (DataLoss) stays
-  // distinguishable from a malformed object stream (Internal).
-  auto read_bytes = [&](uint64_t n, char* dst) -> Status {
+  // Hands the `n` stream bytes at the cursor to `consume` one in-page chunk
+  // at a time, advancing the cursor.
+  auto walk = [&](uint64_t n, auto&& consume) -> Status {
     while (n > 0) {
-      const uint64_t page = cur / used;
-      const uint64_t off = cur % used;
-      if (page >= part.num_blocks) {
-        return Status::Internal(
-            "packed store: object stream overruns data file");
-      }
-      const Status rs = ensure_page(page);
-      if (!rs.ok()) return rs;
+      const char* data = nullptr;
+      if (const Status rs = page_at(pg, &data); !rs.ok()) return rs;
       const uint64_t take = std::min(n, used - off);
-      std::memcpy(dst, &buf[(page - q) * page_bytes + off], take);
-      cur += take;
-      dst += take;
+      consume(data + off, take);
+      advance(take);
       n -= take;
     }
     return Status::OK();
   };
 
   // Scan objects starting in blocks [q, p]; the stream is bin-ordered, so
-  // the first object whose bin exceeds ours ends the scan.
-  while (cur < part.payload_bytes && cur / used <= p) {
-    char hdr[kObjectHeaderBytes];
-    if (const Status rs = read_bytes(kObjectHeaderBytes, hdr); !rs.ok()) {
-      return rs;
+  // the first object whose bin exceeds ours ends the scan. A header that
+  // fits in its page is read in place; one straddling two pages is copied.
+  char straddled[kObjectHeaderBytes] = {};
+  while (pg <= p && pg * used + off < part.payload_bytes) {
+    const char* hdr = pages[pg - q] + off;
+    if (off + kObjectHeaderBytes <= used) {
+      advance(kObjectHeaderBytes);
+    } else {
+      char* dst = straddled;
+      const Status rs =
+          walk(kObjectHeaderBytes, [&](const char* s, uint64_t n) {
+            std::memcpy(dst, s, n);
+            dst += n;
+          });
+      if (!rs.ok()) return rs;
+      hdr = straddled;
     }
     const uint64_t obj_hash = LoadU64(hdr);
     const uint32_t key_len = LoadU32(hdr + 8);
     const uint32_t payload_len = LoadU32(hdr + 12);
     if (FastRange64(obj_hash, part.num_bins) > bin) break;
     if (obj_hash == hash && key_len == key.size()) {
-      std::string obj_key(key_len, '\0');
-      if (const Status rs = read_bytes(key_len, obj_key.data()); !rs.ok()) {
-        return rs;
-      }
-      if (obj_key == key) {
-        std::string payload(payload_len, '\0');
-        if (const Status rs = read_bytes(payload_len, payload.data());
-            !rs.ok()) {
-          return rs;
+      bool same = true;
+      const char* want = key.data();
+      const Status ks = walk(key_len, [&](const char* s, uint64_t n) {
+        same = same && std::memcmp(s, want, n) == 0;
+        want += n;
+      });
+      if (!ks.ok()) return ks;
+      if (same) {
+        if (payload_len > 0 && off + payload_len <= used) {
+          const char* data = nullptr;
+          if (const Status rs = page_at(pg, &data); !rs.ok()) return rs;
+          return DecodeValues(std::string_view(data + off, payload_len), out);
         }
+        std::string payload;
+        payload.reserve(payload_len);
+        const Status ps = walk(payload_len, [&](const char* s, uint64_t n) {
+          payload.append(s, n);
+        });
+        if (!ps.ok()) return ps;
         return DecodeValues(payload, out);
       }
-      cur += payload_len;  // Arithmetic skip: no page fetch for a miss.
+      advance(payload_len);  // Arithmetic skip: no page fetch for a miss.
     } else {
-      cur += static_cast<uint64_t>(key_len) + payload_len;
+      advance(static_cast<uint64_t>(key_len) + payload_len);
     }
   }
   return Status::NotFound();

@@ -85,13 +85,16 @@ class PackedObjectStore {
     uint64_t pages = 0;
   };
 
-  /// Page access abstraction. `Read` fills `dst` (page_bytes bytes) with
-  /// page `page` of partition `partition`. Returns DataLoss for a page
+  /// Page access abstraction. `Read` points `*data` at the page_bytes
+  /// bytes of page `page` of partition `partition`, in a buffer the reader
+  /// owns and keeps unchanged until the reader is destroyed (or, for a
+  /// reader reused across batches, until its next batch starts): a lookup
+  /// holds every page it read until it returns. Returns DataLoss for a page
   /// truncated underneath the store, Internal for other I/O errors.
   class PageReader {
    public:
     virtual ~PageReader() = default;
-    virtual Status Read(int partition, uint64_t page, char* dst) = 0;
+    virtual Status Read(int partition, uint64_t page, const char** data) = 0;
   };
 
   /// Loads a store previously written by `PackedStoreBuilder::Build` from

@@ -11,10 +11,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cstdint>
 #include <cstdio>
 #include <map>
 #include <memory>
+#include <numeric>
 #include <string>
 #include <vector>
 
@@ -260,6 +262,136 @@ TEST(PackedStoreTest, BatchedFlushMatchesSerialAndCoalesces) {
   }
 }
 
+// --- page-boundary sweep ---------------------------------------------------
+//
+// Every object in a sweep store has the same encoded size, coprime to the
+// usable page bytes, and each partition holds at least as many objects as a
+// page has usable bytes, so object headers start at every offset of a page:
+// at offset 0, where a header ends exactly at the page end, and straddling
+// two pages. Every key must resolve through all lookup paths.
+
+/// Usable bytes per page, as documented on PackedStoreOptions::fill.
+uint64_t SweepUsableBytes(uint64_t page_bytes, double fill) {
+  const uint64_t cap = page_bytes - 2;
+  const uint64_t used =
+      static_cast<uint64_t>(static_cast<double>(cap) * fill);
+  return std::max<uint64_t>(16, std::min(used, cap));
+}
+
+/// Serves `keys` through a queue flushed every `depth` submissions and
+/// checks every completion against `truth` (absent keys: not found).
+void CheckThroughQueue(
+    const PackedObjectStore& store, const std::vector<std::string>& keys,
+    const std::map<std::string, std::vector<IndexValue>>& truth,
+    size_t depth) {
+  BatchedLookupQueue queue(&store);
+  std::map<uint64_t, std::string> by_ticket;  // This flush's submissions.
+  auto flush = [&] {
+    const FlushOutcome outcome = queue.Flush();
+    ASSERT_EQ(outcome.completions.size(), by_ticket.size());
+    for (const LookupCompletion& c : outcome.completions) {
+      const std::string& key = by_ticket.at(c.ticket);
+      std::vector<IndexValue> serial;
+      PackedObjectStore::LookupInfo info;
+      (void)store.GetPaged(key, &serial, &info);
+      EXPECT_FALSE(c.error) << key;
+      EXPECT_EQ(c.pages, info.pages) << key;
+      const auto it = truth.find(key);
+      if (it == truth.end()) {
+        EXPECT_FALSE(c.found) << key;
+        EXPECT_TRUE(c.values.empty()) << key;
+      } else {
+        EXPECT_TRUE(c.found) << key;
+        EXPECT_EQ(c.values, it->second) << key;
+      }
+    }
+    by_ticket.clear();
+  };
+  for (const std::string& key : keys) {
+    by_ticket[queue.Submit(key)] = key;
+    if (by_ticket.size() == depth) flush();
+  }
+  if (!by_ticket.empty()) flush();
+}
+
+TEST(PackedStoreTest, PageBoundarySweep) {
+  constexpr int kPartitions = 2;
+  constexpr uint64_t kKeyBytes = 8;  // "k" + 7 digits.
+  // Encoded object: 16-byte header, key, u32 count, then one value as
+  // [u32 len][bytes][u64 extra].
+  constexpr uint64_t kFixedBytes = 16 + kKeyBytes + 4 + 4 + 8;
+  for (const uint64_t page_bytes : {64, 100, 256, 4096}) {
+    for (const double fill : {0.5, 1.0}) {
+      SCOPED_TRACE("page_bytes " + std::to_string(page_bytes) + " fill " +
+                   std::to_string(fill));
+      const uint64_t used = SweepUsableBytes(page_bytes, fill);
+      uint64_t value_bytes = 1;
+      while (std::gcd(kFixedBytes + value_bytes, used) != 1) ++value_bytes;
+      const int num_keys = static_cast<int>(2 * kPartitions * used + 200);
+
+      PackedStoreOptions o = SmallOptions(
+          TempDir(("sweep_" + std::to_string(page_bytes) + "_" +
+                   std::to_string(static_cast<int>(fill * 10)))
+                      .c_str()));
+      o.page_bytes = page_bytes;
+      o.fill = fill;
+      o.num_partitions = kPartitions;
+      PackedStoreBuilder builder(o);
+      std::map<std::string, std::vector<IndexValue>> truth;
+      std::vector<std::string> keys;
+      for (int k = 0; k < num_keys; ++k) {
+        char key[16];
+        std::snprintf(key, sizeof(key), "k%07d", k);
+        std::string data(value_bytes, static_cast<char>('a' + k % 26));
+        data[0] = static_cast<char>(k & 0x7f);
+        const IndexValue v(data, static_cast<uint64_t>(k));
+        builder.Add(key, v);
+        truth[key].push_back(v);
+        keys.push_back(key);
+      }
+      std::string error;
+      auto store = builder.Build(&error);
+      ASSERT_NE(store, nullptr) << error;
+      ASSERT_EQ(store->usable_page_bytes(), used);
+      // Starts fall at i * object_bytes within each partition's stream;
+      // coprime sizes cover every residue once a partition holds `used`
+      // objects.
+      std::vector<uint64_t> per_partition(kPartitions, 0);
+      for (const std::string& key : keys) {
+        ++per_partition[store->scheme().PartitionOf(key)];
+      }
+      for (const uint64_t n : per_partition) ASSERT_GE(n, used);
+
+      std::vector<std::string> probes = keys;
+      for (int k = 0; k < 64; ++k) {
+        probes.push_back("absent" + std::to_string(k));
+      }
+      for (const std::string& key : probes) {
+        const auto it = truth.find(key);
+        std::vector<IndexValue> out;
+        const Status got = store->Get(key, &out);
+        std::vector<IndexValue> paged;
+        PackedObjectStore::LookupInfo info;
+        const Status got_paged = store->GetPaged(key, &paged, &info);
+        if (it == truth.end()) {
+          ASSERT_TRUE(got.IsNotFound()) << key << " " << got.ToString();
+          ASSERT_TRUE(got_paged.IsNotFound()) << key;
+          continue;
+        }
+        ASSERT_TRUE(got.ok()) << key << " " << got.ToString();
+        ASSERT_TRUE(got_paged.ok()) << key << " " << got_paged.ToString();
+        ASSERT_EQ(out, it->second) << key;
+        ASSERT_EQ(paged, it->second) << key;
+        ASSERT_GE(info.pages, 1u) << key;
+      }
+      for (const size_t depth : {1, 16}) {
+        SCOPED_TRACE("depth " + std::to_string(depth));
+        CheckThroughQueue(*store, probes, truth, depth);
+      }
+    }
+  }
+}
+
 // --- torn-state matrix (DESIGN.md §15) -------------------------------------
 //
 // Every persisted piece of a store — manifest, Elias-Fano sidecars, data
@@ -423,6 +555,56 @@ TEST(PackedStoreTornTest, TruncatedPageIsDataLossAtRead) {
       0, store->num_partition_blocks(0) - 1, page.data());
   ASSERT_TRUE(s.IsDataLoss()) << s.ToString();
   EXPECT_NE(s.message().find("truncated page"), std::string::npos);
+}
+
+TEST(PackedStoreTornTest, TruncatedPageFailsQueueLookupsUncached) {
+  // The same truncation seen through the batched queue: every lookup on
+  // the torn partition completes with `error`, and the failed page is never
+  // cached — a second lookup of it in the same flush re-reads and fails
+  // again, and distinct_pages counts only the pages actually read.
+  uint64_t version = 0;
+  const std::string dir = BuildTornFixture("torn_queue", &version);
+  std::string error;
+  auto store = PackedObjectStore::Open(dir, &error);
+  ASSERT_NE(store, nullptr) << error;
+  std::string torn_key, intact_key;
+  for (int k = 0; k < 200 && (torn_key.empty() || intact_key.empty()); ++k) {
+    const std::string key = "k" + std::to_string(k);
+    std::string& slot =
+        store->scheme().PartitionOf(key) == 0 ? torn_key : intact_key;
+    if (slot.empty()) slot = key;
+  }
+  ASSERT_FALSE(torn_key.empty());
+  ASSERT_FALSE(intact_key.empty());
+  std::vector<IndexValue> intact_values;
+  PackedObjectStore::LookupInfo intact_info;
+  ASSERT_TRUE(store->GetPaged(intact_key, &intact_values, &intact_info).ok());
+
+  const std::string data =
+      dir + "/part0.g" + std::to_string(version) + ".dat";
+  std::string raw;
+  ASSERT_TRUE(durable::ReadFileContents(data, &raw));
+  RewriteRaw(data, raw.substr(0, store->page_bytes() / 2));
+
+  BatchedLookupQueue queue(store.get());
+  const uint64_t first = queue.Submit(torn_key);
+  const uint64_t second = queue.Submit(torn_key);
+  const uint64_t intact = queue.Submit(intact_key);
+  const FlushOutcome outcome = queue.Flush();
+  ASSERT_EQ(outcome.completions.size(), 3u);
+  for (const LookupCompletion& c : outcome.completions) {
+    if (c.ticket == first || c.ticket == second) {
+      EXPECT_TRUE(c.error) << c.ticket;
+      EXPECT_FALSE(c.found) << c.ticket;
+      EXPECT_TRUE(c.values.empty()) << c.ticket;
+    } else {
+      ASSERT_EQ(c.ticket, intact);
+      EXPECT_FALSE(c.error);
+      EXPECT_TRUE(c.found);
+      EXPECT_EQ(c.values, intact_values);
+    }
+  }
+  EXPECT_EQ(outcome.distinct_pages, intact_info.pages);
 }
 
 }  // namespace
