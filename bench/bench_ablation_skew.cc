@@ -20,9 +20,7 @@
 //      plan degenerates to plain re-partitioning, and the two cells must
 //      agree within 5% (they are expected to be *identical*).
 //   4. Outputs: salted vs plain re-partition agree as a sorted multiset in
-//      every scenario (split placement legitimately differs), and the
-//      salted zipf1.2 run is byte-identical between the batched shuffle
-//      engine and the legacy per-record engine.
+//      every scenario (split placement legitimately differs).
 //
 // Winner gates use SIMULATED seconds, not wall-clock: the modeled cluster
 // has 12 nodes and 48 reduce slots, where reducer serialization is real;
@@ -145,41 +143,6 @@ BlockResult RunBlock(const bench::BenchOptions& opts, bool faults,
   return block;
 }
 
-/// Byte-identity probe: the salted zipf1.2 cell run on the batched shuffle
-/// engine and the legacy per-record engine must agree exactly (outputs,
-/// simulated time) — salting composes with the DESIGN.md §11 hot path.
-bool BatchedMatchesLegacy(const bench::BenchOptions& opts,
-                          const SyntheticOptions& workload) {
-  SyntheticOptions syn = workload;
-  syn.zipf_theta = 1.2;
-  const auto input = GenerateSynthetic(syn, opts.config.num_nodes);
-  KvStoreOptions kv;
-  kv.num_nodes = opts.config.num_nodes;
-  KvStore store(kv);
-  LoadSyntheticIndex(syn, &store);
-  const IndexJobConf conf = MakeSyntheticJoinJob(&store);
-
-  auto run = [&](const char* batch_env) {
-    setenv("EFIND_BATCH_SHUFFLE", batch_env, /*overwrite=*/1);
-    EFindJobRunner runner(opts.config, opts.MakeEFindOptions());
-    const CollectedStats stats = runner.CollectStatistics(conf, input);
-    return runner.RunWithPlan(
-        conf, input, MakeUniformPlan(conf, Strategy::kSaltedRepartition),
-        &stats);
-  };
-  const EFindRunResult batched = run("1");
-  const EFindRunResult legacy = run("0");
-  setenv("EFIND_BATCH_SHUFFLE", opts.batch_shuffle ? "1" : "0",
-         /*overwrite=*/1);
-  if (batched.sim_seconds != legacy.sim_seconds) return false;
-  if (batched.outputs.size() != legacy.outputs.size()) return false;
-  for (size_t i = 0; i < batched.outputs.size(); ++i) {
-    if (batched.outputs[i].node != legacy.outputs[i].node) return false;
-    if (batched.outputs[i].records != legacy.outputs[i].records) return false;
-  }
-  return true;
-}
-
 }  // namespace
 }  // namespace efind
 
@@ -252,9 +215,6 @@ int main(int argc, char** argv) {
     check(key + ": salted output multiset == repart output multiset",
           salted.sorted == repart.sorted);
   }
-
-  check("zipf1.2 salted batched == legacy (byte-identical)",
-        BatchedMatchesLegacy(opts, workload));
 
   const int rc = bench::FinishBench(harness, opts, argc, argv);
   if (!ok) {

@@ -10,27 +10,25 @@
 // bench reproduces that leg: it generates the fig11a log trace, re-keys it
 // by IP outside the measured region (the materialization the re-partition
 // planner would have written), and runs the resulting stage-less
-// shuffle+reduce job on the legacy per-record engine and on the batched
-// engine, same seed and plan, checking that
-//   1. outputs and simulated times are byte-identical (the batch layout is
-//      a pure engine optimization),
-//   2. the batched engine is at least 20% faster in host wall-clock
-//      (EFIND_PERF_LAYOUT_MIN_IMPROVEMENT overrides the fraction),
-//   3. per-record heap traffic collapses: shuffled records per tracked
-//      heap allocation >= 10 (the legacy path allocates at least once per
-//      record on this leg, so that is a >= 10x drop), and the arena
-//      reports nonzero reserved bytes,
-//   4. no shuffle checksum mismatches.
+// shuffle+reduce job, checking that
+//   1. at the default cluster configuration, the output digest
+//      (`reuse::ChecksumSplits`) and the simulated map/reduce/job seconds
+//      equal the pinned values below — pinned while the per-record
+//      `std::vector<Record>` shuffle still ran next to the batched one and
+//      both agreed bit for bit,
+//   2. per-record heap traffic stays collapsed: shuffled records per
+//      tracked heap allocation >= 10 (a per-record shuffle allocates at
+//      least once per record on this leg, so that is a >= 10x drop), and
+//      the arena reports nonzero reserved bytes,
+//   3. no shuffle checksum mismatches.
 // Exits nonzero if any check fails, so scripts/verify.sh can gate on it.
 //
-// Wall-clock is measured as best-of-N with the two paths' repetitions
-// interleaved (legacy, batched, legacy, batched, ...) after one warm-up
-// pass each, which keeps the 20% gate stable on noisy single-core CI
-// hosts; the byte-identity checks are exact and noise-free.
+// Wall-clock is the best of N timed runs at the configured cluster after
+// one untimed run at the default cluster (the pinned-digest check). The
+// checks are exact and noise-free; wall-clock is reported, not gated.
 
 #include <chrono>
 #include <cstdio>
-#include <cstdlib>
 #include <string>
 #include <utility>
 #include <vector>
@@ -77,16 +75,15 @@ class VisitSummaryReducer : public Reducer {
   }
 };
 
-struct PathRun {
-  JobResult result;
-  double best_ms = 0;
-};
+// The pinned default-configuration result (see check 1 above).
+constexpr uint64_t kPinnedDigest = 0x265b8313bb90e203ULL;
+constexpr double kPinnedSimSeconds = 0x1.81b39a432f214p-3;
+constexpr double kPinnedMapSeconds = 0x1.6cc41aeee61f2p-5;
+constexpr double kPinnedReduceSeconds = 0x1.2682938775998p-3;
 
-double TimedRun(bool batched, const bench::BenchOptions& opts,
-                const JobConfig& job, const std::vector<InputSplit>& input,
-                JobResult* result_out) {
-  JobRunner runner(opts.config);
-  runner.set_batch_shuffle(batched);
+double TimedRun(const ClusterConfig& config, const JobConfig& job,
+                const std::vector<InputSplit>& input, JobResult* result_out) {
+  JobRunner runner(config);
   const auto start = std::chrono::steady_clock::now();
   JobResult result = runner.Run(job, input);
   const double ms = std::chrono::duration<double, std::milli>(
@@ -94,32 +91,6 @@ double TimedRun(bool batched, const bench::BenchOptions& opts,
                         .count();
   if (result_out != nullptr) *result_out = std::move(result);
   return ms;
-}
-
-/// Runs both paths back-to-back `repeats` times (after one warm-up pass
-/// each) and keeps each path's best wall-clock. Interleaving the pairs
-/// means slow drifts in host clock frequency hit both paths equally
-/// instead of biasing whichever ran last.
-void RunInterleaved(const bench::BenchOptions& opts, const JobConfig& job,
-                    const std::vector<InputSplit>& input, int repeats,
-                    PathRun* legacy, PathRun* batched) {
-  TimedRun(false, opts, job, input, &legacy->result);
-  TimedRun(true, opts, job, input, &batched->result);
-  for (int rep = 0; rep < repeats; ++rep) {
-    const double lm = TimedRun(false, opts, job, input, nullptr);
-    const double bm = TimedRun(true, opts, job, input, nullptr);
-    if (rep == 0 || lm < legacy->best_ms) legacy->best_ms = lm;
-    if (rep == 0 || bm < batched->best_ms) batched->best_ms = bm;
-  }
-}
-
-bool SameOutputs(const JobResult& a, const JobResult& b) {
-  if (a.outputs.size() != b.outputs.size()) return false;
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    if (a.outputs[i].node != b.outputs[i].node) return false;
-    if (a.outputs[i].records != b.outputs[i].records) return false;
-  }
-  return true;
 }
 
 }  // namespace
@@ -143,52 +114,46 @@ int main(int argc, char** argv) {
   job.name = "log_repartition_leg";
   job.reducer = std::make_shared<VisitSummaryReducer>();
 
+  JobResult pinned;
+  TimedRun(ClusterConfig(), job, input, &pinned);
+  const uint64_t digest = reuse::ChecksumSplits(pinned.outputs);
+  const bool identical = digest == kPinnedDigest &&
+                         pinned.sim_seconds == kPinnedSimSeconds &&
+                         pinned.map_seconds == kPinnedMapSeconds &&
+                         pinned.reduce_seconds == kPinnedReduceSeconds;
+
   const int repeats = 5;
-  PathRun legacy;
-  PathRun batched;
-  RunInterleaved(opts, job, input, repeats, &legacy, &batched);
-
-  harness.Add("legacy", legacy.result.sim_seconds, "", legacy.best_ms);
-  harness.Add("batched", batched.result.sim_seconds, "", batched.best_ms);
-
-  double min_improvement = 0.20;
-  if (const char* env = std::getenv("EFIND_PERF_LAYOUT_MIN_IMPROVEMENT")) {
-    min_improvement = std::atof(env);
+  JobResult batched;
+  double best_ms = 0;
+  for (int rep = 0; rep < repeats; ++rep) {
+    const double ms = TimedRun(opts.config, job, input, &batched);
+    if (rep == 0 || ms < best_ms) best_ms = ms;
   }
+  harness.Add("batched", batched.sim_seconds, "", best_ms);
 
-  const bool identical_outputs =
-      SameOutputs(legacy.result, batched.result) &&
-      legacy.result.sim_seconds == batched.result.sim_seconds;
-  const double improvement =
-      legacy.best_ms > 0 ? 1.0 - batched.best_ms / legacy.best_ms : 0.0;
-  const bool fast_enough = improvement >= min_improvement;
-
-  const double records = batched.result.counters.Get("mr.shuffle.records");
-  const double allocs = batched.result.counters.Get("efind.alloc.count");
-  const double alloc_bytes = batched.result.counters.Get("efind.alloc.bytes");
+  const double records = batched.counters.Get("mr.shuffle.records");
+  const double allocs = batched.counters.Get("efind.alloc.count");
+  const double alloc_bytes = batched.counters.Get("efind.alloc.bytes");
   const double records_per_alloc = allocs > 0 ? records / allocs : 0.0;
   const bool alloc_drop = records_per_alloc >= 10.0 && alloc_bytes > 0;
   const bool no_mismatch =
-      batched.result.counters.Get("mr.shuffle.checksum_mismatch") == 0.0;
+      batched.counters.Get("mr.shuffle.checksum_mismatch") == 0.0;
 
   std::printf(
-      "{\"bench\": \"perf_layout/layout\", \"legacy_ms\": %.3f, "
-      "\"batched_ms\": %.3f, \"improvement\": %.4f, "
-      "\"min_improvement\": %.4f, \"shuffle_records\": %.0f, "
-      "\"heap_allocs\": %.0f, \"records_per_alloc\": %.1f, "
-      "\"alloc_bytes\": %.0f, \"outputs_identical\": %s}\n",
-      legacy.best_ms, batched.best_ms, improvement, min_improvement, records,
-      allocs, records_per_alloc, alloc_bytes,
-      identical_outputs ? "true" : "false");
+      "{\"bench\": \"perf_layout/layout\", \"batched_ms\": %.3f, "
+      "\"shuffle_records\": %.0f, \"heap_allocs\": %.0f, "
+      "\"records_per_alloc\": %.1f, \"alloc_bytes\": %.0f, "
+      "\"output_digest\": \"%016llx\", \"outputs_identical\": %s}\n",
+      best_ms, records, allocs, records_per_alloc, alloc_bytes,
+      static_cast<unsigned long long>(digest), identical ? "true" : "false");
   std::printf(
       "{\"bench\": \"perf_layout/acceptance\", \"identical\": %s, "
-      "\"fast_enough\": %s, \"alloc_drop_10x\": %s, "
-      "\"zero_checksum_mismatch\": %s}\n",
-      identical_outputs ? "true" : "false", fast_enough ? "true" : "false",
-      alloc_drop ? "true" : "false", no_mismatch ? "true" : "false");
+      "\"alloc_drop_10x\": %s, \"zero_checksum_mismatch\": %s}\n",
+      identical ? "true" : "false", alloc_drop ? "true" : "false",
+      no_mismatch ? "true" : "false");
   std::fflush(stdout);
 
-  const bool ok = identical_outputs && fast_enough && alloc_drop && no_mismatch;
+  const bool ok = identical && alloc_drop && no_mismatch;
   const int rc = bench::FinishBench(harness, opts, argc, argv);
   if (!ok) {
     std::fprintf(stderr, "perf_layout acceptance FAILED\n");

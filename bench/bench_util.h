@@ -192,12 +192,6 @@ struct BenchOptions {
   /// Disables cross-job reuse entirely (--no-reuse): `reuse()` returns
   /// null, so reuse-aware benches run exactly the store-less path.
   bool no_reuse = false;
-  /// Batched shuffle hot path (--no-batch-shuffle turns it off; DESIGN.md
-  /// §11). Exported as EFIND_BATCH_SHUFFLE so every nested JobRunner sees
-  /// it. Results are byte-identical either way; only wall-clock changes.
-  bool batch_shuffle = true;
-  /// Arena block size override (--arena-block-bytes); 0 = default/env.
-  size_t arena_block_bytes = 0;
   /// Zipf skew θ for workloads with a skewable key draw (--skew); 0 keeps
   /// each workload's stock distribution (DESIGN.md §12).
   double skew = 0.0;
@@ -334,17 +328,6 @@ inline BenchOptions ParseBenchOptions(int* argc, char** argv) {
       opts.reuse_dir = v;
     } else if (std::strcmp(arg, "--no-reuse") == 0) {
       opts.no_reuse = true;
-    } else if (std::strcmp(arg, "--no-batch-shuffle") == 0) {
-      opts.batch_shuffle = false;
-      setenv("EFIND_BATCH_SHUFFLE", "0", /*overwrite=*/1);
-    } else if ((v = value(arg, "--arena-block-bytes")) != nullptr) {
-      const long long n = std::atoll(v);
-      if (n <= 0) {
-        std::fprintf(stderr, "invalid --arena-block-bytes=%s\n", v);
-        std::exit(2);
-      }
-      opts.arena_block_bytes = static_cast<size_t>(n);
-      setenv("EFIND_ARENA_BLOCK_BYTES", v, /*overwrite=*/1);
     } else if ((v = value(arg, "--skew")) != nullptr) {
       opts.skew = std::atof(v);
       if (opts.skew < 0.0) {
@@ -442,9 +425,6 @@ inline std::vector<std::pair<std::string, std::string>> ConfigPairs(
                    std::to_string(c.reduce_slots_per_node));
   out.emplace_back("cache_capacity", std::to_string(opts.cache_capacity));
   out.emplace_back("reuse", opts.no_reuse ? "off" : "on");
-  out.emplace_back("batch_shuffle", opts.batch_shuffle ? "on" : "off");
-  out.emplace_back("arena_block_bytes",
-                   std::to_string(ResolveArenaBlockBytes()));
   out.emplace_back("reuse_capacity", std::to_string(opts.reuse_capacity));
   out.emplace_back("reuse_dir", opts.reuse_dir);
   out.emplace_back("store_page_bytes",

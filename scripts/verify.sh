@@ -30,8 +30,7 @@
 #      includes the skew trace lint) and the bench_ablation_skew winner
 #      matrix (exits nonzero unless salted re-partitioning beats plain
 #      re-partitioning by >= 25% simulated makespan on the skewed
-#      scenarios, matches it exactly on the benign ones, and stays
-#      byte-identical batched vs legacy),
+#      scenarios and matches it exactly on the benign ones),
 #  10. the packed-store leg (DESIGN.md §13): the store suite alone
 #      (ctest -L store, includes the Elias-Fano / packed-store /
 #      accessor-fingerprint tests and the store_tsan_smoke binary) and
@@ -41,9 +40,10 @@
 #      thread counts),
 #  11. the shuffle hot-path perf leg (DESIGN.md §11): the arena/batch
 #      suite alone (ctest -L perf), the bench_perf_layout acceptance
-#      bench (exits nonzero unless the batched engine is byte-identical
-#      to the legacy one, >= 20% faster on the fig11a repartition leg,
-#      and >= 10x lower in per-record heap traffic), and the
+#      bench (exits nonzero unless the fig11a repartition leg matches its
+#      pinned output digest and simulated seconds, keeps >= 10 shuffled
+#      records per heap allocation, and sees no shuffle checksum
+#      mismatch), and the
 #      perf-trajectory budget check (scripts/bench_trajectory.sh --check
 #      exits nonzero if any area blows its pinned wall-clock budget; the
 #      committed BENCH_<area>.json snapshots are not rewritten here),
@@ -64,6 +64,10 @@
 #      admitted jobs, every planted torn file is detected, and the summed
 #      recovery replay stays under its pinned wall-clock budget), plus the
 #      recovery trace lint.
+#  14. the memory-safety leg: the whole suite rebuilt under AddressSanitizer
+#      + UndefinedBehaviorSanitizer (-DEFIND_SANITIZE=address,undefined, in
+#      <build-dir>-asan; UB aborts the test). ThreadSanitizer binaries are
+#      skipped there — they run in the default build above.
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -140,5 +144,9 @@ if command -v python3 > /dev/null; then
     --require-instant torn_file_detected \
     --require-instant backlog_requeued
 fi
+
+cmake -B "$BUILD-asan" -S . -DEFIND_SANITIZE=address,undefined
+cmake --build "$BUILD-asan" -j"$(nproc)"
+(cd "$BUILD-asan" && ctest --output-on-failure -j"$(nproc)")
 
 echo "verify: OK"

@@ -3,30 +3,9 @@
 
 #include "common/arena.h"
 
-#include <algorithm>
-#include <cstdlib>
-
 namespace efind {
-namespace {
 
-constexpr size_t kDefaultBlockBytes = 64 * 1024;
-constexpr size_t kMinBlockBytes = 4 * 1024;
-constexpr size_t kMaxBlockBytes = 16 * 1024 * 1024;
-
-}  // namespace
-
-size_t ResolveArenaBlockBytes() {
-  const char* env = std::getenv("EFIND_ARENA_BLOCK_BYTES");
-  if (env == nullptr || *env == '\0') return kDefaultBlockBytes;
-  char* end = nullptr;
-  const unsigned long long parsed = std::strtoull(env, &end, 10);
-  if (end == env || parsed == 0) return kDefaultBlockBytes;
-  return std::min<size_t>(kMaxBlockBytes,
-                          std::max<size_t>(kMinBlockBytes, parsed));
-}
-
-Arena::Arena(size_t block_bytes)
-    : block_bytes_(block_bytes > 0 ? block_bytes : ResolveArenaBlockBytes()) {}
+Arena::Arena(size_t block_bytes) : block_bytes_(block_bytes) {}
 
 void* Arena::Allocate(size_t size, size_t align) {
   ++allocation_count_;

@@ -23,11 +23,6 @@
 
 namespace efind {
 
-/// Block size used when a caller does not choose one: the
-/// EFIND_ARENA_BLOCK_BYTES environment variable, else 64 KiB. Clamped to
-/// [4 KiB, 16 MiB] so a typo cannot produce a degenerate arena.
-size_t ResolveArenaBlockBytes();
-
 /// Bump/arena allocator with bulk free.
 ///
 /// Allocations are served from the current block by pointer bump; when a
@@ -39,8 +34,10 @@ size_t ResolveArenaBlockBytes();
 /// its arena has grown to the task's working set.
 class Arena {
  public:
-  /// `block_bytes` = 0 selects `ResolveArenaBlockBytes()`.
-  explicit Arena(size_t block_bytes = 0);
+  /// Block size used when a caller does not choose one.
+  static constexpr size_t kDefaultBlockBytes = 64 * 1024;
+
+  explicit Arena(size_t block_bytes = kDefaultBlockBytes);
   ~Arena() = default;
 
   Arena(const Arena&) = delete;

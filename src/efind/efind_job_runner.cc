@@ -1099,26 +1099,27 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   elapsed += rest_wave.schedule.makespan;
   for (const auto& t : rest_wave.tasks) result.counters.Merge(t.counters);
 
-  // The reduce retrieves outputs from both the reused first-wave tasks and
-  // the new-plan map tasks.
-  std::vector<const MapTaskResult*> all_map_tasks;
-  for (const auto& t : first_wave.tasks) all_map_tasks.push_back(&t);
-  for (const auto& t : rest_wave.tasks) all_map_tasks.push_back(&t);
-
   if (!final_job.reducer && final_job.reduce_stages.empty()) {
-    // Map-only job: gather outputs.
-    for (const MapTaskResult* t : all_map_tasks) {
-      InputSplit split;
-      split.node = t->node;
-      if (!t->partitioned_output.empty()) {
-        split.records = t->partitioned_output[0];
+    // Map-only job: each task's output becomes an output split, first-wave
+    // tasks first.
+    for (auto* wave_tasks : {&first_wave.tasks, &rest_wave.tasks}) {
+      for (MapTaskResult& t : *wave_tasks) {
+        InputSplit split;
+        split.node = t.node;
+        split.records = std::move(t.output);
+        result.outputs.push_back(std::move(split));
       }
-      result.outputs.push_back(std::move(split));
     }
     result.sim_seconds += elapsed;
     result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
     return result;
   }
+
+  // The reduce retrieves outputs from both the reused first-wave tasks and
+  // the new-plan map tasks.
+  std::vector<const MapTaskResult*> all_map_tasks;
+  for (const auto& t : first_wave.tasks) all_map_tasks.push_back(&t);
+  for (const auto& t : rest_wave.tasks) all_map_tasks.push_back(&t);
 
   const int num_reduce = job_runner_.ResolveNumReduceTasks(final_job);
   const int reduce_slots = config_.total_reduce_slots();

@@ -46,13 +46,12 @@ std::shared_ptr<RecordAttachment> MutableAttachment(Record* record) {
 // failover/resilience counters, the fault-clean statistics channel, obs
 // instants (lookup_failover, lookup_hedge, integrity_retry,
 // breaker_transition), and the injected-latency histogram (DESIGN.md §10).
-void RecordChargeOutcome(const LookupCharge& charge, int j,
-                         const CounterHandle& failovers,
-                         const ResilienceCounters& rc, int injected_hist,
-                         TaskContext* ctx, OperatorTaskStats* stats,
-                         obs::ObsSession* obs) {
+void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
+                         TaskContext* ctx, OperatorTaskStats* stats) {
+  const int j = site.index;
+  const ResilienceCounters& rc = site.resilience;
   Counters* counters = ctx->counters();
-  if (charge.failed_over) counters->Increment(failovers);
+  if (charge.failed_over) counters->Increment(site.lookup_failovers);
   if (charge.hedges > 0) {
     counters->Increment(rc.hedges, charge.hedges);
     if (charge.hedge_won) counters->Increment(rc.hedge_wins);
@@ -79,8 +78,8 @@ void RecordChargeOutcome(const LookupCharge& charge, int j,
                             charge.breaker_short_circuit);
   }
 #if EFIND_OBS
-  if (obs != nullptr) {
-    obs::TaskTrace* tt = obs->trace().TaskLocal(ctx);
+  if (site.obs != nullptr) {
+    obs::TaskTrace* tt = site.obs->trace().TaskLocal(ctx);
     if (charge.failed_over) {
       tt->Instant("lookup_failover", "fault", ctx->sim_time(),
                   {{"index", std::to_string(j)},
@@ -105,14 +104,11 @@ void RecordChargeOutcome(const LookupCharge& charge, int j,
                    {"to", BreakerBank::ToString(static_cast<BreakerBank::State>(
                               charge.breaker_transition_to - 1))}});
     }
-    if (charge.injected_latency_sec > 0.0 && injected_hist >= 0) {
-      obs->metrics().TaskLocal(ctx)->Observe(injected_hist,
-                                             charge.injected_latency_sec);
+    if (charge.injected_latency_sec > 0.0 && site.injected_hist >= 0) {
+      site.obs->metrics().TaskLocal(ctx)->Observe(site.injected_hist,
+                                                  charge.injected_latency_sec);
     }
   }
-#else
-  (void)injected_hist;
-  (void)obs;
 #endif
 }
 
@@ -120,8 +116,9 @@ void RecordChargeOutcome(const LookupCharge& charge, int j,
 // whole batch's distinct pages are charged as overlapped device waves
 // (`PageBatchSeconds`), the run-global `efind.store.*` counters record what
 // coalescing saved, and the pages feed the Nipl_j statistic behind the cost
-// model's page-read term. Per-lookup service/network charges happen at the
-// call sites, in submit order — this helper only owns the shared page leg.
+// model's page-read term. Per-lookup service/network charges go through
+// `LookupSite::Charge` in submit order — this helper only owns the shared
+// page leg.
 void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
                      uint64_t uncoalesced, uint64_t lookups,
                      const ClusterConfig* config, TaskContext* ctx,
@@ -236,6 +233,76 @@ void PreProcessStage::Process(Record record, TaskContext* ctx, Emitter* out) {
   out->Emit(std::move(record));
 }
 
+// ----------------------------------------------------------- lookup site --
+
+LookupSite::LookupSite(IndexAccessor* accessor, int index,
+                       const std::string& base, const char* latency_suffix,
+                       const ClusterConfig* config,
+                       const LookupFailover* failover,
+                       obs::ObsSession* session)
+    : accessor(accessor),
+      batched(dynamic_cast<const BatchedLookupIndex*>(accessor)),
+      index(index),
+      config(config),
+      failover(failover),
+      obs(session),
+      lookups(base + ".lookups"),
+      lookup_errors(base + ".lookup_errors"),
+      lookup_failovers(base + ".lookup_failovers"),
+      resilience(base),
+      breakers(failover != nullptr ? MakeBreakers(config, accessor)
+                                   : nullptr) {
+#if EFIND_OBS
+  // Metric handles intern here, on the orchestration thread at plan
+  // expansion; hot-path updates go through integer ids only.
+  if (obs != nullptr) {
+    latency_hist = obs->metrics().Histogram(base + latency_suffix);
+    injected_hist = obs->metrics().Histogram(base + ".latency_injected_sec");
+  }
+#else
+  (void)latency_suffix;
+#endif
+}
+
+void LookupSite::Charge(const std::string& ik, const CachedResult& result,
+                        bool error, bool local, TaskContext* ctx,
+                        OperatorTaskStats* stats) const {
+  if (error) ctx->counters()->Increment(lookup_errors);
+  const uint64_t result_bytes = ResultBytes(result);
+  const double service = accessor->ServiceSeconds(result_bytes);
+  if (failover != nullptr && failover->active()) {
+    const LookupCharge charge =
+        failover->Resilient(*accessor, ik, result_bytes, service,
+                            ctx->node_id(), local, ctx->sim_time(),
+                            breakers.get());
+    ctx->AddSimTime(charge.seconds);
+    RecordChargeOutcome(charge, *this, ctx, stats);
+  } else if (local) {
+    // Index locality: the task runs on a node hosting this partition, so
+    // the lookup is a local call (paper Eq. 4).
+    ctx->AddSimTime(service);
+  } else {
+    // Remote lookup: index service time plus the network round trip.
+    ctx->AddSimTime(service + accessor->RemoteOverheadSeconds() +
+                    config->RemoteLookupSeconds(ik.size() + result_bytes));
+  }
+  ctx->counters()->Increment(lookups);
+  if (stats != nullptr) {
+    stats->LookupPerformed(index, ik.size(), result_bytes, service);
+  }
+}
+
+CachedResult LookupSite::Lookup(const std::string& ik, bool local,
+                                TaskContext* ctx,
+                                OperatorTaskStats* stats) const {
+  CachedResult result;
+  const Status status = accessor->Lookup(ik, &result);
+  const bool error = !status.ok() && !status.IsNotFound();
+  if (error) result.clear();
+  Charge(ik, result, error, local, ctx, stats);
+  return result;
+}
+
 // --------------------------------------------------------- inline lookup --
 
 InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
@@ -250,11 +317,10 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
       tasks_(std::move(tasks)),
       runtime_(runtime),
       config_(config),
-      failover_(failover),
       obs_(session),
       counter_prefix_(std::move(counter_prefix)) {
   caches_.resize(tasks_.size());
-  counter_names_.reserve(tasks_.size());
+  sites_.reserve(tasks_.size());
   for (size_t t = 0; t < tasks_.size(); ++t) {
     if (tasks_[t].use_cache) {
       caches_[t] =
@@ -262,26 +328,12 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
     }
     const std::string base =
         counter_prefix_ + ".idx" + std::to_string(tasks_[t].index);
-    counter_names_.push_back({CounterHandle(base + ".lookups"),
-                              CounterHandle(base + ".cache_hits"),
-                              CounterHandle(base + ".lookup_errors"),
-                              CounterHandle(base + ".lookup_failovers")});
-    resilience_.emplace_back(base);
-    breakers_.push_back(
-        failover_ != nullptr
-            ? MakeBreakers(config_, op_->accessors()[tasks_[t].index].get())
-            : nullptr);
-    batched_.push_back(dynamic_cast<const BatchedLookupIndex*>(
-        op_->accessors()[tasks_[t].index].get()));
-    if (batched_.back() != nullptr) any_batched_ = true;
+    sites_.emplace_back(op_->accessors()[tasks_[t].index].get(),
+                        tasks_[t].index, base, ".lookup_latency_sec",
+                        config_, failover, obs_);
+    cache_hits_.emplace_back(base + ".cache_hits");
 #if EFIND_OBS
-    // Metric handles intern here, on the orchestration thread at plan
-    // expansion; hot-path updates go through integer ids only.
     if (obs_ != nullptr) {
-      latency_hist_.push_back(
-          obs_->metrics().Histogram(base + ".lookup_latency_sec"));
-      injected_hist_.push_back(
-          obs_->metrics().Histogram(base + ".latency_injected_sec"));
       std::vector<int> hits, misses;
       if (tasks_[t].use_cache) {
         for (int n = 0; n < config_->num_nodes; ++n) {
@@ -301,14 +353,14 @@ std::string InlineLookupStage::name() const {
   return counter_prefix_ + ".lookup";
 }
 
-// Per-task state of the batched store path. Records whose keys hit a
-// store-backed index are buffered until a flush resolves their lookups; the
-// flush then emits them in arrival order, so the downstream record sequence
-// is byte-identical to the serial path. Keyed by `&tasks_` in the
-// TaskContext (distinct from every other task-state owner of this stage).
+// Per-task state of the driver. Records whose keys hit a batched slot are
+// buffered until a flush resolves their lookups; the flush then emits them
+// in arrival order, and records arriving while others are buffered queue
+// behind them. Keyed by `&tasks_` in the TaskContext (distinct from every
+// other task-state owner of this stage).
 struct InlineLookupStage::BatchState {
-  // One store-backed task slot's outstanding batch (parallel to tasks_;
-  // serial slots never populate theirs).
+  // One batched task slot's outstanding batch (parallel to tasks_; serial
+  // slots never populate theirs).
   struct SlotBatch {
     std::unique_ptr<BatchedLookupHandle> handle;
     // Keys in ticket (= submit) order for the current flush.
@@ -347,63 +399,62 @@ InlineLookupStage::BatchState* InlineLookupStage::BatchFor(TaskContext* ctx) {
   return raw;
 }
 
+void InlineLookupStage::CountCacheHit(size_t t, TaskContext* ctx,
+                                      OperatorTaskStats* stats) {
+  if (stats != nullptr) stats->CacheProbe(tasks_[t].index, /*miss=*/false);
+  ctx->counters()->Increment(cache_hits_[t]);
+}
+
+bool InlineLookupStage::ProbeCache(size_t t,
+                                   LruCache<std::string, CachedResult>* cache,
+                                   const std::string& ik, TaskContext* ctx,
+                                   OperatorTaskStats* stats,
+                                   CachedResult* out) {
+  ctx->AddSimTime(config_->cache_probe_sec);
+  if (!cache->Get(ik, out)) return false;
+  CountCacheHit(t, ctx, stats);
+  return true;
+}
+
 CachedResult InlineLookupStage::LookupOne(size_t t, const std::string& ik,
                                           TaskContext* ctx,
                                           OperatorTaskStats* stats) {
   const int j = tasks_[t].index;
-  const TaskCounters& names = counter_names_[t];
   // This task slot's cache for the node the task runs on (if caching).
   // Safe as a member: a node's tasks are serialized on one strand.
   LruCache<std::string, CachedResult>* cache =
       caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
 
   if (cache != nullptr) {
-    ctx->AddSimTime(config_->cache_probe_sec);
     CachedResult cached;
-    if (cache->Get(ik, &cached)) {
-      if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-      ctx->counters()->Increment(names.cache_hits);
-      return cached;
-    }
+    if (ProbeCache(t, cache, ik, ctx, stats, &cached)) return cached;
     if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
   } else if (stats != nullptr) {
     // No real cache: feed the shadow cache so R can be estimated for
     // re-optimization (paper §4.2).
     stats->ShadowProbe(j, ctx->node_id(), ik);
   }
-
-  // Remote lookup: network round trip plus index service time.
-  CachedResult result;
-  const Status status = op_->accessors()[j]->Lookup(ik, &result);
-  if (!status.ok() && !status.IsNotFound()) {
-    ctx->counters()->Increment(names.lookup_errors);
-    result.clear();
-  }
-  const uint64_t result_bytes = ResultBytes(result);
-  const double service = op_->accessors()[j]->ServiceSeconds(result_bytes);
-  if (failover_ != nullptr && failover_->active()) {
-    const LookupCharge charge = failover_->Resilient(
-        *op_->accessors()[j], ik, result_bytes, service, ctx->node_id(),
-        /*local=*/false, ctx->sim_time(), breakers_[t].get());
-    ctx->AddSimTime(charge.seconds);
-    RecordChargeOutcome(charge, j, names.lookup_failovers, resilience_[t],
-                        t < injected_hist_.size() ? injected_hist_[t] : -1,
-                        ctx, stats, obs_);
-  } else {
-    ctx->AddSimTime(service + op_->accessors()[j]->RemoteOverheadSeconds() +
-                    config_->RemoteLookupSeconds(ik.size() + result_bytes));
-  }
-  ctx->counters()->Increment(names.lookups);
-  if (stats != nullptr) {
-    stats->LookupPerformed(j, ik.size(), result_bytes, service);
-  }
+  CachedResult result = sites_[t].Lookup(ik, /*local=*/false, ctx, stats);
   if (cache != nullptr) cache->Put(ik, result);
   return result;
 }
 
-void InlineLookupStage::ProcessBatched(Record record, TaskContext* ctx,
-                                       Emitter* out,
-                                       OperatorTaskStats* stats) {
+void InlineLookupStage::Process(Record record, TaskContext* ctx,
+                                Emitter* out) {
+  if (!record.attachment) {
+    // Nothing to look up — but it may not overtake buffered records.
+    auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
+    if (bs != nullptr && !bs->buffered.empty()) {
+      BatchState::PendingRecord pr;
+      pr.record = std::move(record);
+      bs->buffered.push_back(std::move(pr));
+      return;
+    }
+    out->Emit(std::move(record));
+    return;
+  }
+  OperatorTaskStats* stats =
+      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
   BatchState* bs = BatchFor(ctx);
 #if EFIND_OBS
   obs::TaskTrace* tt =
@@ -413,6 +464,18 @@ void InlineLookupStage::ProcessBatched(Record record, TaskContext* ctx,
   const double batch_t0 = ctx->sim_time();
   size_t batch_keys = 0;
 #endif
+  // Latency of one key of slot t resolved since `t0` (keys submitted to a
+  // batch are observed at the flush instead).
+  auto observe = [&](size_t t, double t0) {
+#if EFIND_OBS
+    if (tm != nullptr) {
+      tm->Observe(sites_[t].latency_hist, ctx->sim_time() - t0);
+    }
+#else
+    (void)t;
+    (void)t0;
+#endif
+  };
   auto attachment = MutableAttachment(&record);
   BatchState::PendingRecord pr;
   for (size_t t = 0; t < tasks_.size(); ++t) {
@@ -421,19 +484,15 @@ void InlineLookupStage::ProcessBatched(Record record, TaskContext* ctx,
     auto& keys = attachment->keys[j];
     auto& results = attachment->results[j];
     results.resize(keys.size());
-    if (batched_[t] == nullptr) {
-      // Serial accessor: resolve inline, exactly as the non-batched driver.
+#if EFIND_OBS
+    batch_keys += keys.size();
+#endif
+    if (sites_[t].batched == nullptr) {
+      // Serial slot: resolve inline.
       for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
         const double lk_t0 = ctx->sim_time();
-#endif
         results[i] = LookupOne(t, keys[i], ctx, stats);
-#if EFIND_OBS
-        if (tm != nullptr && t < latency_hist_.size()) {
-          tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-        }
-        ++batch_keys;
-#endif
+        observe(t, lk_t0);
       }
       continue;
     }
@@ -442,43 +501,28 @@ void InlineLookupStage::ProcessBatched(Record record, TaskContext* ctx,
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
     for (size_t i = 0; i < keys.size(); ++i) {
       const std::string& ik = keys[i];
-#if EFIND_OBS
       const double lk_t0 = ctx->sim_time();
-      ++batch_keys;
-#endif
       if (cache != nullptr) {
-        ctx->AddSimTime(config_->cache_probe_sec);
         CachedResult cached;
-        if (cache->Get(ik, &cached)) {
-          if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-          ctx->counters()->Increment(counter_names_[t].cache_hits);
+        if (ProbeCache(t, cache, ik, ctx, stats, &cached)) {
           results[i] = std::move(cached);
-#if EFIND_OBS
-          if (tm != nullptr && t < latency_hist_.size()) {
-            tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-          }
-#endif
+          observe(t, lk_t0);
           continue;
         }
         auto it = sb.pending_keys.find(ik);
         if (it != sb.pending_keys.end()) {
           // Serially the earlier miss's Put() would precede this probe:
           // count the hit and ride the pending ticket.
-          if (stats != nullptr) stats->CacheProbe(j, /*miss=*/false);
-          ctx->counters()->Increment(counter_names_[t].cache_hits);
+          CountCacheHit(t, ctx, stats);
           pr.refs.push_back({t, i, it->second});
-#if EFIND_OBS
-          if (tm != nullptr && t < latency_hist_.size()) {
-            tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-          }
-#endif
+          observe(t, lk_t0);
           continue;
         }
         if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
       } else if (stats != nullptr) {
         stats->ShadowProbe(j, ctx->node_id(), ik);
       }
-      if (!sb.handle) sb.handle = batched_[t]->NewBatch();
+      if (!sb.handle) sb.handle = sites_[t].batched->NewBatch();
       const uint64_t ticket = sb.handle->Submit(ik);
       sb.submitted.push_back(ik);
       if (cache != nullptr) sb.pending_keys.emplace(ik, ticket);
@@ -520,54 +564,32 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
       const uint64_t i = c.ticket - sb.ticket_base;
       if (i < n) by_ticket[i] = &c;
     }
-    const int j = tasks_[t].index;
-    const TaskCounters& names = counter_names_[t];
     LruCache<std::string, CachedResult>* cache =
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
     resolved[t].resize(n);
-    // Per-lookup charges replay in submit order — the same expressions, in
-    // the same floating-point evaluation order, as the serial miss path.
+    // Per-lookup charges replay in submit order.
     for (size_t i = 0; i < n; ++i) {
       const std::string& ik = sb.submitted[i];
-#if EFIND_OBS
       const double lk_t0 = ctx->sim_time();
-#endif
       CachedResult values;
+      bool error = false;
       if (by_ticket[i] != nullptr) {
-        if (by_ticket[i]->error) {
-          ctx->counters()->Increment(names.lookup_errors);
-        } else {
-          values = std::move(by_ticket[i]->values);
-        }
+        error = by_ticket[i]->error;
+        if (!error) values = std::move(by_ticket[i]->values);
       }
-      const uint64_t result_bytes = ResultBytes(values);
-      const double service = op_->accessors()[j]->ServiceSeconds(result_bytes);
-      if (failover_ != nullptr && failover_->active()) {
-        const LookupCharge charge = failover_->Resilient(
-            *op_->accessors()[j], ik, result_bytes, service, ctx->node_id(),
-            /*local=*/false, ctx->sim_time(), breakers_[t].get());
-        ctx->AddSimTime(charge.seconds);
-        RecordChargeOutcome(charge, j, names.lookup_failovers, resilience_[t],
-                            t < injected_hist_.size() ? injected_hist_[t] : -1,
-                            ctx, stats, obs_);
-      } else {
-        ctx->AddSimTime(service + op_->accessors()[j]->RemoteOverheadSeconds() +
-                        config_->RemoteLookupSeconds(ik.size() + result_bytes));
-      }
-      ctx->counters()->Increment(names.lookups);
-      if (stats != nullptr) {
-        stats->LookupPerformed(j, ik.size(), result_bytes, service);
-      }
+      sites_[t].Charge(ik, values, error, /*local=*/false, ctx, stats);
       if (cache != nullptr) cache->Put(ik, values);
 #if EFIND_OBS
-      if (obs_ != nullptr && t < latency_hist_.size()) {
-        obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_[t],
+      if (obs_ != nullptr) {
+        obs_->metrics().TaskLocal(ctx)->Observe(sites_[t].latency_hist,
                                                 ctx->sim_time() - lk_t0);
       }
+#else
+      (void)lk_t0;
 #endif
       resolved[t][i] = std::move(values);
     }
-    ChargePageBatch(store_counters_, j, outcome.distinct_pages,
+    ChargePageBatch(store_counters_, tasks_[t].index, outcome.distinct_pages,
                     outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);
     sb.ticket_base += n;
     sb.submitted.clear();
@@ -610,78 +632,14 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
   bs->total_pending = 0;
 }
 
-void InlineLookupStage::Process(Record record, TaskContext* ctx,
-                                Emitter* out) {
-  if (!record.attachment) {
-    if (any_batched_) {
-      // Keep the emitted record order identical to serial execution: a
-      // record with nothing to look up may not overtake buffered ones.
-      auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-      if (bs != nullptr && !bs->buffered.empty()) {
-        BatchState::PendingRecord pr;
-        pr.record = std::move(record);
-        bs->buffered.push_back(std::move(pr));
-        return;
-      }
-    }
-    out->Emit(std::move(record));
-    return;
-  }
-  OperatorTaskStats* stats =
-      runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  if (any_batched_) {
-    ProcessBatched(std::move(record), ctx, out, stats);
-    return;
-  }
-#if EFIND_OBS
-  obs::TaskTrace* tt =
-      obs_ != nullptr ? obs_->trace().TaskLocal(ctx) : nullptr;
-  obs::TaskMetrics* tm =
-      obs_ != nullptr ? obs_->metrics().TaskLocal(ctx) : nullptr;
-  const double batch_t0 = ctx->sim_time();
-  size_t batch_keys = 0;
-#endif
-  auto attachment = MutableAttachment(&record);
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    const int j = tasks_[t].index;
-    if (j < 0 || j >= static_cast<int>(attachment->keys.size())) continue;
-    auto& keys = attachment->keys[j];
-    auto& results = attachment->results[j];
-    results.resize(keys.size());
-    for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
-      const double lk_t0 = ctx->sim_time();
-#endif
-      results[i] = LookupOne(t, keys[i], ctx, stats);
-#if EFIND_OBS
-      if (tm != nullptr && t < latency_hist_.size()) {
-        tm->Observe(latency_hist_[t], ctx->sim_time() - lk_t0);
-      }
-      ++batch_keys;
-#endif
-    }
-  }
-#if EFIND_OBS
-  if (tt != nullptr && batch_keys > 0) {
-    tt->Span("lookup_batch", "lookup", batch_t0, ctx->sim_time() - batch_t0,
-             {{"keys", std::to_string(batch_keys)}});
-  }
-#endif
-  record.attachment = std::move(attachment);
-  out->Emit(std::move(record));
-}
-
 void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
-  if (any_batched_) {
-    // Drain the tail batch before the obs snapshot so its page reads and
-    // cache puts are part of this task's record.
-    auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-    if (bs != nullptr && (!bs->buffered.empty() || bs->total_pending > 0)) {
-      FlushBatch(bs, ctx, out,
-                 runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
-    }
+  // Drain the tail batch before the obs snapshot so its page reads and
+  // cache puts are part of this task's record.
+  auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
+  if (bs != nullptr && (!bs->buffered.empty() || bs->total_pending > 0)) {
+    FlushBatch(bs, ctx, out,
+               runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
   }
-  (void)out;
 #if EFIND_OBS
   // Cache hit/miss snapshot at end of task: the node cache is shared by the
   // node's (serially executed) tasks, so the ratio is the node's cumulative
@@ -831,34 +789,13 @@ GroupedLookupStage::GroupedLookupStage(std::shared_ptr<IndexOperator> op,
       local_(local),
       runtime_(runtime),
       config_(config),
-      failover_(failover),
       obs_(session),
       counter_prefix_(std::move(counter_prefix)),
-      lookups_(counter_prefix_ + ".idx" + std::to_string(index_) +
-               ".lookups"),
-      lookup_errors_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                     ".lookup_errors"),
+      site_(op_->accessors()[index_].get(), index_,
+            counter_prefix_ + ".idx" + std::to_string(index_),
+            ".grouped_lookup_latency_sec", config_, failover, obs_),
       lookup_reuses_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                     ".lookup_reuses"),
-      lookup_failovers_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                        ".lookup_failovers"),
-      resilience_(counter_prefix_ + ".idx" + std::to_string(index_)) {
-  if (failover_ != nullptr) {
-    breakers_ = MakeBreakers(config_, op_->accessors()[index_].get());
-  }
-  batched_ = dynamic_cast<const BatchedLookupIndex*>(
-      op_->accessors()[index_].get());
-#if EFIND_OBS
-  if (obs_ != nullptr) {
-    latency_hist_ = obs_->metrics().Histogram(
-        counter_prefix_ + ".idx" + std::to_string(index_) +
-        ".grouped_lookup_latency_sec");
-    injected_hist_ = obs_->metrics().Histogram(
-        counter_prefix_ + ".idx" + std::to_string(index_) +
-        ".latency_injected_sec");
-  }
-#endif
-}
+                     ".lookup_reuses") {}
 
 std::string GroupedLookupStage::name() const {
   return counter_prefix_ + ".grouped_lookup" + std::to_string(index_);
@@ -873,7 +810,37 @@ GroupedLookupStage::Memo* GroupedLookupStage::MemoFor(TaskContext* ctx) const {
   return raw;
 }
 
-// Per-task state of the batched store path. Mirrors the serial path's
+void GroupedLookupStage::ObserveLookup(double t0, bool local, bool span,
+                                       TaskContext* ctx) {
+#if EFIND_OBS
+  if (obs_ == nullptr) return;
+  const double charged = ctx->sim_time() - t0;
+  obs_->metrics().TaskLocal(ctx)->Observe(site_.latency_hist, charged);
+  if (span) {
+    obs_->trace().TaskLocal(ctx)->Span(
+        "grouped_lookup", "lookup", t0, charged,
+        {{"index", std::to_string(index_)},
+         {"mode", local ? "local" : "remote"}});
+  }
+#else
+  (void)t0;
+  (void)local;
+  (void)span;
+  (void)ctx;
+#endif
+}
+
+CachedResult GroupedLookupStage::LookupSerial(const std::string& ik,
+                                              bool local, bool span,
+                                              TaskContext* ctx,
+                                              OperatorTaskStats* stats) {
+  const double t0 = ctx->sim_time();
+  CachedResult result = site_.Lookup(ik, local, ctx, stats);
+  ObserveLookup(t0, local, span, ctx);
+  return result;
+}
+
+// Per-task state of the batched driver. Mirrors the serial driver's
 // last-key memo in two tiers: `run_*` is a key submitted in the current
 // batch but not yet flushed (later records of the same grouped run ride its
 // ticket), `memo_*` is the last flushed grouped key (a run that straddles a
@@ -931,7 +898,7 @@ void GroupedLookupStage::ProcessBatched(Record record, TaskContext* ctx,
       auto attachment = MutableAttachment(&record);
       const auto& keys = attachment->keys[index_];
       attachment->results[index_].resize(keys.size());
-      if (!bs->handle) bs->handle = batched_->NewBatch();
+      if (!bs->handle) bs->handle = site_.batched->NewBatch();
       for (const std::string& k : keys) {
         BatchState::Slot slot;
         slot.ticket = bs->handle->Submit(k);
@@ -988,7 +955,7 @@ void GroupedLookupStage::ProcessBatched(Record record, TaskContext* ctx,
       bs->buffered.push_back(std::move(pr));
     }
   } else {
-    if (!bs->handle) bs->handle = batched_->NewBatch();
+    if (!bs->handle) bs->handle = site_.batched->NewBatch();
     const uint64_t ticket = bs->handle->Submit(ik);
     bs->submitted.push_back({ik, /*grouped=*/true});
     bs->run_pending = true;
@@ -1018,53 +985,19 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
       const uint64_t i = c.ticket - base;
       if (i < n) by_ticket[i] = &c;
     }
-    // Per-lookup charges replay in submit order — the same expressions, in
-    // the same floating-point evaluation order, as the serial path.
+    // Per-lookup charges replay in submit order.
     for (size_t i = 0; i < n; ++i) {
       const BatchState::Submitted& sub = bs->submitted[i];
-#if EFIND_OBS
       const double lk_t0 = ctx->sim_time();
-#endif
       CachedResult values;
+      bool error = false;
       if (by_ticket[i] != nullptr) {
-        if (by_ticket[i]->error) {
-          ctx->counters()->Increment(lookup_errors_);
-        } else {
-          values = std::move(by_ticket[i]->values);
-        }
+        error = by_ticket[i]->error;
+        if (!error) values = std::move(by_ticket[i]->values);
       }
-      const uint64_t result_bytes = ResultBytes(values);
-      const double service =
-          op_->accessors()[index_]->ServiceSeconds(result_bytes);
       const bool local = local_ && sub.grouped;
-      if (failover_ != nullptr && failover_->active()) {
-        const LookupCharge charge = failover_->Resilient(
-            *op_->accessors()[index_], sub.key, result_bytes, service,
-            ctx->node_id(), local, ctx->sim_time(), breakers_.get());
-        ctx->AddSimTime(charge.seconds);
-        RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                            injected_hist_, ctx, stats, obs_);
-      } else if (local) {
-        ctx->AddSimTime(service);
-      } else {
-        ctx->AddSimTime(
-            service + op_->accessors()[index_]->RemoteOverheadSeconds() +
-            config_->RemoteLookupSeconds(sub.key.size() + result_bytes));
-      }
-      ctx->counters()->Increment(lookups_);
-      if (stats != nullptr) {
-        stats->LookupPerformed(index_, sub.key.size(), result_bytes, service);
-      }
-#if EFIND_OBS
-      if (obs_ != nullptr) {
-        const double charged = ctx->sim_time() - lk_t0;
-        obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_, charged);
-        obs_->trace().TaskLocal(ctx)->Span(
-            "grouped_lookup", "lookup", lk_t0, charged,
-            {{"index", std::to_string(index_)},
-             {"mode", local ? "local" : "remote"}});
-      }
-#endif
+      site_.Charge(sub.key, values, error, local, ctx, stats);
+      ObserveLookup(lk_t0, local, /*span=*/true, ctx);
       if (sub.grouped) {
         bs->memo_valid = true;
         bs->memo_key = sub.key;
@@ -1106,7 +1039,7 @@ void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
 }
 
 void GroupedLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
-  if (batched_ == nullptr) return;
+  if (site_.batched == nullptr) return;
   auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&index_));
   if (bs == nullptr || (bs->buffered.empty() && bs->submitted.empty())) return;
   FlushBatch(bs, ctx, out,
@@ -1117,7 +1050,7 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
                                  Emitter* out) {
   OperatorTaskStats* stats =
       runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  if (batched_ != nullptr) {
+  if (site_.batched != nullptr) {
     ProcessBatched(std::move(record), ctx, out, stats);
     return;
   }
@@ -1133,44 +1066,8 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
       auto& results = attachment->results[index_];
       results.resize(keys.size());
       for (size_t i = 0; i < keys.size(); ++i) {
-#if EFIND_OBS
-        const double lk_t0 = ctx->sim_time();
-#endif
-        CachedResult result;
-        const Status status = op_->accessors()[index_]->Lookup(keys[i], &result);
-        if (!status.ok() && !status.IsNotFound()) {
-          ctx->counters()->Increment(lookup_errors_);
-          result.clear();
-        }
-        const uint64_t result_bytes = ResultBytes(result);
-        const double service =
-            op_->accessors()[index_]->ServiceSeconds(result_bytes);
-        if (failover_ != nullptr && failover_->active()) {
-          const LookupCharge charge = failover_->Resilient(
-              *op_->accessors()[index_], keys[i], result_bytes, service,
-              ctx->node_id(), /*local=*/false, ctx->sim_time(),
-              breakers_.get());
-          ctx->AddSimTime(charge.seconds);
-          RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                              injected_hist_, ctx, stats, obs_);
-        } else {
-          ctx->AddSimTime(service +
-                          op_->accessors()[index_]->RemoteOverheadSeconds() +
-                          config_->RemoteLookupSeconds(keys[i].size() +
-                                                       result_bytes));
-        }
-        ctx->counters()->Increment(lookups_);
-        if (stats != nullptr) {
-          stats->LookupPerformed(index_, keys[i].size(), result_bytes,
-                                 service);
-        }
-#if EFIND_OBS
-        if (obs_ != nullptr) {
-          obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_,
-                                                  ctx->sim_time() - lk_t0);
-        }
-#endif
-        results[i] = std::move(result);
+        results[i] = LookupSerial(keys[i], /*local=*/false, /*span=*/false,
+                                  ctx, stats);
       }
       record.attachment = std::move(attachment);
     }
@@ -1181,51 +1078,9 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
   Memo* memo = MemoFor(ctx);
 
   if (!memo->valid || memo->key != ik) {
-#if EFIND_OBS
-    const double lk_t0 = ctx->sim_time();
-#endif
-    CachedResult result;
-    const Status status = op_->accessors()[index_]->Lookup(ik, &result);
-    if (!status.ok() && !status.IsNotFound()) {
-      ctx->counters()->Increment(lookup_errors_);
-      result.clear();
-    }
-    const uint64_t result_bytes = ResultBytes(result);
-    const double service =
-        op_->accessors()[index_]->ServiceSeconds(result_bytes);
-    if (failover_ != nullptr && failover_->active()) {
-      const LookupCharge charge = failover_->Resilient(
-          *op_->accessors()[index_], ik, result_bytes, service,
-          ctx->node_id(), local_, ctx->sim_time(), breakers_.get());
-      ctx->AddSimTime(charge.seconds);
-      RecordChargeOutcome(charge, index_, lookup_failovers_, resilience_,
-                          injected_hist_, ctx, stats, obs_);
-    } else if (local_) {
-      // Index locality: the task runs on a node hosting this partition, so
-      // the lookup is a local call (paper Eq. 4).
-      ctx->AddSimTime(service);
-    } else {
-      ctx->AddSimTime(service +
-                      op_->accessors()[index_]->RemoteOverheadSeconds() +
-                      config_->RemoteLookupSeconds(ik.size() + result_bytes));
-    }
-    ctx->counters()->Increment(lookups_);
-    if (stats != nullptr) {
-      stats->LookupPerformed(index_, ik.size(), result_bytes, service);
-    }
-#if EFIND_OBS
-    if (obs_ != nullptr) {
-      const double charged = ctx->sim_time() - lk_t0;
-      obs_->metrics().TaskLocal(ctx)->Observe(latency_hist_, charged);
-      obs_->trace().TaskLocal(ctx)->Span(
-          "grouped_lookup", "lookup", lk_t0, charged,
-          {{"index", std::to_string(index_)},
-           {"mode", local_ ? "local" : "remote"}});
-    }
-#endif
+    memo->result = LookupSerial(ik, local_, /*span=*/true, ctx, stats);
     memo->valid = true;
     memo->key = ik;
-    memo->result = std::move(result);
   } else {
     ctx->counters()->Increment(lookup_reuses_);
   }

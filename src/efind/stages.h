@@ -121,6 +121,57 @@ struct StoreCounters {
   CounterHandle batched_lookups;
 };
 
+/// One lookup site — an index served by a lookup stage — with everything
+/// its per-lookup charge needs besides the lookup itself: the accessor and
+/// its batching capability, the interned counters, the circuit breakers,
+/// the latency histograms, and the stage's cost, failover and obs context.
+/// Every lookup driver (serial or batched, inline or grouped) charges each
+/// performed lookup through `Charge`, the one place the paper's per-lookup
+/// cost (Eqs 1-4) is written down.
+struct LookupSite {
+  /// `base` is the site's counter prefix ("<operator>.idx<j>"); the latency
+  /// histogram is `base + latency_suffix`. A non-null `failover` also
+  /// builds the site's breaker bank (when enabled and the accessor has a
+  /// partition scheme).
+  LookupSite(IndexAccessor* accessor, int index, const std::string& base,
+             const char* latency_suffix, const ClusterConfig* config,
+             const LookupFailover* failover, obs::ObsSession* session);
+
+  /// Charges one performed lookup of `ik` that returned `result` (empty
+  /// when `error`, a non-NotFound failure, which is counted): the index
+  /// service time, plus the remote overhead and the network transfer of
+  /// key and result unless `local` (index locality, Eq. 4) — through the
+  /// failover charger while the failure-aware path is active. Then counts
+  /// the lookup and feeds `stats` (may be null).
+  void Charge(const std::string& ik, const CachedResult& result, bool error,
+              bool local, TaskContext* ctx, OperatorTaskStats* stats) const;
+  /// The serial drivers' lookup: one blocking accessor call, then `Charge`.
+  CachedResult Lookup(const std::string& ik, bool local, TaskContext* ctx,
+                      OperatorTaskStats* stats) const;
+
+  IndexAccessor* accessor;
+  /// The accessor's batching capability (DESIGN.md §13); null for
+  /// accessors the drivers serve one blocking lookup at a time.
+  const BatchedLookupIndex* batched;
+  int index;
+  const ClusterConfig* config;
+  const LookupFailover* failover;
+  obs::ObsSession* obs;
+  CounterHandle lookups;
+  CounterHandle lookup_errors;
+  CounterHandle lookup_failovers;
+  ResilienceCounters resilience;
+  /// Circuit-breaker cells (null when the breaker is off or the accessor
+  /// has no partition scheme). Safe as stage state for the same reason the
+  /// node caches are: a node's tasks serialize on one strand, and a
+  /// breaker cell is (node, partition)-local.
+  std::unique_ptr<BreakerBank> breakers;
+  /// Interned lookup-latency and injected-latency (latency spikes added by
+  /// the fault model) histogram ids; -1 when observability is off.
+  int latency_hist = -1;
+  int injected_hist = -1;
+};
+
 /// Which indices an `InlineLookupStage` serves, and how.
 struct InlineIndexTask {
   int index = 0;
@@ -130,6 +181,11 @@ struct InlineIndexTask {
 /// Performs baseline / lookup-cache index accesses in the task that holds
 /// the record (no extra job). Remote-lookup time `(Sik+Siv)/BW + T_j` is
 /// charged per actual lookup; cache probes charge T_cache.
+///
+/// One driver serves every task slot. Slots whose accessor implements
+/// `BatchedLookupIndex` submit their keys into a per-task batch and buffer
+/// the record until a flush resolves them (DESIGN.md §13); other slots
+/// resolve inline. Records leave in arrival order either way.
 class InlineLookupStage : public RecordStage {
  public:
   /// `failover` (optional, borrowed) activates the failure-aware charge
@@ -148,31 +204,28 @@ class InlineLookupStage : public RecordStage {
 
   std::string name() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
+  /// Flushes the batched slots' remaining buffered lookups, then takes the
+  /// per-task cache snapshot.
   void EndTask(TaskContext* ctx, Emitter* out) override;
 
  private:
-  // Pre-built counter names for tasks_[t]'s index.
-  struct TaskCounters {
-    CounterHandle lookups;
-    CounterHandle cache_hits;
-    CounterHandle lookup_errors;
-    CounterHandle lookup_failovers;
-  };
+  // Probes tasks_[t]'s node cache for `ik` (charging T_cache); on a hit
+  // counts it and fills `out`.
+  bool ProbeCache(size_t t, LruCache<std::string, CachedResult>* cache,
+                  const std::string& ik, TaskContext* ctx,
+                  OperatorTaskStats* stats, CachedResult* out);
+  void CountCacheHit(size_t t, TaskContext* ctx, OperatorTaskStats* stats);
 
-  // Serves tasks_[t] for `ik` (through the cache if configured), charging
-  // simulated time to `ctx` and statistics to `stats` (may be null), and
-  // returns the result list.
+  // Serves tasks_[t] for `ik` on a serial slot (through the cache if
+  // configured), charging simulated time to `ctx` and statistics to
+  // `stats` (may be null), and returns the result list.
   CachedResult LookupOne(size_t t, const std::string& ik, TaskContext* ctx,
                          OperatorTaskStats* stats);
 
-  // Batched store path (DESIGN.md §13): per-task buffering state, the
-  // record-buffering driver, and the flush that serves every pending lookup
-  // in one coalesced sweep. Engaged only when some task slot's accessor
-  // implements `BatchedLookupIndex`.
+  // Per-task buffering state of the batched slots and the flush that
+  // serves every pending lookup in one coalesced sweep per slot.
   struct BatchState;
   BatchState* BatchFor(TaskContext* ctx);
-  void ProcessBatched(Record record, TaskContext* ctx, Emitter* out,
-                      OperatorTaskStats* stats);
   void FlushBatch(BatchState* bs, TaskContext* ctx, Emitter* out,
                   OperatorTaskStats* stats);
 
@@ -180,23 +233,12 @@ class InlineLookupStage : public RecordStage {
   std::vector<InlineIndexTask> tasks_;
   OperatorRuntime* runtime_;
   const ClusterConfig* config_;
-  const LookupFailover* failover_;
   obs::ObsSession* obs_;
   std::string counter_prefix_;
-  std::vector<TaskCounters> counter_names_;  // Parallel to tasks_.
-  // Resilience counter handles, parallel to tasks_.
-  std::vector<ResilienceCounters> resilience_;
-  // Circuit breakers, parallel to tasks_ (null when the breaker is off or
-  // the index has no partition scheme). Stage members are safe for the same
-  // reason the node caches are: a node's tasks serialize on one strand, and
-  // a breaker cell is (node, partition)-local.
-  std::vector<std::unique_ptr<BreakerBank>> breakers_;
-  // Interned lookup-latency histogram ids, parallel to tasks_ (empty when
-  // observability is off).
-  std::vector<int> latency_hist_;
-  // Interned injected-latency histogram ids (latency-spike seconds added by
-  // the fault model), parallel to tasks_ (empty when observability is off).
-  std::vector<int> injected_hist_;
+  // The lookup site of tasks_[t]'s index, parallel to tasks_.
+  std::vector<LookupSite> sites_;
+  // Interned cache-hit counter handles, parallel to tasks_.
+  std::vector<CounterHandle> cache_hits_;
   // Interned per-node cache hit/miss gauge ids: [t][node], only for cached
   // tasks with observability on (empty vectors otherwise). Gauges take the
   // last write in task-index absorb order — the node cache's cumulative
@@ -205,10 +247,6 @@ class InlineLookupStage : public RecordStage {
   std::vector<std::vector<int>> cache_miss_gauges_;
   // caches_[t] serves tasks_[t] when tasks_[t].use_cache.
   std::vector<std::unique_ptr<NodeCaches>> caches_;
-  // batched_[t] is the batching capability of tasks_[t]'s accessor (null for
-  // in-memory indices; those keep the serial path). Parallel to tasks_.
-  std::vector<const BatchedLookupIndex*> batched_;
-  bool any_batched_ = false;
   StoreCounters store_counters_;
 };
 
@@ -281,7 +319,7 @@ class GroupedLookupStage : public RecordStage {
 
   std::string name() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
-  /// Flushes the batched store path's remaining buffered lookups (no-op for
+  /// Flushes the batched driver's remaining buffered lookups (no-op for
   /// serial accessors).
   void EndTask(TaskContext* ctx, Emitter* out) override;
 
@@ -294,8 +332,17 @@ class GroupedLookupStage : public RecordStage {
   };
   Memo* MemoFor(TaskContext* ctx) const;
 
-  // Batched store path (DESIGN.md §13). The task state is keyed by
-  // `&index_` — `this` already keys the serial path's Memo.
+  // The serial driver's lookup of `ik`: charged, its latency observed and,
+  // when `span`, traced as a grouped_lookup span.
+  CachedResult LookupSerial(const std::string& ik, bool local, bool span,
+                            TaskContext* ctx, OperatorTaskStats* stats);
+  // Latency histogram and grouped_lookup span of one lookup charged since
+  // `t0`.
+  void ObserveLookup(double t0, bool local, bool span, TaskContext* ctx);
+
+  // Batched driver (DESIGN.md §13), chosen when the accessor implements
+  // `BatchedLookupIndex`. The task state is keyed by `&index_` — `this`
+  // already keys the serial driver's Memo.
   struct BatchState;
   BatchState* BatchFor(TaskContext* ctx);
   void ProcessBatched(Record record, TaskContext* ctx, Emitter* out,
@@ -308,23 +355,10 @@ class GroupedLookupStage : public RecordStage {
   bool local_;
   OperatorRuntime* runtime_;
   const ClusterConfig* config_;
-  const LookupFailover* failover_;
   obs::ObsSession* obs_;
-  // Interned lookup-latency histogram id (kInvalidMetric when off).
-  int latency_hist_ = -1;
-  // Interned injected-latency histogram id (kInvalidMetric when off).
-  int injected_hist_ = -1;
   std::string counter_prefix_;
-  CounterHandle lookups_;
-  CounterHandle lookup_errors_;
+  LookupSite site_;
   CounterHandle lookup_reuses_;
-  CounterHandle lookup_failovers_;
-  ResilienceCounters resilience_;
-  // Circuit breaker cells for this index (see InlineLookupStage::breakers_).
-  std::unique_ptr<BreakerBank> breakers_;
-  // Batching capability of this index's accessor (null keeps the serial
-  // memoized path untouched).
-  const BatchedLookupIndex* batched_ = nullptr;
   StoreCounters store_counters_;
 };
 

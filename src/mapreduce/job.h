@@ -44,19 +44,16 @@ struct JobConfig {
 
 /// Execution record of one map task.
 struct MapTaskResult {
-  /// Map output partitioned by reduce bucket (one bucket for map-only jobs).
-  /// Populated on the legacy per-record path; empty when `batched`.
-  std::vector<std::vector<Record>> partitioned_output;
-  /// Map output partitioned by reduce bucket as contiguous batches —
-  /// populated instead of `partitioned_output` when `batched` (the default
-  /// shuffle path, DESIGN.md §11).
+  /// Map-only jobs: the task's output records in emission order (they
+  /// become an output split as-is). Empty for jobs with a reduce phase.
+  std::vector<Record> output;
+  /// Jobs with a reduce phase: map output partitioned by reduce bucket as
+  /// contiguous batches (DESIGN.md §11). Empty for map-only jobs.
   std::vector<RecordBatch> partitioned_batches;
   /// Per-bucket content digest (`ChecksumRecord` framing), computed in the
   /// fused partition sweep; the reduce side re-derives it from the received
   /// bytes and counts `mr.shuffle.checksum_mismatch` on disagreement.
   std::vector<uint64_t> partition_checksums;
-  /// Which of the two partitioned representations is populated.
-  bool batched = false;
   /// Backs the buffers and entry tables of `partitioned_batches`. Owned by
   /// the result so the batches stay readable until the reduce phase drops
   /// the map outputs; freed in bulk with them (DESIGN.md §11).

@@ -2,13 +2,10 @@
 
 #include <algorithm>
 #include <cstdio>
-#include <cstdlib>
-#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
 #include <string_view>
-#include <unordered_map>
 #include <utility>
 
 #include "common/arena.h"
@@ -41,11 +38,14 @@ const CounterHandle kShuffleRecords("mr.shuffle.records");
 const CounterHandle kShuffleBatchBytes("mr.shuffle.batch_bytes");
 const CounterHandle kShuffleChecksumMismatch("mr.shuffle.checksum_mismatch");
 
-bool ResolveBatchShuffle() {
-  const char* env = std::getenv("EFIND_BATCH_SHUFFLE");
-  if (env == nullptr || *env == '\0') return true;
-  return !(std::strcmp(env, "0") == 0 || std::strcmp(env, "false") == 0 ||
-           std::strcmp(env, "off") == 0);
+// Input-side charge of one map record: byte/record accounting plus its CPU
+// share (per-record overhead + per-byte parse), returned for accumulation.
+double ChargeMapInput(const ClusterConfig& config, const Record& r,
+                      MapTaskResult* result) {
+  result->input_bytes += r.size_bytes();
+  ++result->input_records;
+  return config.cpu_per_record_sec +
+         config.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
 }
 
 #if EFIND_OBS
@@ -154,8 +154,7 @@ void TracePhase(obs::ObsSession* session, const char* kind,
 
 }  // namespace
 
-JobRunner::JobRunner(const ClusterConfig& config)
-    : config_(config), batch_shuffle_(ResolveBatchShuffle()) {}
+JobRunner::JobRunner(const ClusterConfig& config) : config_(config) {}
 
 int JobRunner::ResolveNumReduceTasks(const JobConfig& job) const {
   if (!job.reducer) return 1;
@@ -225,63 +224,48 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
                                             const InputSplit& split,
                                             int task_index,
                                             TaskStateBag* bag) {
-  // Batching applies to jobs with a reduce phase; map-only output is
-  // consumed as `std::vector<Record>` splits either way, so the legacy
-  // representation is already the final one there.
-  if (batch_shuffle_ && (job.reducer || !job.reduce_stages.empty())) {
+  if (job.reducer || !job.reduce_stages.empty()) {
     return RunMapTaskBatched(job, split, task_index, bag);
   }
+  // Map-only job: the stage chain's output is already the final
+  // representation (an output split), so it lands in a plain vector — no
+  // partitioner, no shuffle batches. Charges accumulate in the same order
+  // as the shuffled path: every input charge first, then every output one.
   MapTaskResult result;
   result.node = split.node;
-  const int num_partitions =
-      job.reducer ? ResolveNumReduceTasks(job) : 1;
-  result.partitioned_output.resize(num_partitions);
-
   TaskContext ctx(split.node, task_index, &result.counters);
-  std::vector<Record> sink;
-  StageChain chain(&job.map_stages, &ctx, &sink);
+  StageChain chain(&job.map_stages, &ctx, &result.output);
   chain.Begin();
-
   double cpu = 0.0;
   for (const Record& r : split.records) {
-    result.input_bytes += r.size_bytes();
-    ++result.input_records;
-    cpu += config_.cpu_per_record_sec +
-           config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
+    cpu += ChargeMapInput(config_, r, &result);
     chain.Push(r);
   }
   chain.Finish();
-
-  // Partition the map output. A salting partitioner cycles hot keys through
-  // per-task salts in record order — the same order the batched sweep sees,
-  // so both paths produce identical buckets.
-  const Partitioner& part = EffectivePartitioner(job);
-  const auto* salt_part = dynamic_cast<const SaltingPartitioner*>(&part);
-  SaltCycler salt_state;
-  for (auto& r : sink) {
+  for (const Record& r : result.output) {
     result.output_bytes += r.size_bytes();
     ++result.output_records;
     cpu += config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
-    const int p = !job.reducer ? 0
-                  : salt_part
-                      ? salt_part->PartitionHash(Hash64(r.key), &salt_state,
-                                                 num_partitions)
-                      : part.Partition(r.key, num_partitions);
-    result.partitioned_output[p].push_back(std::move(r));
   }
+  FinishMapTask(job, task_index, cpu, &ctx, bag, &result);
+  return result;
+}
 
+void JobRunner::FinishMapTask(const JobConfig& job, int task_index,
+                              double cpu, TaskContext* ctx, TaskStateBag* bag,
+                              MapTaskResult* result) const {
   // Time model: startup + input read (local disk, or network when the
   // scheduler sacrificed data locality) + CPU + stage-charged time +
   // output spill to local disk.
   double io = job.map_input_remote
-                  ? config_.TransferSeconds(result.input_bytes)
-                  : config_.DiskReadSeconds(result.input_bytes);
-  io += static_cast<double>(result.output_bytes) /
+                  ? config_.TransferSeconds(result->input_bytes)
+                  : config_.DiskReadSeconds(result->input_bytes);
+  io += static_cast<double>(result->output_bytes) /
         config_.disk_bw_bytes_per_sec;
-  result.base_duration = config_.task_startup_sec + io + cpu + ctx.sim_time();
-  result.duration = ApplyFaults(result.base_duration, /*kind=*/0, task_index);
-  *bag = ctx.TakeTaskState();
-  return result;
+  result->base_duration =
+      config_.task_startup_sec + io + cpu + ctx->sim_time();
+  result->duration = ApplyFaults(result->base_duration, /*kind=*/0, task_index);
+  *bag = ctx->TakeTaskState();
 }
 
 MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
@@ -289,7 +273,6 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
                                            int task_index, TaskStateBag* bag) {
   MapTaskResult result;
   result.node = split.node;
-  result.batched = true;
   const int num_partitions = job.reducer ? ResolveNumReduceTasks(job) : 1;
 
   // One arena backs everything this task's shuffle produces — staging
@@ -323,15 +306,12 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
   if (job.map_stages.empty()) {
     // Stage-less fast path: re-partition legs are pure data movement, so
     // input records go straight into the per-bucket batches — no stage
-    // chain, no per-record std::string copies at all. Charge accumulation
-    // matches the legacy path exactly: every input charge first, then
-    // every output charge, in the same record order.
+    // chain, no per-record std::string copies at all. Charges accumulate
+    // as on the staged path: every input charge first, then every output
+    // charge, in the same record order.
     uint64_t payload = 0;
     for (const Record& r : split.records) {
-      result.input_bytes += r.size_bytes();
-      ++result.input_records;
-      cpu += config_.cpu_per_record_sec +
-             config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
+      cpu += ChargeMapInput(config_, r, &result);
       payload += r.key.size() + r.value.size();
     }
     if (!split.records.empty()) {
@@ -362,10 +342,7 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
     chain.Begin();
 
     for (const Record& r : split.records) {
-      result.input_bytes += r.size_bytes();
-      ++result.input_records;
-      cpu += config_.cpu_per_record_sec +
-             config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
+      cpu += ChargeMapInput(config_, r, &result);
       chain.Push(r);
     }
     chain.Finish();
@@ -422,16 +399,7 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
   result.counters.Increment(kShuffleBatchBytes,
                             static_cast<double>(batch_bytes));
 
-  // Time model: identical inputs and accumulation order as the legacy path,
-  // so simulated durations agree bit for bit.
-  double io = job.map_input_remote
-                  ? config_.TransferSeconds(result.input_bytes)
-                  : config_.DiskReadSeconds(result.input_bytes);
-  io += static_cast<double>(result.output_bytes) /
-        config_.disk_bw_bytes_per_sec;
-  result.base_duration = config_.task_startup_sec + io + cpu + ctx.sim_time();
-  result.duration = ApplyFaults(result.base_duration, /*kind=*/0, task_index);
-  *bag = ctx.TakeTaskState();
+  FinishMapTask(job, task_index, cpu, &ctx, bag, &result);
   return result;
 }
 
@@ -531,7 +499,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
   // the reducer's value vector. The map side's per-bucket digest is
   // re-derived in the same sweep, verifying the in-memory shuffle hand-off
   // end to end (counted as `mr.shuffle.checksum_mismatch`, expected 0).
-  auto run_reduce_task_batched = [&](size_t slot) {
+  auto run_reduce_task = [&](size_t slot) {
     const int r = begin + static_cast<int>(slot);
     const int node = ReduceTaskNode(job, r);
     phase.outputs[slot].node = node;
@@ -539,18 +507,13 @@ ReducePhaseResult JobRunner::RunReduceRange(
     // The record's location in the (immutable) map outputs, indexed by
     // arrival order.
     struct Loc {
-      const RecordBatch* batch;  // Null for a legacy map output.
-      const Record* rec;         // Null for a batched map output.
-      uint32_t index;            // Record index within `batch`.
+      const RecordBatch* batch;
+      uint32_t index;  // Record index within `batch`.
     };
     size_t total = 0;
     for (const MapTaskResult* mt : map_outputs) {
-      if (mt->batched) {
-        if (r < static_cast<int>(mt->partitioned_batches.size())) {
-          total += mt->partitioned_batches[r].size();
-        }
-      } else if (r < static_cast<int>(mt->partitioned_output.size())) {
-        total += mt->partitioned_output[r].size();
+      if (r < static_cast<int>(mt->partitioned_batches.size())) {
+        total += mt->partitioned_batches[r].size();
       }
     }
     std::vector<Loc> locs;
@@ -591,40 +554,27 @@ ReducePhaseResult JobRunner::RunReduceRange(
     size_t received_records = 0;
     uint64_t mismatches = 0;
     for (const MapTaskResult* mt : map_outputs) {
-      if (mt->batched) {
-        if (r >= static_cast<int>(mt->partitioned_batches.size())) continue;
-        const RecordBatch& b = mt->partitioned_batches[r];
-        received_bytes += b.payload_bytes();
-        received_records += b.size();
-        Checksum64 digest;
-        for (size_t i = 0; i < b.size(); ++i) {
-          ChecksumBatchRecord(&digest, b, i);
-          const uint32_t g = group_for(b.KeyHashAt(i), b.KeyAt(i));
-          ++groups[g].count;
-          group_of.push_back(g);
-          locs.push_back(Loc{&b, nullptr, static_cast<uint32_t>(i)});
-        }
-        if (r < static_cast<int>(mt->partition_checksums.size()) &&
-            digest.Digest() != mt->partition_checksums[r]) {
-          ++mismatches;
-        }
-      } else {
-        // A plan change may hand this phase map outputs from both paths.
-        if (r >= static_cast<int>(mt->partitioned_output.size())) continue;
-        for (const Record& rec : mt->partitioned_output[r]) {
-          received_bytes += rec.size_bytes();
-          ++received_records;
-          const uint32_t g = group_for(Hash64(rec.key), rec.key);
-          ++groups[g].count;
-          group_of.push_back(g);
-          locs.push_back(Loc{nullptr, &rec, 0});
-        }
+      if (r >= static_cast<int>(mt->partitioned_batches.size())) continue;
+      const RecordBatch& b = mt->partitioned_batches[r];
+      received_bytes += b.payload_bytes();
+      received_records += b.size();
+      Checksum64 digest;
+      for (size_t i = 0; i < b.size(); ++i) {
+        ChecksumBatchRecord(&digest, b, i);
+        const uint32_t g = group_for(b.KeyHashAt(i), b.KeyAt(i));
+        ++groups[g].count;
+        group_of.push_back(g);
+        locs.push_back(Loc{&b, static_cast<uint32_t>(i)});
+      }
+      if (r < static_cast<int>(mt->partition_checksums.size()) &&
+          digest.Digest() != mt->partition_checksums[r]) {
+        ++mismatches;
       }
     }
     // Lay the records out group-contiguously: prefix sums over the group
     // counts, then a scatter of arrival indices. Scattering in arrival
-    // order keeps values in arrival order within each group, matching the
-    // legacy gather byte for byte.
+    // order keeps values in arrival order within each group (map-task
+    // order, then record order within a task).
     uint32_t running = 0;
     for (Group& g : groups) {
       g.offset = running;
@@ -640,7 +590,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
         grouped[cursor[group_of[a]]++] = a;
       }
     }
-    // Reducers consume keys in sorted order, matching the legacy gather.
+    // Reducers consume keys in sorted byte order.
     std::vector<uint32_t> ordered(groups.size());
     for (uint32_t i = 0; i < static_cast<uint32_t>(ordered.size()); ++i) {
       ordered[i] = i;
@@ -661,7 +611,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
         config_.cpu_per_record_sec * static_cast<double>(received_records);
     auto materialize = [&locs](uint32_t arrival) {
       const Loc& loc = locs[arrival];
-      return loc.batch ? loc.batch->MaterializeRecord(loc.index) : *loc.rec;
+      return loc.batch->MaterializeRecord(loc.index);
     };
     if (job.reducer) {
       for (const uint32_t gi : ordered) {
@@ -688,78 +638,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
       phase.task_counters[slot].Increment(kShuffleChecksumMismatch,
                                           static_cast<double>(mismatches));
     }
-
-    const uint64_t out_bytes = BytesOf(sink);
-    cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
-    phase.outputs[slot].records = std::move(sink);
-
-    phase.base_durations[slot] =
-        config_.task_startup_sec + config_.TransferSeconds(received_bytes) +
-        cpu + ctx.sim_time() +
-        static_cast<double>(out_bytes) / config_.disk_bw_bytes_per_sec;
-    phase.durations[slot] =
-        ApplyFaults(phase.base_durations[slot], /*kind=*/1, r);
-    bags[slot] = ctx.TakeTaskState();
-  };
-
-  bool any_batched = false;
-  for (const MapTaskResult* mt : map_outputs) {
-    if (mt->batched) {
-      any_batched = true;
-      break;
-    }
-  }
-
-  auto run_reduce_task = [&](size_t slot) {
-    if (any_batched) {
-      run_reduce_task_batched(slot);
-      return;
-    }
-    const int r = begin + static_cast<int>(slot);
-    const int node = ReduceTaskNode(job, r);
-    phase.outputs[slot].node = node;
-
-    // Gather this bucket from every map task in task order. Grouping is a
-    // hash map (O(1) per record); reducers then iterate the keys in sorted
-    // order, matching the ordered-map grouping bit for bit.
-    std::unordered_map<std::string, std::vector<Record>> groups;
-    uint64_t received_bytes = 0;
-    size_t received_records = 0;
-    for (const MapTaskResult* mt : map_outputs) {
-      if (r >= static_cast<int>(mt->partitioned_output.size())) continue;
-      for (const Record& rec : mt->partitioned_output[r]) {
-        received_bytes += rec.size_bytes();
-        ++received_records;
-        groups[rec.key].push_back(rec);
-      }
-    }
-    std::vector<std::pair<const std::string, std::vector<Record>>*> ordered;
-    ordered.reserve(groups.size());
-    for (auto& kv : groups) ordered.push_back(&kv);
-    std::sort(ordered.begin(), ordered.end(),
-              [](const auto* a, const auto* b) { return a->first < b->first; });
-
-    TaskContext ctx(node, r, &phase.task_counters[slot]);
-    std::vector<Record> sink;
-    StageChain chain(&job.reduce_stages, &ctx, &sink);
-    chain.Begin();
-    if (job.reducer) job.reducer->BeginTask(&ctx);
-
-    double cpu =
-        config_.cpu_per_byte_sec * static_cast<double>(received_bytes) +
-        config_.cpu_per_record_sec * static_cast<double>(received_records);
-    if (job.reducer) {
-      for (auto* kv : ordered) {
-        job.reducer->Reduce(kv->first, std::move(kv->second), &ctx,
-                            chain.EmitterInto(0));
-      }
-      job.reducer->EndTask(&ctx, chain.EmitterInto(0));
-    } else {
-      for (auto* kv : ordered) {
-        for (auto& v : kv->second) chain.Push(std::move(v));
-      }
-    }
-    chain.Finish();
 
     const uint64_t out_bytes = BytesOf(sink);
     cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
@@ -851,9 +729,7 @@ JobResult JobRunner::Run(const JobConfig& job,
     for (auto& t : map_phase.tasks) {
       InputSplit split;
       split.node = t.node;
-      if (!t.partitioned_output.empty()) {
-        split.records = std::move(t.partitioned_output[0]);
-      }
+      split.records = std::move(t.output);
       result.outputs.push_back(std::move(split));
     }
   }

@@ -59,16 +59,6 @@ class JobRunner {
   void set_obs(obs::ObsSession* session) { obs_ = session; }
   obs::ObsSession* obs() const { return obs_; }
 
-  /// Selects the shuffle representation for jobs with a reduce phase: true
-  /// (the default, overridable via EFIND_BATCH_SHUFFLE=0) moves map output
-  /// through contiguous `RecordBatch` buffers with the fused
-  /// partition+checksum+accounting sweep; false keeps the legacy
-  /// record-at-a-time `std::vector<Record>` path. Outputs and simulated
-  /// times are identical either way — only wall-clock cost and the
-  /// `efind.alloc.*` / `mr.shuffle.*` counters differ.
-  void set_batch_shuffle(bool on) { batch_shuffle_ = on; }
-  bool batch_shuffle() const { return batch_shuffle_; }
-
   /// Runs the whole job: map phase over `input`, then (if a reducer is
   /// configured) shuffle + reduce phase.
   JobResult Run(const JobConfig& job, const std::vector<InputSplit>& input);
@@ -132,17 +122,26 @@ class JobRunner {
 
   /// RunMapTask with the task's deferred state handed back to the caller
   /// instead of merged immediately (the engine merges bags in task order).
+  /// Map-only jobs collect their output in `MapTaskResult::output`; jobs
+  /// with a reduce phase go through `RunMapTaskBatched`.
   MapTaskResult RunMapTaskDeferred(const JobConfig& job,
                                    const InputSplit& split, int task_index,
                                    TaskStateBag* bag);
 
-  /// Batched variant of RunMapTaskDeferred: stage output lands in an
-  /// arena-backed contiguous batch, then one fused sweep partitions it into
-  /// per-bucket heap batches while computing content digests and byte
-  /// accounting (DESIGN.md §11).
+  /// The shuffled map task: stage output lands in an arena-backed
+  /// contiguous batch, then one fused sweep partitions it into per-bucket
+  /// batches while computing content digests and byte accounting
+  /// (DESIGN.md §11).
   MapTaskResult RunMapTaskBatched(const JobConfig& job,
                                   const InputSplit& split, int task_index,
                                   TaskStateBag* bag);
+
+  /// Shared tail of both map-task paths: the task's time model (startup +
+  /// input read + `cpu` + stage-charged time + output spill), the fault
+  /// model, and the hand-off of `ctx`'s deferred state into `bag`.
+  void FinishMapTask(const JobConfig& job, int task_index, double cpu,
+                     TaskContext* ctx, TaskStateBag* bag,
+                     MapTaskResult* result) const;
 
   /// Executes `body(i)` for every i in [0, count). Tasks sharing a strand
   /// key run serially in ascending i on one thread; distinct strands run
@@ -152,7 +151,6 @@ class JobRunner {
 
   ClusterConfig config_;
   int num_threads_ = 0;
-  bool batch_shuffle_ = true;  // Constructor resolves EFIND_BATCH_SHUFFLE.
   obs::ObsSession* obs_ = nullptr;
   std::unique_ptr<ThreadPool> pool_;
 };

@@ -114,26 +114,17 @@ TEST(ArenaTest, CopyBytesRoundTrips) {
   EXPECT_EQ(std::string(copy, payload.size()), payload);
 }
 
+TEST(ArenaTest, DefaultBlockIs64KiB) {
+  EXPECT_EQ(Arena().block_bytes(), 64u * 1024);
+  EXPECT_EQ(Arena(8192).block_bytes(), 8192u);
+}
+
 TEST(ArenaVectorTest, GrowsAndPreservesContents) {
   Arena arena(4096);
   ArenaVector<uint32_t> v(&arena);
   for (uint32_t i = 0; i < 1000; ++i) v.push_back(i * 3);
   ASSERT_EQ(v.size(), 1000u);
   for (uint32_t i = 0; i < 1000; ++i) EXPECT_EQ(v[i], i * 3);
-}
-
-TEST(ArenaTest, BlockBytesEnvKnobIsClamped) {
-  // Out-of-range values clamp instead of producing degenerate arenas.
-  setenv("EFIND_ARENA_BLOCK_BYTES", "1", 1);
-  EXPECT_EQ(ResolveArenaBlockBytes(), 4096u);
-  setenv("EFIND_ARENA_BLOCK_BYTES", "999999999999", 1);
-  EXPECT_EQ(ResolveArenaBlockBytes(), 16u * 1024 * 1024);
-  setenv("EFIND_ARENA_BLOCK_BYTES", "131072", 1);
-  EXPECT_EQ(ResolveArenaBlockBytes(), 131072u);
-  setenv("EFIND_ARENA_BLOCK_BYTES", "garbage", 1);
-  EXPECT_EQ(ResolveArenaBlockBytes(), 64u * 1024);
-  unsetenv("EFIND_ARENA_BLOCK_BYTES");
-  EXPECT_EQ(ResolveArenaBlockBytes(), 64u * 1024);
 }
 
 }  // namespace

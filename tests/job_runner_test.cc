@@ -8,6 +8,7 @@
 #include <vector>
 
 #include "mapreduce/stage_chain.h"
+#include "reuse/materialized_store.h"
 
 namespace efind {
 namespace {
@@ -150,6 +151,15 @@ TEST(JobRunnerTest, MapOnlyJobTransformsRecords) {
   JobResult result = runner.Run(job, MakeInput(4, 10));
   EXPECT_EQ(result.num_map_tasks, 4u);
   EXPECT_EQ(result.num_reduce_tasks, 0u);
+  // One output split per map task, where the task ran, with every input
+  // and output charge in the simulated time: digest and hex-float seconds
+  // pinned while map-only output still left through a one-bucket
+  // per-record shuffle.
+  ASSERT_EQ(result.outputs.size(), 4u);
+  for (int s = 0; s < 4; ++s) EXPECT_EQ(result.outputs[s].node, s);
+  EXPECT_EQ(reuse::ChecksumSplits(result.outputs), 0x29387651eae9eab4ULL);
+  EXPECT_EQ(result.sim_seconds, 0x1.8c06b3f94149fp-9);
+  EXPECT_EQ(result.map_seconds, result.sim_seconds);
   auto records = result.CollectRecords();
   ASSERT_EQ(records.size(), 40u);
   // Spot check: value "0" doubled stays "0", "1" becomes "2".

@@ -2,9 +2,10 @@
 // Licensed under the Apache License, Version 2.0.
 //
 // Sanitizer smoke for the batched record hot path (DESIGN.md §11): runs a
-// multi-threaded shuffle job over attachment-carrying records on both the
-// batched and the legacy path and checks they agree, plus direct arena
-// stress (reset/reuse, large-object spill, cross-thread task confinement).
+// shuffle job over attachment-carrying records at threads=1 and threads=4
+// and checks both against a pinned output digest and simulated time, plus
+// direct arena stress (reset/reuse, large-object spill, cross-thread task
+// confinement).
 // Compiled twice: under ThreadSanitizer (races — arenas are task-confined,
 // batches cross task boundaries read-only) and under AddressSanitizer with
 // leak detection (bulk frees, spill blocks, buffer growth abandonment).
@@ -18,6 +19,7 @@
 #include <vector>
 
 #include "common/arena.h"
+#include "common/checksum.h"
 #include "mapreduce/job_runner.h"
 #include "mapreduce/record_batch.h"
 
@@ -90,23 +92,42 @@ void ArenaStress() {
   pool.Wait();
 }
 
-void RunJobBothPaths() {
+// Output digest in `reuse::ChecksumSplits` framing (that library is not
+// linked into the sanitizer builds).
+uint64_t OutputDigest(const std::vector<InputSplit>& splits) {
+  Checksum64 c;
+  for (const InputSplit& s : splits) {
+    c.UpdateU64(static_cast<uint64_t>(s.records.size()));
+    for (const Record& r : s.records) {
+      ChecksumRecord(&c, r.key, r.value, r.extra_bytes);
+    }
+  }
+  return c.Digest();
+}
+
+// Pinned while the engine still ran a per-record shuffle next to the
+// batched one and both agreed bit for bit.
+constexpr uint64_t kPinnedDigest = 0x89bf74859949ee2fULL;
+constexpr double kPinnedSimSeconds = 0x1.aa2c34a28536cp-7;
+
+void RunJobAtThreadCounts() {
   const std::vector<InputSplit> input = MakeInput();
   JobConfig job;
   job.reducer = std::make_shared<SplitValueReducer>();
   job.num_reduce_tasks = 7;
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  batched.set_num_threads(4);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
-  legacy.set_num_threads(4);
+  JobRunner serial(config);
+  serial.set_num_threads(1);
+  JobRunner parallel(config);
+  parallel.set_num_threads(4);
 
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-  CHECK(a.sim_seconds == b.sim_seconds);
+  const JobResult a = parallel.Run(job, input);
+  const JobResult b = serial.Run(job, input);
+  CHECK(a.sim_seconds == kPinnedSimSeconds);
+  CHECK(b.sim_seconds == kPinnedSimSeconds);
+  CHECK(OutputDigest(a.outputs) == kPinnedDigest);
+  CHECK(OutputDigest(b.outputs) == kPinnedDigest);
   CHECK(a.outputs.size() == b.outputs.size());
   for (size_t i = 0; i < a.outputs.size(); ++i) {
     CHECK(a.outputs[i].records == b.outputs[i].records);
@@ -120,7 +141,7 @@ void RunJobBothPaths() {
 
 int main() {
   efind::ArenaStress();
-  efind::RunJobBothPaths();
+  efind::RunJobAtThreadCounts();
   std::printf("perf smoke OK\n");
   return 0;
 }

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <memory>
 #include <string>
 #include <vector>
@@ -175,8 +176,12 @@ TEST(RecordBatchTest, EmptyKeysAndValuesSurvive) {
 }
 
 // ---------------------------------------------------------------------------
-// End-to-end property: a shuffle job produces byte-identical outputs and
-// simulated times on the batched and the legacy per-record path.
+// End-to-end shuffle jobs against pinned results. Each pin — output digest
+// (`reuse::ChecksumSplits`) and hex-float simulated map/reduce/job seconds —
+// was taken while the engine still ran a per-record `std::vector<Record>`
+// shuffle next to the batched one and both agreed bit for bit; the hash and
+// pass-through jobs are also checked against an in-test `std::map`
+// grouping.
 
 class WordLengthReducer : public Reducer {
  public:
@@ -189,6 +194,35 @@ class WordLengthReducer : public Reducer {
     out->Emit(Record(key, std::to_string(total)));
   }
 };
+
+struct Pin {
+  uint64_t digest;
+  double sim_seconds;
+  double map_seconds;
+  double reduce_seconds;
+};
+
+void ExpectPinned(const JobResult& r, const Pin& pin) {
+  EXPECT_EQ(reuse::ChecksumSplits(r.outputs), pin.digest);
+  EXPECT_EQ(r.sim_seconds, pin.sim_seconds);
+  EXPECT_EQ(r.map_seconds, pin.map_seconds);
+  EXPECT_EQ(r.reduce_seconds, pin.reduce_seconds);
+}
+
+/// Reference shuffle: bucket every input record by `bucket_of(key)`, group
+/// each bucket's records by key in arrival order (split order, then record
+/// order), and hand the groups over in key order.
+template <typename BucketOf>
+std::vector<std::map<std::string, std::vector<Record>>> ReferenceGroups(
+    const std::vector<InputSplit>& input, int buckets, BucketOf bucket_of) {
+  std::vector<std::map<std::string, std::vector<Record>>> groups(buckets);
+  for (const InputSplit& split : input) {
+    for (const Record& r : split.records) {
+      groups[bucket_of(r.key)][r.key].push_back(r);
+    }
+  }
+  return groups;
+}
 
 TEST(RecordBatchTest, BatchedShuffleMatchesLegacyByteForByte) {
   std::vector<InputSplit> input(6);
@@ -205,36 +239,41 @@ TEST(RecordBatchTest, BatchedShuffleMatchesLegacyByteForByte) {
   job.num_reduce_tasks = 5;
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
+  ExpectPinned(a, {0x42199fa1d760409aULL, 0x1.27b4a2bd0c6ep-6,
+                   0x1.3fb609a2fd2bdp-7, 0x1.0fb33bd71bb04p-7});
 
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  EXPECT_DOUBLE_EQ(a.map_seconds, b.map_seconds);
-  EXPECT_DOUBLE_EQ(a.reduce_seconds, b.reduce_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].node, b.outputs[i].node);
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
+  // Reference: hash-partition, group by key, reduce in key order.
+  const auto groups = ReferenceGroups(input, 5, [](const std::string& k) {
+    return HashPartitioner().Partition(k, 5);
+  });
+  ASSERT_EQ(a.outputs.size(), 5u);
+  TaskContext ctx(0, 0, nullptr);
+  for (int r = 0; r < 5; ++r) {
+    EXPECT_EQ(a.outputs[r].node, r % config.num_nodes);
+    std::vector<Record> expected;
+    struct Sink : Emitter {
+      std::vector<Record>* out;
+      void Emit(Record rec) override { out->push_back(std::move(rec)); }
+    } sink;
+    sink.out = &expected;
+    for (const auto& [key, values] : groups[r]) {
+      job.reducer->Reduce(key, values, &ctx, &sink);
+    }
+    EXPECT_EQ(a.outputs[r].records, expected) << "reduce task " << r;
   }
-  // Content digests agree too (same framing as the reuse store).
-  EXPECT_EQ(reuse::ChecksumSplits(a.outputs), reuse::ChecksumSplits(b.outputs));
   // The batched run reports its shuffle telemetry; zero integrity failures.
   EXPECT_GT(a.counters.Get("mr.shuffle.records"), 0.0);
   EXPECT_GT(a.counters.Get("efind.alloc.bytes"), 0.0);
   EXPECT_GT(a.counters.Get("efind.alloc.count"), 0.0);
   EXPECT_EQ(a.counters.Get("mr.shuffle.checksum_mismatch"), 0.0);
-  EXPECT_FALSE(b.counters.Has("mr.shuffle.records"));
 }
 
-// The salting partitioner (DESIGN.md §12) through both shuffle engines:
-// bucket contents must be byte-identical batched vs legacy (the per-task
-// SaltCycler sees the same record order on both paths), and the hot key's
-// records must actually spread across several reduce tasks.
+// The salting partitioner (DESIGN.md §12) through the shuffle: bucket
+// contents match the pin (the per-task SaltCycler sees split record
+// order), and the hot key's records actually spread across several reduce
+// tasks.
 TEST(RecordBatchTest, SaltingPartitionerMatchesLegacyAndSpreadsHotKey) {
   std::vector<InputSplit> input(6);
   Rng rng(11);
@@ -254,19 +293,10 @@ TEST(RecordBatchTest, SaltingPartitionerMatchesLegacyAndSpreadsHotKey) {
       /*fanout=*/3);
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].node, b.outputs[i].node);
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
-  }
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
+  ExpectPinned(a, {0x57529735fd3183e6ULL, 0x1.cd5d37e0e4534p-7,
+                   0x1.1ae7037c2dc55p-7, 0x1.64ec68c96d1bfp-8});
   EXPECT_EQ(a.counters.Get("mr.shuffle.checksum_mismatch"), 0.0);
 
   // The hot key reduces in several tasks: its reduced record (one per
@@ -307,17 +337,24 @@ TEST(RecordBatchTest, PassThroughReducePhaseMatchesLegacy) {
   job.reduce_stages.push_back(std::make_shared<Tag>());
 
   ClusterConfig config;
-  JobRunner batched(config);
-  batched.set_batch_shuffle(true);
-  JobRunner legacy(config);
-  legacy.set_batch_shuffle(false);
-  const JobResult a = batched.Run(job, input);
-  const JobResult b = legacy.Run(job, input);
-  EXPECT_DOUBLE_EQ(a.sim_seconds, b.sim_seconds);
-  ASSERT_EQ(a.outputs.size(), b.outputs.size());
-  for (size_t i = 0; i < a.outputs.size(); ++i) {
-    EXPECT_EQ(a.outputs[i].records, b.outputs[i].records);
+  JobRunner runner(config);
+  const JobResult a = runner.Run(job, input);
+  ExpectPinned(a, {0x3b3b69f536dcb5ffULL, 0x1.a8d986214a5b2p-7,
+                   0x1.5dc1fd100b90dp-8, 0x1.f3f10f3289257p-8});
+
+  // Reference: one reduce task; every record, grouped by key in key order,
+  // arrival order within a key, tagged.
+  const auto groups =
+      ReferenceGroups(input, 1, [](const std::string&) { return 0; });
+  std::vector<Record> expected;
+  for (const auto& [key, values] : groups[0]) {
+    for (Record r : values) {
+      r.value += "!";
+      expected.push_back(std::move(r));
+    }
   }
+  ASSERT_EQ(a.outputs.size(), 1u);
+  EXPECT_EQ(a.outputs[0].records, expected);
 }
 
 }  // namespace

@@ -5,8 +5,11 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cstdio>
 #include <memory>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "kvstore/kv_store.h"
@@ -215,9 +218,288 @@ TEST(GroupedLookupStageTest, LocalLookupsChargeLessTime) {
   EXPECT_GT(remote_ctx.sim_time(), local_ctx.sim_time());
 }
 
-TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
+// ---------------------------------------------------------------------------
+// Lookup drivers over a batch-capable accessor (DESIGN.md §13). The pinned
+// `sim_time()` values are hex floats so a change in charge order, not just
+// in charge totals, shows up.
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+/// FakeAccessor that also serves batches. A flush completes its lookups in
+/// reverse ticket order (the drivers must re-sequence by ticket), counts
+/// every distinct key as one page, and marks "err" as a failed lookup.
+class FakeBatchedAccessor : public FakeAccessor, public BatchedLookupIndex {
+ public:
+  class Handle : public BatchedLookupHandle {
+   public:
+    explicit Handle(const FakeBatchedAccessor* owner) : owner_(owner) {}
+    uint64_t Submit(const std::string& ik) override {
+      keys_.push_back(ik);
+      ++owner_->submitted;
+      return next_ticket_++;
+    }
+    size_t pending() const override { return keys_.size(); }
+    BatchedLookupOutcome Flush() override {
+      ++owner_->flushes;
+      BatchedLookupOutcome outcome;
+      const uint64_t first = next_ticket_ - keys_.size();
+      std::vector<std::string> distinct;
+      for (size_t i = keys_.size(); i-- > 0;) {
+        BatchedLookupCompletion c;
+        c.ticket = first + i;
+        c.pages = 1;
+        if (keys_[i] == "err") {
+          c.error = true;
+        } else if (keys_[i] != "none") {
+          c.found = true;
+          c.values.emplace_back("V(" + keys_[i] + ")");
+        }
+        outcome.completions.push_back(std::move(c));
+        if (std::find(distinct.begin(), distinct.end(), keys_[i]) ==
+            distinct.end()) {
+          distinct.push_back(keys_[i]);
+        }
+      }
+      outcome.distinct_pages = distinct.size();
+      outcome.uncoalesced_pages = keys_.size();
+      keys_.clear();
+      return outcome;
+    }
+
+   private:
+    const FakeBatchedAccessor* owner_;
+    std::vector<std::string> keys_;
+    uint64_t next_ticket_ = 0;
+  };
+
+  std::unique_ptr<BatchedLookupHandle> NewBatch() const override {
+    return std::make_unique<Handle>(this);
+  }
+  mutable int submitted = 0;
+  mutable int flushes = 0;
+};
+
+/// Two indices: index 0 looks up the record key, index 1 the record value
+/// (no key when the value is empty). PostProcess is unused here.
+class TwoIndexOperator : public IndexOperator {
+ public:
+  std::string name() const override { return "two_index_op"; }
+  void PreProcess(Record* record, IndexKeyLists* keys) override {
+    (*keys)[0].push_back(record->key);
+    if (!record->value.empty()) (*keys)[1].push_back(record->value);
+  }
+  void PostProcess(const Record&, const IndexResultLists&,
+                   Emitter*) override {}
+};
+
+std::string ResultOf(const Record& r, int j, size_t i = 0) {
+  if (!r.attachment || r.attachment->results.size() <= static_cast<size_t>(j)
+      || r.attachment->results[j].size() <= i) {
+    return "<unsized>";
+  }
+  const auto& values = r.attachment->results[j][i];
+  return values.empty() ? "<empty>" : values[0].data;
+}
+
+TEST(InlineLookupStageTest, MixedSerialAndBatchedSlotsEmitInArrivalOrder) {
+  OperatorRuntime rt(2, 12, 16);
   StageHarness h;
+  h.config.store_batch_depth = 3;
+  auto op = std::make_shared<TwoIndexOperator>();
+  auto serial = std::make_shared<FakeAccessor>();
+  auto batched = std::make_shared<FakeBatchedAccessor>();
+  op->AddIndex(serial);
+  op->AddIndex(batched);
+  PreProcessStage pre(op, &rt, "efind.t");
+  InlineLookupStage lookup(op, {{0, false}, {1, true}}, &rt, &h.config, 16,
+                           "efind.t");
+  pre.BeginTask(&h.ctx);
+  lookup.BeginTask(&h.ctx);
+  // "none" in the batched slot is found nowhere; the bare records carry no
+  // attachment and must not overtake the buffered ones.
+  const std::vector<std::pair<std::string, std::string>> input = {
+      {"k1", "a"}, {"", ""}, {"k2", "b"}, {"k3", "a"},
+      {"k4", ""},  {"", ""}, {"k5", "none"}, {"k6", "c"}};
+  for (size_t i = 0; i < input.size(); ++i) {
+    if (input[i].first.empty()) {
+      lookup.Process(Record("bare" + std::to_string(i), "v"), &h.ctx,
+                     &h.sink);
+      continue;
+    }
+    VectorEmitter mid;
+    pre.Process(Record(input[i].first, input[i].second), &h.ctx, &mid);
+    lookup.Process(std::move(mid.records[0]), &h.ctx, &h.sink);
+  }
+  lookup.EndTask(&h.ctx, &h.sink);
+  h.ctx.FinalizeTaskState();
+
+  ASSERT_EQ(h.sink.records.size(), input.size());
+  const std::vector<std::string> keys = {"k1", "bare1", "k2", "k3",
+                                         "k4", "bare5", "k5", "k6"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(h.sink.records[i].key, keys[i]) << i;
+  }
+  EXPECT_EQ(ResultOf(h.sink.records[0], 0), "V(k1)");
+  EXPECT_EQ(ResultOf(h.sink.records[0], 1), "V(a)");
+  EXPECT_EQ(h.sink.records[1].attachment, nullptr);
+  EXPECT_EQ(ResultOf(h.sink.records[2], 1), "V(b)");
+  EXPECT_EQ(ResultOf(h.sink.records[3], 0), "V(k3)");
+  EXPECT_EQ(ResultOf(h.sink.records[3], 1), "V(a)");  // Pending-key hit.
+  EXPECT_EQ(ResultOf(h.sink.records[4], 0), "V(k4)");
+  EXPECT_EQ(h.sink.records[4].attachment->keys[1].size(), 0u);
+  EXPECT_EQ(ResultOf(h.sink.records[6], 1), "<empty>");  // NotFound.
+  EXPECT_EQ(ResultOf(h.sink.records[7], 1), "V(c)");
+
+  EXPECT_EQ(serial->lookups, 6);
+  EXPECT_EQ(batched->lookups, 0);  // Served only through batches.
+  EXPECT_EQ(batched->submitted, 4);
+  EXPECT_EQ(batched->flushes, 2);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookups"), 6.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx1.lookups"), 4.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx1.cache_hits"), 1.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx1.lookup_errors"), 0.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.batches"), 2.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.batched_lookups"), 4.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.page_reads"), 4.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), "0x1.500d44c84234bp-7");
+}
+
+TEST(InlineLookupStageTest, PendingKeyHitsRideOneTicketPerFlush) {
+  StageHarness h;
+  auto batched = std::make_shared<FakeBatchedAccessor>();
+  h.op = std::make_shared<FakeOperator>();
+  h.op->AddIndex(batched);
+  PreProcessStage pre(h.op, nullptr, "efind.t");
+  InlineLookupStage lookup(h.op, {{0, true}}, nullptr, &h.config, 16,
+                           "efind.t");
+  for (const char* k : {"x", "y", "x", "x", "y"}) {
+    VectorEmitter mid;
+    pre.Process(Record(k, "v"), &h.ctx, &mid);
+    lookup.Process(std::move(mid.records[0]), &h.ctx, &h.sink);
+  }
+  EXPECT_TRUE(h.sink.records.empty());  // All buffered behind the flush.
+  lookup.EndTask(&h.ctx, &h.sink);
+  ASSERT_EQ(h.sink.records.size(), 5u);
+  for (const Record& r : h.sink.records) {
+    EXPECT_EQ(ResultOf(r, 0), "V(" + r.key + ")");
+  }
+  EXPECT_EQ(batched->submitted, 2);
+  EXPECT_EQ(batched->flushes, 1);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookups"), 2.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.cache_hits"), 3.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), "0x1.153a4edb5a593p-9");
+
+  // The next record hits the now-populated cache: no new submit.
+  VectorEmitter mid;
+  pre.Process(Record("y", "v"), &h.ctx, &mid);
+  lookup.Process(std::move(mid.records[0]), &h.ctx, &h.sink);
+  ASSERT_EQ(h.sink.records.size(), 6u);
+  EXPECT_EQ(ResultOf(h.sink.records[5], 0), "V(y)");
+  EXPECT_EQ(batched->submitted, 2);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.cache_hits"), 4.0);
+}
+
+TEST(InlineLookupStageTest, BatchedErrorCompletionBecomesEmptyResult) {
+  StageHarness h;
+  auto batched = std::make_shared<FakeBatchedAccessor>();
+  h.op = std::make_shared<FakeOperator>();
+  h.op->AddIndex(batched);
+  PreProcessStage pre(h.op, nullptr, "efind.t");
+  InlineLookupStage lookup(h.op, {{0, false}}, nullptr, &h.config, 16,
+                           "efind.t");
+  for (const char* k : {"ok", "err"}) {
+    VectorEmitter mid;
+    pre.Process(Record(k, "v"), &h.ctx, &mid);
+    lookup.Process(std::move(mid.records[0]), &h.ctx, &h.sink);
+  }
+  lookup.EndTask(&h.ctx, &h.sink);
+  ASSERT_EQ(h.sink.records.size(), 2u);
+  EXPECT_EQ(ResultOf(h.sink.records[0], 0), "V(ok)");
+  EXPECT_EQ(ResultOf(h.sink.records[1], 0), "<empty>");
+  // A failed lookup is still a performed (and charged) lookup.
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookups"), 2.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookup_errors"), 1.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), "0x1.1492892f133dfp-9");
+}
+
+// Records that skipped the shuffle (several keys for the index) pass through
+// the grouped stage with every key resolved remotely, in arrival order with
+// the grouped records around them — on the serial and the batched driver.
+void RunGroupedPassThrough(std::shared_ptr<FakeAccessor> accessor,
+                           const std::string& pinned_sim_time) {
+  StageHarness h;
+  h.op = std::make_shared<FakeOperator>();
+  h.op->AddIndex(accessor);
+  GroupedLookupStage grouped(h.op, 0, /*local=*/true, nullptr, &h.config,
+                             "efind.t");
+  auto grouped_record = [](const std::string& ik, const std::string& orig) {
+    Record rec(ik, "v");
+    auto a = std::make_shared<RecordAttachment>();
+    a->keys = {{ik}};
+    a->results = {{{}}};
+    a->saved_key = orig;
+    a->has_saved_key = true;
+    rec.attachment = a;
+    return rec;
+  };
+  auto multi_key_record = [](const std::string& key,
+                             std::vector<std::string> iks) {
+    Record rec(key, "v");
+    auto a = std::make_shared<RecordAttachment>();
+    a->results = {std::vector<CachedResult>(iks.size())};
+    a->keys = {std::move(iks)};
+    rec.attachment = a;
+    return rec;
+  };
+  grouped.BeginTask(&h.ctx);
+  grouped.Process(grouped_record("kA", "r1"), &h.ctx, &h.sink);
+  grouped.Process(multi_key_record("m1", {"p", "err", "q"}), &h.ctx, &h.sink);
+  grouped.Process(grouped_record("kA", "r2"), &h.ctx, &h.sink);
+  grouped.Process(multi_key_record("m2", {}), &h.ctx, &h.sink);
+  grouped.Process(grouped_record("kB", "r3"), &h.ctx, &h.sink);
+  grouped.EndTask(&h.ctx, &h.sink);
+
+  ASSERT_EQ(h.sink.records.size(), 5u);
+  const std::vector<std::string> keys = {"r1", "m1", "r2", "m2", "r3"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(h.sink.records[i].key, keys[i]) << i;
+  }
+  EXPECT_EQ(ResultOf(h.sink.records[0], 0), "V(kA)");
+  EXPECT_EQ(ResultOf(h.sink.records[1], 0, 0), "V(p)");
+  EXPECT_EQ(ResultOf(h.sink.records[1], 0, 1), "<empty>");
+  EXPECT_EQ(ResultOf(h.sink.records[1], 0, 2), "V(q)");
+  EXPECT_FALSE(h.sink.records[1].attachment->has_saved_key);
+  EXPECT_EQ(ResultOf(h.sink.records[2], 0), "V(kA)");
+  EXPECT_EQ(ResultOf(h.sink.records[4], 0), "V(kB)");
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookups"), 5.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookup_reuses"), 1.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.t.idx0.lookup_errors"), 1.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), pinned_sim_time);
+}
+
+TEST(GroupedLookupStageTest, MultiKeyRecordsPassThroughSerial) {
+  auto accessor = std::make_shared<FakeAccessor>();
+  RunGroupedPassThrough(accessor, "0x1.48ab7baa81849p-8");
+  EXPECT_EQ(accessor->lookups, 5);
+}
+
+TEST(GroupedLookupStageTest, MultiKeyRecordsPassThroughBatched) {
+  auto accessor = std::make_shared<FakeBatchedAccessor>();
+  RunGroupedPassThrough(accessor, "0x1.4f39346548956p-8");
+  EXPECT_EQ(accessor->lookups, 0);
+  EXPECT_EQ(accessor->submitted, 5);
+  EXPECT_EQ(accessor->flushes, 1);
+}
+
+TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
+  // The runtime outlives the harness: the harness's TaskContext merges its
+  // per-task statistics into `rt` when it is destroyed.
   OperatorRuntime rt(1, 12, 16);
+  StageHarness h;
   PostProcessStage post(h.op, &rt, "efind.t");
   Record rec("k1", "v");
   auto a = std::make_shared<RecordAttachment>();
