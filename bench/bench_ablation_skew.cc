@@ -10,10 +10,10 @@
 // bench exit nonzero when skew-aware re-partitioning stops paying off:
 //
 //   1. zipf1.2 (faults off AND on): salted beats plain re-partitioning by
-//      at least 25% of simulated makespan (EFIND_SKEW_MIN_IMPROVEMENT
-//      overrides the fraction). The single hot key (~18% of all lookup
-//      keys) serializes one reduce task under plain re-partitioning;
-//      salting spreads it across `--salt-fanout` sub-partitions.
+//      at least 25% of simulated makespan. The single hot key (~18% of
+//      all lookup keys) serializes one reduce task under plain
+//      re-partitioning; salting spreads it across `--salt-fanout`
+//      sub-partitions.
 //   2. single-key: the whole shuffle lands on one reduce task; salted must
 //      win by at least the same margin.
 //   3. uniform and zipf0.8: no key crosses the hot threshold, the salted
@@ -30,7 +30,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdio>
-#include <cstdlib>
 #include <map>
 #include <string>
 #include <utility>
@@ -163,10 +162,7 @@ int main(int argc, char** argv) {
     workload.zipf_theta = opts.skew;
   }
 
-  double min_improvement = 0.25;
-  if (const char* env = std::getenv("EFIND_SKEW_MIN_IMPROVEMENT")) {
-    min_improvement = std::atof(env);
-  }
+  const double min_improvement = 0.25;
 
   std::map<std::string, BlockResult> blocks;
   for (const bool faults : {false, true}) {

@@ -12,7 +12,7 @@
 //
 // Gates (nonzero exit on violation):
 //   1. Depth >= 16 achieves at least 2x the simulated lookup throughput of
-//      depth 1 (EFIND_STORE_MIN_SPEEDUP overrides the factor). Lookup
+//      depth 1. Lookup
 //      counts are equal across depths, so the throughput ratio is the
 //      simulated-makespan ratio.
 //   2. Outputs are byte-identical across every depth — per-split, in
@@ -143,10 +143,7 @@ int main(int argc, char** argv) {
   }
   const IndexJobConf conf = MakeSyntheticStoreJoinJob(store.get());
 
-  double min_speedup = 2.0;
-  if (const char* env = std::getenv("EFIND_STORE_MIN_SPEEDUP")) {
-    min_speedup = std::atof(env);
-  }
+  const double min_speedup = 2.0;
 
   const int kDepths[] = {1, 4, 16, 64};
   std::map<int, Cell> cache_cells;

@@ -1,7 +1,7 @@
 // Guards the observability subsystem's engine overhead (DESIGN.md §8).
-// With no session attached every instrumentation site costs one pointer
-// test (and compiles out entirely under -DEFIND_OBS=0), so a detached run
-// must not be measurably slower than an attached one — if it were, the
+// Observability is runtime-only: with no session attached every
+// instrumentation site costs one pointer test, so a detached run must not
+// be measurably slower than an attached one — if it were, the
 // "free when off" contract is broken. The bench interleaves detached and
 // attached runs of the same adaptive Synthetic join (lookups, caches, a
 // possible plan switch: every instrumented path), takes medians, and fails

@@ -20,9 +20,8 @@
 //      the detections.
 //   3. bounded replay: the summed recovery time — service journal replay,
 //      reuse journal replay + ledger restore, store reopen after the
-//      repairing rebuild — stays under EFIND_RECOVERY_REPLAY_BUDGET_MS
-//      (default 2000 ms, generous for CI hosts; the reference host
-//      replays in a few milliseconds).
+//      repairing rebuild — stays under 2000 ms (generous for CI hosts;
+//      the reference host replays in a few milliseconds).
 //
 // With `--trace-out` the bench emits `recovery`-category spans/instants
 // (`recovery_replay`, `torn_file_detected`, `backlog_requeued`) and
@@ -91,11 +90,6 @@ double TimedMs(Fn&& fn) {
   return std::chrono::duration<double, std::milli>(
              std::chrono::steady_clock::now() - start)
       .count();
-}
-
-double EnvOr(const char* name, double fallback) {
-  if (const char* env = std::getenv(name)) return std::atof(env);
-  return fallback;
 }
 
 /// Deterministic artifact content: the parent can regenerate the exact
@@ -356,7 +350,7 @@ int main(int argc, char** argv) {
   check("zero undetected torn files", detected_torn == planted_torn);
   const double replay_ms =
       service_replay_ms + reuse_replay_ms + store_reopen_ms;
-  const double budget_ms = EnvOr("EFIND_RECOVERY_REPLAY_BUDGET_MS", 2000.0);
+  const double budget_ms = 2000.0;
   std::printf(
       "{\"bench\": \"recovery/replay\", \"wall_ms\": %.3f, "
       "\"budget_ms\": %.0f, \"planted_torn\": %d, \"detected_torn\": %d}\n",

@@ -1,43 +1,40 @@
 // Copyright 2026 The EFind Reproduction Authors.
 // Licensed under the Apache License, Version 2.0.
 //
-// Shared harness for the per-figure benchmarks. Each bench binary:
-//   1. builds its workload and runs every experiment configuration once,
-//      printing a paper-style table (strategy rows, speedups vs baseline);
-//   2. prints one JSON line per configuration with the host wall-clock time
-//      (the execution-engine speedup signal; see --threads below);
-//   3. registers the measured simulated times as google-benchmark entries
-//      (manual time), so standard benchmark tooling sees one entry per bar.
+// Shared harness for the per-figure benchmarks. Each bench binary runs
+// every experiment configuration once and prints a paper-style table
+// (strategy rows, speedups vs baseline) and one JSON line per configuration
+// with the host wall-clock time, then registers the simulated times as
+// google-benchmark entries (manual time), one entry per bar.
 //
 // Times are SIMULATED cluster seconds (see DESIGN.md §3) — the shapes, not
 // the absolute values, are the reproduction target. Wall-clock milliseconds
 // measure the engine itself, not the modeled cluster.
 //
-// Every bench parses one shared flag family via `ParseBenchOptions(&argc,
-// argv)` first thing in main: `--threads` (worker threads; results are
-// bit-identical for any value), the `--fault-*` fault-injection knobs,
-// `--cache-capacity`, the cross-job materialization knobs
-// `--reuse-capacity` / `--reuse-dir` / `--no-reuse` (DESIGN.md §9), and the
-// observability outputs `--trace-out` / `--report` / `--report-text`
-// (DESIGN.md §8). The JSON report echoes the full effective configuration
-// so stored results are self-describing.
+// Every bench calls `ParseBenchOptions(&argc, argv)` first thing in main.
+// Each shared flag is declared once, in `kKnobs` below; parsing, validation
+// (a bad value exits with code 2) and the config echo derive from it.
 
 #ifndef EFIND_BENCH_BENCH_UTIL_H_
 #define EFIND_BENCH_BENCH_UTIL_H_
 
 #include <benchmark/benchmark.h>
 
+#include <algorithm>
+#include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstdio>
 #include <cstdlib>
-#include <cstring>
+#include <limits>
 #include <map>
 #include <memory>
 #include <string>
+#include <string_view>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
-#include "common/arena.h"
 #include "common/durable.h"
 #include "common/thread_pool.h"
 #include "efind/efind_job_runner.h"
@@ -48,187 +45,32 @@
 namespace efind {
 namespace bench {
 
-/// Strips a `--threads=N` argument from the command line and exports it as
-/// EFIND_THREADS so every runner (and nested JobRunner) picks it up.
-/// Returns the resolved worker-thread count.
-inline int InitThreads(int* argc, char** argv) {
-  int out = 1;
-  for (int i = 1; i < *argc; ++i) {
-    if (std::strncmp(argv[i], "--threads=", 10) == 0) {
-      const int n = std::atoi(argv[i] + 10);
-      if (n > 0) {
-        const std::string value = std::to_string(n);
-        setenv("EFIND_THREADS", value.c_str(), /*overwrite=*/1);
-      }
-      continue;  // Consumed: benchmark's own flag parser must not see it.
-    }
-    argv[out++] = argv[i];
-  }
-  *argc = out;
-  return ResolveThreadCount(0);
-}
-
-/// Strips `--fault-*` arguments from the command line and applies them to
-/// `*config`, so any bench can be re-run under an injected fault load
-/// (DESIGN.md §7). Call after InitThreads and before building runners.
-/// Flags (all optional; defaults leave the cluster fault-free):
-///   --fault-task-failure-rate=X    share of tasks that fail and re-run
-///   --fault-straggler-rate=X       share of tasks inflated as stragglers
-///   --fault-straggler-slowdown=X   straggler inflation factor (>= 1)
-///   --fault-seed=N                 deterministic fault-injection seed
-///   --fault-down-hosts=N           N seeded random whole-run host outages
-///   --fault-down-host=K            host K down whole run (repeatable)
-///   --fault-degraded-host=K        host K degraded (repeatable)
-///   --fault-degraded-factor=X      degraded-host service stretch (>= 1)
-///   --fault-speculation            enable speculative backup tasks
-///   --fault-speculation-threshold=X  backup trigger vs wave median (> 1)
-///   --fault-backoff=X              lookup retry backoff seconds
-///   --fault-max-attempts=N         lookup attempts before failover
-///   --fault-failover-replicas=N    replica hosts tried per lookup
-/// Service-level fault model + resilience layer (DESIGN.md §10):
-///   --fault-latency-rate=X         share of lookups hit by latency spikes
-///   --fault-latency-factor=X       heavy-tail spike stretch scale (>= 1)
-///   --fault-flaky-rate=X           per-attempt transient lookup error rate
-///   --fault-corrupt-rate=X         lookup-response corruption rate
-///   --fault-corrupt-artifact-rate=X  artifact-chunk corruption rate
-///   --fault-integrity-refetches=N  fast re-fetches before the slow path
-///   --hedge                        enable hedged (backup) lookups
-///   --hedge-quantile=X             latency quantile deriving hedge delay
-///   --breaker-threshold=N          consecutive failures opening a breaker
-///                                  (0 disables circuit breakers)
-///   --breaker-open-lookups=N       lookups an open breaker stays open for
-/// Exits with an error message if the resulting config is invalid.
-inline void ApplyFaultFlags(int* argc, char** argv, ClusterConfig* config) {
-  int out = 1;
-  bool touched = false;
-  auto value = [](const char* arg, const char* flag) -> const char* {
-    const size_t n = std::strlen(flag);
-    return std::strncmp(arg, flag, n) == 0 && arg[n] == '=' ? arg + n + 1
-                                                            : nullptr;
-  };
-  for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    if ((v = value(arg, "--fault-task-failure-rate")) != nullptr) {
-      config->task_failure_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-straggler-rate")) != nullptr) {
-      config->straggler_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-straggler-slowdown")) != nullptr) {
-      config->straggler_slowdown = std::atof(v);
-    } else if ((v = value(arg, "--fault-seed")) != nullptr) {
-      config->fault_seed = static_cast<uint64_t>(std::atoll(v));
-    } else if ((v = value(arg, "--fault-down-hosts")) != nullptr) {
-      config->random_down_hosts = std::atoi(v);
-    } else if ((v = value(arg, "--fault-down-host")) != nullptr) {
-      config->host_downtimes.push_back({std::atoi(v)});
-    } else if ((v = value(arg, "--fault-degraded-host")) != nullptr) {
-      config->degraded_hosts.push_back(std::atoi(v));
-    } else if ((v = value(arg, "--fault-degraded-factor")) != nullptr) {
-      config->degraded_service_factor = std::atof(v);
-    } else if (std::strcmp(arg, "--fault-speculation") == 0) {
-      config->speculative_execution = true;
-    } else if ((v = value(arg, "--fault-speculation-threshold")) != nullptr) {
-      config->speculation_threshold = std::atof(v);
-      config->speculative_execution = true;
-    } else if ((v = value(arg, "--fault-backoff")) != nullptr) {
-      config->lookup_retry_backoff_sec = std::atof(v);
-    } else if ((v = value(arg, "--fault-max-attempts")) != nullptr) {
-      config->lookup_max_attempts = std::atoi(v);
-    } else if ((v = value(arg, "--fault-failover-replicas")) != nullptr) {
-      config->failover_replicas = std::atoi(v);
-    } else if ((v = value(arg, "--fault-latency-rate")) != nullptr) {
-      config->lookup_latency_spike_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-latency-factor")) != nullptr) {
-      config->lookup_latency_spike_factor = std::atof(v);
-    } else if ((v = value(arg, "--fault-flaky-rate")) != nullptr) {
-      config->lookup_flaky_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-corrupt-rate")) != nullptr) {
-      config->lookup_corrupt_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-corrupt-artifact-rate")) != nullptr) {
-      config->artifact_corrupt_rate = std::atof(v);
-    } else if ((v = value(arg, "--fault-integrity-refetches")) != nullptr) {
-      config->integrity_max_refetches = std::atoi(v);
-    } else if (std::strcmp(arg, "--hedge") == 0) {
-      config->hedged_lookups = true;
-    } else if ((v = value(arg, "--hedge-quantile")) != nullptr) {
-      config->hedge_quantile = std::atof(v);
-      config->hedged_lookups = true;
-    } else if ((v = value(arg, "--breaker-threshold")) != nullptr) {
-      config->breaker_failure_threshold = std::atoi(v);
-    } else if ((v = value(arg, "--breaker-open-lookups")) != nullptr) {
-      config->breaker_open_lookups = std::atoi(v);
-    } else {
-      argv[out++] = argv[i];
-      continue;  // Not ours: leave for benchmark's flag parser.
-    }
-    touched = true;
-  }
-  *argc = out;
-  if (touched) {
-    const char* why = nullptr;
-    if (!ValidateClusterConfig(*config, &why)) {
-      std::fprintf(stderr, "invalid --fault-* configuration: %s\n",
-                   why != nullptr ? why : "unknown");
-      std::exit(2);
-    }
-  }
-}
-
-/// Every shared bench option, parsed once by `ParseBenchOptions`. Benches
-/// read the cluster config from `config`, seed runner options from
-/// `MakeEFindOptions()`, and attach observability to every runner they
-/// create with `runner.set_obs(opts.obs())` (a null session is a no-op).
+/// Every shared bench option; each field's flag and meaning is its `kKnobs`
+/// entry. Runners attach observability with `set_obs(opts.obs())`.
 struct BenchOptions {
-  /// Resolved worker-thread count (--threads / EFIND_THREADS).
-  int threads = 1;
-  /// Cluster configuration with every --fault-* flag applied.
+  int threads = 1;  // Resolved: --threads, else EFIND_THREADS, else cores.
   ClusterConfig config;
-  /// Lookup-cache entries per node (--cache-capacity).
   size_t cache_capacity = 1024;
-  /// Materialized-artifact store capacity in bytes (--reuse-capacity).
   uint64_t reuse_capacity = 64ull << 20;
-  /// Directory for the store manifest dump (--reuse-dir); empty = off.
   std::string reuse_dir;
-  /// Disables cross-job reuse entirely (--no-reuse): `reuse()` returns
-  /// null, so reuse-aware benches run exactly the store-less path.
   bool no_reuse = false;
-  /// Zipf skew θ for workloads with a skewable key draw (--skew); 0 keeps
-  /// each workload's stock distribution (DESIGN.md §12).
   double skew = 0.0;
-  /// Salted sub-partitions per detected hot key (--salt-fanout).
   int salt_fanout = 8;
-  /// SkewDetector hot-key share threshold (--hot-key-threshold).
   double hot_key_threshold = 0.05;
-  /// Packed-object-store page size in bytes (--store-page-bytes); consumed
-  /// by store-backed benches when they build their store (DESIGN.md §13).
   size_t store_page_bytes = 4096;
-  /// Packed-object-store fill degree in (0, 1] (--store-fill).
   double store_fill = 1.0;
-  /// Directory for write-ahead journals and other durable state
-  /// (--journal-dir); empty = the bench picks a scratch directory
-  /// (DESIGN.md §15).
   std::string journal_dir;
-  /// Crash-injection arming (--crash-point=<site>:<n> with
-  /// --crash-mode=kill|torn_truncate|torn_bitflip). Empty = disarmed.
-  /// Parsed and armed process-wide via `durable::SetCrashConfig`, so any
-  /// bench can be crashed at a named commit site for recovery drills.
-  std::string crash_point;
+  std::string crash_point;  // Empty = crash injection disarmed.
   std::string crash_mode = "kill";
-  /// Observability output paths; empty = off.
-  std::string trace_out;        // Chrome trace-event JSON.
-  std::string report_out;       // Run report, JSON.
-  std::string report_text_out;  // Run report, human-readable.
+  std::string trace_out;  // Observability output paths; empty = off.
+  std::string report_out;
+  std::string report_text_out;
 
-  /// The bench-wide observability session; non-null iff any of the output
-  /// paths was given. Shared by every runner of the bench, so the exported
-  /// trace covers the whole invocation end to end.
+  /// Non-null iff any output path was given; shared by every runner.
   std::unique_ptr<obs::ObsSession> session;
   obs::ObsSession* obs() const { return session.get(); }
 
-  /// The bench-wide artifact store, lazily built on first use so benches
-  /// that never call this pay nothing. Null under --no-reuse. Only benches
-  /// that opt into cross-job reuse attach it (`runner.set_reuse(...)`);
-  /// everything else ignores the knobs, keeping their results identical.
+  /// The artifact store, built on first use; null under --no-reuse.
   mutable std::unique_ptr<reuse::MaterializedStore> reuse_store;
   reuse::MaterializedStore* reuse() const {
     if (no_reuse) return nullptr;
@@ -239,7 +81,6 @@ struct BenchOptions {
     return reuse_store.get();
   }
 
-  /// Runner options seeded with the parsed cache capacity.
   EFindOptions MakeEFindOptions() const {
     EFindOptions out;
     out.cache_capacity = cache_capacity;
@@ -249,228 +90,265 @@ struct BenchOptions {
   }
 };
 
-/// Parses and strips the shared bench flag family — consolidating the
-/// former per-bench InitThreads + ApplyFaultFlags pairs — leaving unknown
-/// arguments for benchmark's own parser. On top of `--threads=N` and the
-/// `--fault-*` family above:
-///   --cache-capacity=N   lookup-cache entries per node (default 1024)
-///   --skew=X             Zipf θ for skewable workloads (default 0=stock)
-///   --salt-fanout=N      salted sub-partitions per hot key (default 8)
-///   --hot-key-threshold=X  SkewDetector hot-key share gate (default 0.05)
-///   --store-page-bytes=N   packed-store page size in [64, 65536] (4096)
-///   --store-fill=X         packed-store fill degree in (0, 1] (default 1)
-///   --store-batch-depth=N  outstanding store lookups per flush (default 16;
-///                          1 = serial, applied to config.store_batch_depth)
-///   --reuse-capacity=N   artifact-store capacity in bytes (default 64 MiB)
-///   --reuse-dir=PATH     write the store manifest to PATH/manifest.json
-///                        after the run (reuse-aware benches only)
-///   --no-reuse           disable the cross-job artifact store
-///   --journal-dir=PATH   directory for write-ahead journals / durable
-///                        state (recovery-aware benches; DESIGN.md §15)
-///   --crash-point=S:N    arm deterministic crash injection: die (or tear,
-///                        per --crash-mode) on the Nth hit of commit site S
-///   --crash-mode=M       kill | torn_truncate | torn_bitflip (default kill)
-///   --trace-out=PATH     write a Chrome trace-event JSON of the whole
-///                        bench run (open in chrome://tracing or Perfetto)
-///   --report=PATH        write a JSON run report (config echo, metric
-///                        snapshots, trace summary)
-///   --report-text=PATH   write the human-readable run report
+/// The smallest positive double: a lower bound of `kAboveZero` means > 0.
+constexpr double kAboveZero = std::numeric_limits<double>::denorm_min();
+
+/// One bench knob: a `--flag` setting a field, a config-echo entry, or both.
+struct Knob {
+  const char* flag;  // Spelling without "=value"; null = echo-only.
+  const char* key;   // Config-echo key; null = not echoed.
+  const char* doc;
+  bool is_switch;  // `--flag` alone, vs `--flag=value`.
+  /// Applies a value; false = malformed or outside [lo, hi].
+  bool (*set)(const Knob&, BenchOptions&, std::string_view);
+  std::string (*echo)(const BenchOptions&);
+  /// Given for `BenchOptions` fields; `ValidateClusterConfig` checks the rest.
+  double lo = -HUGE_VAL, hi = HUGE_VAL;
+};
+
+/// The field a member pointer names, in `o` or in `o.config`.
+template <class O, class C, class T>
+auto& FieldRef(O& o, T C::*field) {
+  if constexpr (std::is_same_v<C, ClusterConfig>) {
+    return o.config.*field;
+  } else {
+    return o.*field;
+  }
+}
+
+/// Strict number parser: the whole string must be consumed, doubles must
+/// be finite, and unsigned values cannot be negative.
+template <class T>
+bool ParseValue(std::string_view s, T* out) {
+  const char* end = s.data() + s.size();
+  const auto [ptr, ec] = std::from_chars(s.data(), end, *out);
+  return ec == std::errc() && ptr == end && std::isfinite(*out);
+}
+
+inline int NodeOf(int node) { return node; }
+inline int NodeOf(const HostDowntime& downtime) { return downtime.node; }
+
+/// Sets F from `value` (a host-list F, the repeatable flags, gets host
+/// `value` appended) and, when given, switches `On` on.
+template <auto F, auto On = nullptr>
+bool SetField(const Knob& knob, BenchOptions& o, std::string_view value) {
+  if constexpr (On != nullptr) FieldRef(o, On) = true;
+  auto& field = FieldRef(o, F);
+  using T = std::remove_reference_t<decltype(field)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    field = true;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    field = value;
+  } else if constexpr (std::is_class_v<T>) {
+    int node = 0;
+    if (!ParseValue(value, &node)) return false;
+    field.push_back({node});
+  } else {
+    T parsed{};
+    if (!ParseValue(value, &parsed)) return false;
+    if (parsed < knob.lo || parsed > knob.hi) return false;
+    field = parsed;
+  }
+  return true;
+}
+
+template <auto F>
+std::string EchoField(const BenchOptions& o) {
+  const auto& v = FieldRef(o, F);
+  using T = std::decay_t<decltype(v)>;
+  if constexpr (std::is_same_v<T, bool>) {
+    return v ? "true" : "false";
+  } else if constexpr (std::is_floating_point_v<T>) {
+    char buf[32];
+    std::snprintf(buf, sizeof buf, "%g", v);
+    return buf;
+  } else if constexpr (std::is_same_v<T, std::string>) {
+    return v;
+  } else if constexpr (std::is_class_v<T>) {
+    std::string s;
+    for (const auto& host : v) {
+      s += (s.empty() ? "" : " ") + std::to_string(NodeOf(host));
+    }
+    return s;
+  } else {
+    return std::to_string(v);
+  }
+}
+
+/// A knob that sets and echoes F (see `SetField`); a null `flag` only echoes.
+template <auto F, auto On = nullptr>
+constexpr Knob Field(const char* flag, const char* key,
+                     const char* doc = nullptr, double lo = -HUGE_VAL,
+                     double hi = HUGE_VAL) {
+  using T = std::decay_t<decltype(FieldRef(std::declval<BenchOptions&>(), F))>;
+  return {flag, key, doc, std::is_same_v<T, bool>, SetField<F, On>,
+          EchoField<F>, lo, hi};
+}
+
+/// `--crash-mode` names, in `durable::CrashMode` order.
+inline constexpr std::string_view kCrashModes[] = {"kill", "torn_truncate",
+                                                   "torn_bitflip"};
+
+using BO = BenchOptions;
+using CC = ClusterConfig;
+
+/// Every bench knob, in config-echo order.
+inline constexpr Knob kKnobs[] = {
+    {"--threads", "threads", "worker threads (>= 1)", false,
+     [](const Knob& k, BO& o, std::string_view v) {
+       if (!SetField<&BO::threads>(k, o, v)) return false;
+       setenv("EFIND_THREADS", std::to_string(o.threads).c_str(), 1);
+       return true;
+     },
+     EchoField<&BO::threads>, 1},
+    Field<&CC::num_nodes>(nullptr, "num_nodes"),
+    Field<&CC::map_slots_per_node>(nullptr, "map_slots_per_node"),
+    Field<&CC::reduce_slots_per_node>(nullptr, "reduce_slots_per_node"),
+    Field<&BO::cache_capacity>("--cache-capacity", "cache_capacity",
+                               "lookup-cache entries per node (>= 1)", 1),
+    {"--no-reuse", "reuse", "detach the cross-job artifact store", true,
+     SetField<&BO::no_reuse>,
+     [](const BO& o) -> std::string { return o.no_reuse ? "off" : "on"; }},
+    Field<&BO::reuse_capacity>("--reuse-capacity", "reuse_capacity",
+                               "artifact-store capacity in bytes (>= 1)", 1),
+    Field<&BO::reuse_dir>("--reuse-dir", "reuse_dir",
+                          "write the store manifest to PATH/manifest.json"),
+    Field<&BO::store_page_bytes>("--store-page-bytes", "store_page_bytes",
+                                 "page size in [64, 65536]", 64, 65536),
+    Field<&BO::store_fill>("--store-fill", "store_fill",
+                           "fill degree in (0, 1]", kAboveZero, 1),
+    Field<&BO::journal_dir>("--journal-dir", "journal_dir",
+                            "directory for journals and durable state"),
+    {"--crash-point", "crash_point", "<site>:<n>, crash on the Nth hit", false,
+     [](const Knob& k, BO& o, std::string_view v) {
+       durable::CrashConfig probe;
+       return (v.empty() || durable::ParseCrashSpec(v, &probe)) &&
+              SetField<&BO::crash_point>(k, o, v);
+     },
+     EchoField<&BO::crash_point>},
+    {"--crash-mode", "crash_mode", "kill | torn_truncate | torn_bitflip", false,
+     [](const Knob& k, BO& o, std::string_view v) {
+       return std::ranges::count(kCrashModes, v) == 1 &&
+              SetField<&BO::crash_mode>(k, o, v);
+     },
+     EchoField<&BO::crash_mode>},
+    Field<&CC::store_batch_depth>("--store-batch-depth", "store_batch_depth",
+                                  "outstanding store lookups per flush"),
+    Field<&CC::page_read_sec>(nullptr, "page_read_sec"),
+    Field<&CC::store_io_parallelism>(nullptr, "store_io_parallelism"),
+    Field<&BO::skew>("--skew", "skew", "Zipf theta (>= 0; 0 = stock)", 0),
+    Field<&BO::salt_fanout>("--salt-fanout", "salt_fanout",
+                            "salted sub-partitions per hot key (>= 2)", 2),
+    Field<&BO::hot_key_threshold>("--hot-key-threshold", "hot_key_threshold",
+                                  "hot-key share in (0, 1]", kAboveZero, 1),
+    Field<&CC::fault_seed>("--fault-seed", "fault_seed",
+                           "deterministic fault-injection seed"),
+    Field<&CC::task_failure_rate>("--fault-task-failure-rate",
+                                  "task_failure_rate", "share of tasks re-run"),
+    Field<&CC::straggler_rate>("--fault-straggler-rate", "straggler_rate",
+                               "share of tasks inflated as stragglers"),
+    Field<&CC::straggler_slowdown>("--fault-straggler-slowdown",
+                                   "straggler_slowdown", "straggler inflation"),
+    Field<&CC::random_down_hosts>("--fault-down-hosts", "random_down_hosts",
+                                  "N seeded random whole-run host outages"),
+    Field<&CC::host_downtimes>("--fault-down-host", "down_hosts",
+                               "host K down for the whole run (repeatable)"),
+    Field<&CC::degraded_hosts>("--fault-degraded-host", "degraded_hosts",
+                               "host K degraded (repeatable)"),
+    Field<&CC::degraded_service_factor>(
+        "--fault-degraded-factor", "degraded_factor", "degraded-host stretch"),
+    Field<&CC::speculative_execution>("--fault-speculation", "speculation",
+                                      "enable speculative backup tasks"),
+    Field<&CC::speculation_threshold, &CC::speculative_execution>(
+        "--fault-speculation-threshold", "speculation_threshold",
+        "backup trigger vs wave median (implies --fault-speculation)"),
+    Field<&CC::lookup_retry_backoff_sec>(
+        "--fault-backoff", "lookup_backoff_sec", "retry backoff seconds"),
+    Field<&CC::lookup_max_attempts>(
+        "--fault-max-attempts", "lookup_max_attempts", "tries before failover"),
+    Field<&CC::failover_replicas>(
+        "--fault-failover-replicas", "failover_replicas", "replicas tried"),
+    Field<&CC::lookup_latency_spike_rate>(
+        "--fault-latency-rate", "latency_spike_rate", "spiked lookup share"),
+    Field<&CC::lookup_latency_spike_factor>(
+        "--fault-latency-factor", "latency_spike_factor", "max spike stretch"),
+    Field<&CC::lookup_flaky_rate>("--fault-flaky-rate", "flaky_rate",
+                                  "per-attempt transient lookup error rate"),
+    Field<&CC::lookup_corrupt_rate>(
+        "--fault-corrupt-rate", "lookup_corrupt_rate", "corrupt lookup share"),
+    Field<&CC::artifact_corrupt_rate>("--fault-corrupt-artifact-rate",
+                                      "artifact_corrupt_rate",
+                                      "artifact-chunk corruption rate"),
+    Field<&CC::integrity_max_refetches>("--fault-integrity-refetches",
+                                        "integrity_max_refetches",
+                                        "re-fetches before the slow path"),
+    Field<&CC::hedged_lookups>("--hedge", "hedged_lookups",
+                               "enable hedged (backup) lookups"),
+    Field<&CC::hedge_quantile, &CC::hedged_lookups>(
+        "--hedge-quantile", "hedge_quantile",
+        "quantile deriving the hedge delay (implies --hedge)"),
+    Field<&CC::breaker_failure_threshold>(
+        "--breaker-threshold", "breaker_threshold", "failures to trip (0=off)"),
+    Field<&CC::breaker_open_lookups>("--breaker-open-lookups",
+                                     "breaker_open_lookups",
+                                     "lookups a breaker stays open for"),
+    Field<&BO::trace_out>("--trace-out", nullptr,
+                          "write the Chrome trace-event JSON"),
+    Field<&BO::report_out>("--report", nullptr, "write the JSON run report"),
+    Field<&BO::report_text_out>("--report-text", nullptr,
+                                "write the text run report"),
+};
+
+/// Parses and strips every `kKnobs` flag, leaving unknown arguments in order
+/// for benchmark's parser; validates the config and arms crash injection.
 inline BenchOptions ParseBenchOptions(int* argc, char** argv) {
   BenchOptions opts;
-  opts.threads = InitThreads(argc, argv);
-  auto value = [](const char* arg, const char* flag) -> const char* {
-    const size_t n = std::strlen(flag);
-    return std::strncmp(arg, flag, n) == 0 && arg[n] == '=' ? arg + n + 1
-                                                            : nullptr;
-  };
   int out = 1;
   for (int i = 1; i < *argc; ++i) {
-    const char* arg = argv[i];
-    const char* v = nullptr;
-    if ((v = value(arg, "--cache-capacity")) != nullptr) {
-      const long long n = std::atoll(v);
-      if (n <= 0) {
-        std::fprintf(stderr, "invalid --cache-capacity=%s\n", v);
-        std::exit(2);
-      }
-      opts.cache_capacity = static_cast<size_t>(n);
-    } else if ((v = value(arg, "--store-page-bytes")) != nullptr) {
-      const long long n = std::atoll(v);
-      if (n < 64 || n > 65536) {
-        std::fprintf(stderr,
-                     "invalid --store-page-bytes=%s (need 64..65536)\n", v);
-        std::exit(2);
-      }
-      opts.store_page_bytes = static_cast<size_t>(n);
-    } else if ((v = value(arg, "--store-fill")) != nullptr) {
-      const double f = std::atof(v);
-      if (f <= 0.0 || f > 1.0) {
-        std::fprintf(stderr, "invalid --store-fill=%s (need (0, 1])\n", v);
-        std::exit(2);
-      }
-      opts.store_fill = f;
-    } else if ((v = value(arg, "--store-batch-depth")) != nullptr) {
-      const int n = std::atoi(v);
-      if (n < 1) {
-        std::fprintf(stderr, "invalid --store-batch-depth=%s (need >= 1)\n",
-                     v);
-        std::exit(2);
-      }
-      opts.config.store_batch_depth = n;
-    } else if ((v = value(arg, "--reuse-capacity")) != nullptr) {
-      const long long n = std::atoll(v);
-      if (n <= 0) {
-        std::fprintf(stderr, "invalid --reuse-capacity=%s\n", v);
-        std::exit(2);
-      }
-      opts.reuse_capacity = static_cast<uint64_t>(n);
-    } else if ((v = value(arg, "--reuse-dir")) != nullptr) {
-      opts.reuse_dir = v;
-    } else if (std::strcmp(arg, "--no-reuse") == 0) {
-      opts.no_reuse = true;
-    } else if ((v = value(arg, "--skew")) != nullptr) {
-      opts.skew = std::atof(v);
-      if (opts.skew < 0.0) {
-        std::fprintf(stderr, "invalid --skew=%s\n", v);
-        std::exit(2);
-      }
-    } else if ((v = value(arg, "--salt-fanout")) != nullptr) {
-      const int n = std::atoi(v);
-      if (n < 2) {
-        std::fprintf(stderr, "invalid --salt-fanout=%s (need >= 2)\n", v);
-        std::exit(2);
-      }
-      opts.salt_fanout = n;
-    } else if ((v = value(arg, "--hot-key-threshold")) != nullptr) {
-      const double t = std::atof(v);
-      if (t <= 0.0 || t > 1.0) {
-        std::fprintf(stderr, "invalid --hot-key-threshold=%s\n", v);
-        std::exit(2);
-      }
-      opts.hot_key_threshold = t;
-    } else if ((v = value(arg, "--journal-dir")) != nullptr) {
-      opts.journal_dir = v;
-    } else if ((v = value(arg, "--crash-point")) != nullptr) {
-      opts.crash_point = v;
-    } else if ((v = value(arg, "--crash-mode")) != nullptr) {
-      opts.crash_mode = v;
-    } else if ((v = value(arg, "--trace-out")) != nullptr) {
-      opts.trace_out = v;
-    } else if ((v = value(arg, "--report")) != nullptr) {
-      opts.report_out = v;
-    } else if ((v = value(arg, "--report-text")) != nullptr) {
-      opts.report_text_out = v;
-    } else {
+    const std::string_view arg = argv[i];
+    const Knob* knob = std::ranges::find_if(kKnobs, [&](const Knob& k) {
+      if (k.flag == nullptr || !arg.starts_with(k.flag)) return false;
+      const std::string_view rest = arg.substr(std::string_view(k.flag).size());
+      return k.is_switch ? rest.empty() : rest.starts_with('=');
+    });
+    if (knob == std::end(kKnobs)) {
       argv[out++] = argv[i];
+      continue;
+    }
+    const size_t eq = arg.find('=');  // npos for a switch: no value.
+    if (!knob->set(*knob, opts, eq == arg.npos ? "" : arg.substr(eq + 1))) {
+      std::fprintf(stderr, "invalid %s (%s)\n", argv[i], knob->doc);
+      std::exit(2);
     }
   }
   *argc = out;
-  durable::CrashMode mode = durable::CrashMode::kKill;
-  if (opts.crash_mode == "torn_truncate") {
-    mode = durable::CrashMode::kTornTruncate;
-  } else if (opts.crash_mode == "torn_bitflip") {
-    mode = durable::CrashMode::kTornBitflip;
-  } else if (opts.crash_mode != "kill") {
-    std::fprintf(stderr,
-                 "invalid --crash-mode=%s (need kill | torn_truncate | "
-                 "torn_bitflip)\n",
-                 opts.crash_mode.c_str());
+  opts.threads = ResolveThreadCount(0);
+  const char* why = "unknown";
+  if (!ValidateClusterConfig(opts.config, &why)) {
+    std::fprintf(stderr, "invalid cluster configuration: %s\n", why);
     std::exit(2);
   }
   if (!opts.crash_point.empty()) {
     durable::CrashConfig crash;
-    if (!durable::ParseCrashSpec(opts.crash_point, &crash)) {
-      std::fprintf(stderr, "invalid --crash-point=%s (need <site>:<n>)\n",
-                   opts.crash_point.c_str());
-      std::exit(2);
-    }
-    crash.mode = mode;
+    durable::ParseCrashSpec(opts.crash_point, &crash);
+    crash.mode = static_cast<durable::CrashMode>(
+        std::ranges::find(kCrashModes, opts.crash_mode) - kCrashModes);
     durable::SetCrashConfig(crash);
   }
-  ApplyFaultFlags(argc, argv, &opts.config);
-  if (!opts.trace_out.empty() || !opts.report_out.empty() ||
-      !opts.report_text_out.empty()) {
+  if (!(opts.trace_out + opts.report_out + opts.report_text_out).empty()) {
     opts.session = std::make_unique<obs::ObsSession>();
   }
   return opts;
 }
 
-/// The full effective configuration of a bench run as (key, value) string
-/// pairs — echoed as a JSON line by `PrintJsonReport` and into the run
-/// reports, so a stored result records exactly what produced it.
+/// The effective configuration as (key, value) pairs, echoed by
+/// `PrintJsonReport` and into the run reports.
 inline std::vector<std::pair<std::string, std::string>> ConfigPairs(
     const BenchOptions& opts) {
-  auto num = [](double v) {
-    char buf[32];
-    std::snprintf(buf, sizeof buf, "%g", v);
-    return std::string(buf);
-  };
-  auto hosts = [](const std::vector<int>& nodes) {
-    std::string s;
-    for (int n : nodes) {
-      if (!s.empty()) s += " ";
-      s += std::to_string(n);
-    }
-    return s;
-  };
-  const ClusterConfig& c = opts.config;
-  std::vector<int> down;
-  for (const auto& d : c.host_downtimes) down.push_back(d.node);
   std::vector<std::pair<std::string, std::string>> out;
-  out.emplace_back("threads", std::to_string(opts.threads));
-  out.emplace_back("num_nodes", std::to_string(c.num_nodes));
-  out.emplace_back("map_slots_per_node",
-                   std::to_string(c.map_slots_per_node));
-  out.emplace_back("reduce_slots_per_node",
-                   std::to_string(c.reduce_slots_per_node));
-  out.emplace_back("cache_capacity", std::to_string(opts.cache_capacity));
-  out.emplace_back("reuse", opts.no_reuse ? "off" : "on");
-  out.emplace_back("reuse_capacity", std::to_string(opts.reuse_capacity));
-  out.emplace_back("reuse_dir", opts.reuse_dir);
-  out.emplace_back("store_page_bytes",
-                   std::to_string(opts.store_page_bytes));
-  out.emplace_back("store_fill", num(opts.store_fill));
-  out.emplace_back("journal_dir", opts.journal_dir);
-  out.emplace_back("crash_point", opts.crash_point);
-  out.emplace_back("crash_mode", opts.crash_mode);
-  out.emplace_back("store_batch_depth",
-                   std::to_string(c.store_batch_depth));
-  out.emplace_back("page_read_sec", num(c.page_read_sec));
-  out.emplace_back("store_io_parallelism",
-                   std::to_string(c.store_io_parallelism));
-  out.emplace_back("skew", num(opts.skew));
-  out.emplace_back("salt_fanout", std::to_string(opts.salt_fanout));
-  out.emplace_back("hot_key_threshold", num(opts.hot_key_threshold));
-  out.emplace_back("fault_seed", std::to_string(c.fault_seed));
-  out.emplace_back("task_failure_rate", num(c.task_failure_rate));
-  out.emplace_back("straggler_rate", num(c.straggler_rate));
-  out.emplace_back("straggler_slowdown", num(c.straggler_slowdown));
-  out.emplace_back("random_down_hosts", std::to_string(c.random_down_hosts));
-  out.emplace_back("down_hosts", hosts(down));
-  out.emplace_back("degraded_hosts", hosts(c.degraded_hosts));
-  out.emplace_back("degraded_factor", num(c.degraded_service_factor));
-  out.emplace_back("speculation",
-                   c.speculative_execution ? "true" : "false");
-  out.emplace_back("speculation_threshold", num(c.speculation_threshold));
-  out.emplace_back("lookup_backoff_sec", num(c.lookup_retry_backoff_sec));
-  out.emplace_back("lookup_max_attempts",
-                   std::to_string(c.lookup_max_attempts));
-  out.emplace_back("failover_replicas",
-                   std::to_string(c.failover_replicas));
-  out.emplace_back("latency_spike_rate", num(c.lookup_latency_spike_rate));
-  out.emplace_back("latency_spike_factor",
-                   num(c.lookup_latency_spike_factor));
-  out.emplace_back("flaky_rate", num(c.lookup_flaky_rate));
-  out.emplace_back("lookup_corrupt_rate", num(c.lookup_corrupt_rate));
-  out.emplace_back("artifact_corrupt_rate", num(c.artifact_corrupt_rate));
-  out.emplace_back("integrity_max_refetches",
-                   std::to_string(c.integrity_max_refetches));
-  out.emplace_back("hedged_lookups", c.hedged_lookups ? "true" : "false");
-  out.emplace_back("hedge_quantile", num(c.hedge_quantile));
-  out.emplace_back("breaker_threshold",
-                   std::to_string(c.breaker_failure_threshold));
-  out.emplace_back("breaker_open_lookups",
-                   std::to_string(c.breaker_open_lookups));
+  for (const Knob& k : kKnobs) {
+    if (k.key != nullptr) out.emplace_back(k.key, k.echo(opts));
+  }
   return out;
 }
 

@@ -68,6 +68,10 @@
 #      + UndefinedBehaviorSanitizer (-DEFIND_SANITIZE=address,undefined, in
 #      <build-dir>-asan; UB aborts the test). ThreadSanitizer binaries are
 #      skipped there — they run in the default build above.
+#  15. the bench-harness leg: the bench flag suite alone (ctest -L bench —
+#      bench_options_test: every flag spelling parses to its field, the
+#      config echo is pinned, malformed or out-of-range values exit with
+#      code 2, and README.md's flag rows match the knob table).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -148,5 +152,7 @@ fi
 cmake -B "$BUILD-asan" -S . -DEFIND_SANITIZE=address,undefined
 cmake --build "$BUILD-asan" -j"$(nproc)"
 (cd "$BUILD-asan" && ctest --output-on-failure -j"$(nproc)")
+
+(cd "$BUILD" && ctest --output-on-failure -L bench)
 
 echo "verify: OK"

@@ -45,14 +45,12 @@ std::vector<const InputSplit*> MakeView(const std::vector<InputSplit>& splits) {
   return view;
 }
 
-#if EFIND_OBS
 std::string FpHex(uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
                 static_cast<unsigned long long>(fp));
   return buf;
 }
-#endif
 
 const char* PosTag(OperatorPosition pos) {
   switch (pos) {
@@ -233,7 +231,6 @@ class PipelineExecutor {
           config_.DfsStoreSeconds(BytesOfView(view_)) / config_.num_nodes;
     }
     artifact_adopted_ = false;
-#if EFIND_OBS
     double job_t0 = 0.0;
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
@@ -252,7 +249,6 @@ class PipelineExecutor {
       }
       job_t0 = tr.clock();
     }
-#endif
     JobResult job = job_runner_->Run(cur_, view_);
     summary.map_seconds = job.map_seconds;
     summary.reduce_seconds = job.reduce_seconds;
@@ -262,7 +258,6 @@ class PipelineExecutor {
     summary.map_task_base_durations = job.map_task_base_durations;
     summary.reduce_task_durations = job.reduce_task_durations;
     summary.reduce_task_base_durations = job.reduce_task_base_durations;
-#if EFIND_OBS
     // The map/reduce phase spans advanced the clock by job.sim_seconds, so
     // the job span covers exactly the phases it contains.
     if (obs_ != nullptr) {
@@ -272,7 +267,6 @@ class PipelineExecutor {
                           {"reduce_tasks",
                            std::to_string(job.num_reduce_tasks)}});
     }
-#endif
     result_->jobs.push_back(summary);
     result_->counters.Merge(job.counters);
     result_->sim_seconds +=
@@ -328,7 +322,6 @@ class PipelineExecutor {
       result_->counters.Increment("efind.integrity.detected",
                                   outcome.corrupt_chunks);
     }
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
       std::vector<obs::TraceArg> hit_args = {{"fingerprint", FpHex(fp)},
@@ -354,7 +347,6 @@ class PipelineExecutor {
             obs_->metrics().Counter("efind.reuse.cross_tenant_hits"), 1.0);
       }
     }
-#endif
     StartJob();
     reduce_side_ = false;
     AdoptData(std::move(splits));
@@ -388,7 +380,6 @@ class PipelineExecutor {
     const reuse::MaterializedStore::PublishResult pr = store_->Publish(
         fp, std::move(copy), saved, layout, partitions,
         conf_.name() + ":" + op_name, tenant_);
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
       tr.Span("materialize", "reuse", tr.clock(), 0.0, obs::kClusterTrack, 0,
@@ -407,7 +398,6 @@ class PipelineExecutor {
                static_cast<double>(bytes));
       }
     }
-#endif
   }
 
   /// Re-splits the current grouped data for index locality: the follow-up
@@ -586,7 +576,6 @@ class PipelineExecutor {
           continue;
         }
         result_->counters.Increment("efind.reuse.misses");
-#if EFIND_OBS
         if (obs_ != nullptr) {
           obs_->trace().Instant("reuse_miss", "reuse", obs_->trace().clock(),
                                 obs::kClusterTrack,
@@ -595,7 +584,6 @@ class PipelineExecutor {
           obs_->metrics().Add(obs_->metrics().Counter("efind.reuse.misses"),
                               1.0);
         }
-#endif
       }
 
       if (reduce_side_) {
@@ -614,7 +602,6 @@ class PipelineExecutor {
         const int fanout = std::max(2, options_.salt_fanout);
         cur_.partitioner = std::make_shared<SaltingPartitioner>(
             choice_stats->hot_keys, fanout);
-#if EFIND_OBS
         if (obs_ != nullptr) {
           obs::TraceRecorder& tr = obs_->trace();
           tr.Instant("skew_detected", "skew", tr.clock(), obs::kClusterTrack,
@@ -634,7 +621,6 @@ class PipelineExecutor {
                  static_cast<double>(choice_stats->hot_keys.size()));
           mx.Add(mx.Counter("efind.skew.salt_splits"), 1.0);
         }
-#endif
       }
       // Non-idxloc: as many grouped output files as map slots, so the
       // follow-up lookup job runs at full parallelism.
@@ -814,7 +800,6 @@ CollectedStats EFindJobRunner::ComputeStatsWithConf(
   return stats;
 }
 
-#if EFIND_OBS
 namespace {
 
 /// Gauges comparing a cost-model plan estimate made from one statistics
@@ -833,7 +818,6 @@ void RecordCostModelError(obs::ObsSession* session, const std::string& scope,
 }
 
 }  // namespace
-#endif  // EFIND_OBS
 
 EFindRunResult EFindJobRunner::RunWithPlan(const IndexJobConf& conf,
                                            const std::vector<InputSplit>& input,
@@ -849,12 +833,10 @@ EFindRunResult EFindJobRunner::RunWithPlan(const IndexJobConf& conf,
                       tenant_);
   px.RunAll(input);
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
-#if EFIND_OBS
   if (obs_ != nullptr && stats_hint != nullptr) {
     RecordCostModelError(obs_, "static", PlanCost(plan, *stats_hint),
                          PlanCost(plan, result.stats));
   }
-#endif
   return result;
 }
 
@@ -1056,7 +1038,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   bool changed = wave < total_splits &&
                  Reoptimize(/*at_map_phase=*/true, conf, base_plan,
                             wave_stats, &new_plan);
-#if EFIND_OBS
   // Algorithm 1's decision point: the simulated moment the first map wave
   // finished and statistics were inspected.
   if (obs_ != nullptr) {
@@ -1071,7 +1052,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
                  {{"phase", "map"}});
     }
   }
-#endif
 
   JobConfig final_job = baseline_job;
   MapPhaseResult rest_wave;
@@ -1156,7 +1136,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
     } else {
       result.replanned = true;
       result.plan.tail = tail_plan.tail;
-#if EFIND_OBS
       if (obs_ != nullptr) {
         obs_->trace().Instant("plan_switch", "plan", obs_->trace().clock(),
                               obs::kClusterTrack,
@@ -1165,7 +1144,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
         obs_->metrics().Add(obs_->metrics().Counter("efind.plan_switches"),
                             1.0);
       }
-#endif
       // Remaining reduce tasks run without the inline tail stages; their
       // outputs flow through the new tail pipeline.
       JobConfig bare = final_job;
@@ -1190,12 +1168,10 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
 
   result.sim_seconds += elapsed;
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
-#if EFIND_OBS
   if (obs_ != nullptr) {
     RecordCostModelError(obs_, "dynamic", PlanCost(result.plan, wave_stats),
                          PlanCost(result.plan, result.stats));
   }
-#endif
   return result;
 }
 

@@ -16,13 +16,11 @@ uint64_t ResultBytes(const CachedResult& values) {
   return n;
 }
 
-#if EFIND_OBS
 std::string RatioStr(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4f", v);
   return buf;
 }
-#endif
 
 // Copy-on-write helper for the shared attachment. When this record holds
 // the only reference (the common case: PreProcess creates a fresh
@@ -77,7 +75,6 @@ void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
                             charge.flaky_errors, charge.corrupt_detected,
                             charge.breaker_short_circuit);
   }
-#if EFIND_OBS
   if (site.obs != nullptr) {
     obs::TaskTrace* tt = site.obs->trace().TaskLocal(ctx);
     if (charge.failed_over) {
@@ -109,7 +106,6 @@ void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
                                                   charge.injected_latency_sec);
     }
   }
-#endif
 }
 
 // Device-side accounting of one batched-store flush (DESIGN.md §13): the
@@ -136,7 +132,6 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
                         static_cast<double>(uncoalesced - distinct));
   }
   if (stats != nullptr) stats->LookupPages(j, distinct, uncoalesced);
-#if EFIND_OBS
   if (obs != nullptr && distinct > 0) {
     obs->trace().TaskLocal(ctx)->Span(
         "page_read", "store", t0, ctx->sim_time() - t0,
@@ -144,10 +139,6 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
          {"coalesced", std::to_string(uncoalesced - distinct)},
          {"lookups", std::to_string(lookups)}});
   }
-#else
-  (void)t0;
-  (void)obs;
-#endif
 }
 
 // A breaker bank for one lookup site, or null when the breaker is disabled
@@ -252,16 +243,12 @@ LookupSite::LookupSite(IndexAccessor* accessor, int index,
       resilience(base),
       breakers(failover != nullptr ? MakeBreakers(config, accessor)
                                    : nullptr) {
-#if EFIND_OBS
   // Metric handles intern here, on the orchestration thread at plan
   // expansion; hot-path updates go through integer ids only.
   if (obs != nullptr) {
     latency_hist = obs->metrics().Histogram(base + latency_suffix);
     injected_hist = obs->metrics().Histogram(base + ".latency_injected_sec");
   }
-#else
-  (void)latency_suffix;
-#endif
 }
 
 void LookupSite::Charge(const std::string& ik, const CachedResult& result,
@@ -332,7 +319,6 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
                         tasks_[t].index, base, ".lookup_latency_sec",
                         config_, failover, obs_);
     cache_hits_.emplace_back(base + ".cache_hits");
-#if EFIND_OBS
     if (obs_ != nullptr) {
       std::vector<int> hits, misses;
       if (tasks_[t].use_cache) {
@@ -345,7 +331,6 @@ InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
       cache_hit_gauges_.push_back(std::move(hits));
       cache_miss_gauges_.push_back(std::move(misses));
     }
-#endif
   }
 }
 
@@ -456,25 +441,18 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
   OperatorTaskStats* stats =
       runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
   BatchState* bs = BatchFor(ctx);
-#if EFIND_OBS
   obs::TaskTrace* tt =
       obs_ != nullptr ? obs_->trace().TaskLocal(ctx) : nullptr;
   obs::TaskMetrics* tm =
       obs_ != nullptr ? obs_->metrics().TaskLocal(ctx) : nullptr;
   const double batch_t0 = ctx->sim_time();
   size_t batch_keys = 0;
-#endif
   // Latency of one key of slot t resolved since `t0` (keys submitted to a
   // batch are observed at the flush instead).
   auto observe = [&](size_t t, double t0) {
-#if EFIND_OBS
     if (tm != nullptr) {
       tm->Observe(sites_[t].latency_hist, ctx->sim_time() - t0);
     }
-#else
-    (void)t;
-    (void)t0;
-#endif
   };
   auto attachment = MutableAttachment(&record);
   BatchState::PendingRecord pr;
@@ -484,9 +462,7 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
     auto& keys = attachment->keys[j];
     auto& results = attachment->results[j];
     results.resize(keys.size());
-#if EFIND_OBS
     batch_keys += keys.size();
-#endif
     if (sites_[t].batched == nullptr) {
       // Serial slot: resolve inline.
       for (size_t i = 0; i < keys.size(); ++i) {
@@ -531,12 +507,10 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
     }
   }
   record.attachment = std::move(attachment);
-#if EFIND_OBS
   if (tt != nullptr && batch_keys > 0) {
     tt->Span("lookup_batch", "lookup", batch_t0, ctx->sim_time() - batch_t0,
              {{"keys", std::to_string(batch_keys)}});
   }
-#endif
   if (pr.refs.empty() && bs->buffered.empty()) {
     out->Emit(std::move(record));
   } else {
@@ -579,14 +553,10 @@ void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
       }
       sites_[t].Charge(ik, values, error, /*local=*/false, ctx, stats);
       if (cache != nullptr) cache->Put(ik, values);
-#if EFIND_OBS
       if (obs_ != nullptr) {
         obs_->metrics().TaskLocal(ctx)->Observe(sites_[t].latency_hist,
                                                 ctx->sim_time() - lk_t0);
       }
-#else
-      (void)lk_t0;
-#endif
       resolved[t][i] = std::move(values);
     }
     ChargePageBatch(store_counters_, tasks_[t].index, outcome.distinct_pages,
@@ -640,7 +610,6 @@ void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
     FlushBatch(bs, ctx, out,
                runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
   }
-#if EFIND_OBS
   // Cache hit/miss snapshot at end of task: the node cache is shared by the
   // node's (serially executed) tasks, so the ratio is the node's cumulative
   // state at this point of the serial order — deterministic at any thread
@@ -671,7 +640,6 @@ void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
               static_cast<double>(cache.misses()));
     }
   }
-#endif
 }
 
 // ----------------------------------------------------------- postprocess --
@@ -812,7 +780,6 @@ GroupedLookupStage::Memo* GroupedLookupStage::MemoFor(TaskContext* ctx) const {
 
 void GroupedLookupStage::ObserveLookup(double t0, bool local, bool span,
                                        TaskContext* ctx) {
-#if EFIND_OBS
   if (obs_ == nullptr) return;
   const double charged = ctx->sim_time() - t0;
   obs_->metrics().TaskLocal(ctx)->Observe(site_.latency_hist, charged);
@@ -822,12 +789,6 @@ void GroupedLookupStage::ObserveLookup(double t0, bool local, bool span,
         {{"index", std::to_string(index_)},
          {"mode", local ? "local" : "remote"}});
   }
-#else
-  (void)t0;
-  (void)local;
-  (void)span;
-  (void)ctx;
-#endif
 }
 
 CachedResult GroupedLookupStage::LookupSerial(const std::string& ik,

@@ -48,7 +48,6 @@ double ChargeMapInput(const ClusterConfig& config, const Record& r,
          config.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
 }
 
-#if EFIND_OBS
 std::string ShortNum(double v) {
   char buf[32];
   std::snprintf(buf, sizeof(buf), "%.4g", v);
@@ -150,7 +149,6 @@ void TracePhase(obs::ObsSession* session, const char* kind,
 
   tr.AdvanceClock(schedule.makespan);
 }
-#endif  // EFIND_OBS
 
 }  // namespace
 
@@ -455,7 +453,6 @@ MapPhaseResult JobRunner::RunMapPhase(
   } else {
     phase.schedule = ScheduleWaves(durations, config_.total_map_slots());
   }
-#if EFIND_OBS
   if (obs_ != nullptr) {
     std::vector<int> nodes;
     std::vector<double> base;
@@ -468,7 +465,6 @@ MapPhaseResult JobRunner::RunMapPhase(
     TracePhase(obs_, "map", phase.schedule, nodes, durations, base,
                config_.total_map_slots(), static_cast<int>(begin));
   }
-#endif
   return phase;
 }
 
@@ -672,7 +668,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
     phase.schedule =
         ScheduleWaves(phase.durations, config_.total_reduce_slots());
   }
-#if EFIND_OBS
   if (obs_ != nullptr) {
     std::vector<int> nodes;
     nodes.reserve(count);
@@ -680,7 +675,6 @@ ReducePhaseResult JobRunner::RunReduceRange(
     TracePhase(obs_, "reduce", phase.schedule, nodes, phase.durations,
                phase.base_durations, config_.total_reduce_slots(), begin);
   }
-#endif
   return phase;
 }
 

@@ -3,21 +3,12 @@
 //
 // Observability session: one TraceRecorder + one MetricsRegistry covering
 // one run (or one bench invocation). Engine and stage code holds an
-// `ObsSession*` that is null when observability is off — the hot path pays
-// a single pointer test. Compiling with -DEFIND_OBS=0 removes even that:
-// every instrumentation site is guarded by `#if EFIND_OBS`, so the engine
-// compiles back to its pre-observability form (the disabled overhead is
-// guarded by bench_obs_overhead).
+// `ObsSession*` that is null when observability is off; observability is
+// runtime-only, and a detached run pays one pointer test per instrumentation
+// site (bench_obs_overhead guards that this stays free).
 
 #ifndef EFIND_OBS_OBS_H_
 #define EFIND_OBS_OBS_H_
-
-// Compile-time gate for all observability call sites. Default on; build
-// with -DEFIND_OBS=0 (or cmake -DEFIND_ENABLE_OBS=OFF) to compile the
-// instrumentation out entirely.
-#ifndef EFIND_OBS
-#define EFIND_OBS 1
-#endif
 
 #include "obs/metrics.h"
 #include "obs/trace.h"

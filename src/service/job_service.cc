@@ -222,7 +222,6 @@ class ServiceSim {
            std::to_string(submission);
   }
 
-#if EFIND_OBS
   void ServiceInstant(const char* name, double time,
                       std::vector<obs::TraceArg> args) {
     if (obs_ != nullptr) {
@@ -230,7 +229,6 @@ class ServiceSim {
                             std::move(args));
     }
   }
-#endif
 
   // --- admission -----------------------------------------------------------
 
@@ -247,23 +245,19 @@ class ServiceSim {
         JournalLifecycle("def", arrival_idx);
         admission_.OnDefer(t);
         backlog_[t].push_back(arrival_idx);
-#if EFIND_OBS
         ServiceInstant(
             "job_deferred", now,
             {{"tenant", tenant_names_[t]},
              {"job", JobTag(out, arrival_idx)},
              {"depth", std::to_string(backlog_[t].size())}});
-#endif
         break;
       case AdmissionDecision::kReject:
         JournalLifecycle("rej", arrival_idx);
         admission_.OnReject(t);
         out.rejected = true;
-#if EFIND_OBS
         ServiceInstant("job_rejected", now,
                        {{"tenant", tenant_names_[t]},
                         {"job", JobTag(out, arrival_idx)}});
-#endif
         break;
     }
   }
@@ -277,12 +271,10 @@ class ServiceSim {
     out.output_checksum = ex.checksum;
     out.counters = ex.counters;
     if (options_.keep_outputs) out.outputs = ex.outputs;
-#if EFIND_OBS
     ServiceInstant("job_admitted", now,
                    {{"tenant", tenant_names_[t]},
                     {"job", JobTag(out, arrival_idx)},
                     {"wait", std::to_string(now - out.arrival)}});
-#endif
     // Re-activation clamp: an idle tenant re-enters at the busy tenants'
     // virtual-time frontier instead of spending banked idleness.
     double floor = 0.0;
@@ -486,12 +478,10 @@ class ServiceSim {
     result_.tenants[r.tenant].slot_seconds += now - r.start;
     ++result_.backups_preempted;
     ++result_.tenants[r.tenant].backups_preempted;
-#if EFIND_OBS
     ServiceInstant("backup_preempted", now,
                    {{"tenant", tenant_names_[r.tenant]},
                     {"job", JobTag(result_.jobs[job.outcome], job.outcome)},
                     {"task", std::to_string(r.task)}});
-#endif
     return true;
   }
 
@@ -565,7 +555,6 @@ class ServiceSim {
         out.counters.Get("efind.reuse.cross_tenant_hits");
     result_.counters.Merge(out.counters);
     if (now > result_.makespan) result_.makespan = now;
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs_->trace().Span(
           "service_job", "service", out.arrival, out.latency(),
@@ -575,7 +564,6 @@ class ServiceSim {
            {"policy", options_.policy == SchedulePolicy::kFifo ? "fifo"
                                                                : "fair"}});
     }
-#endif
     admission_.OnFinish(job.tenant);
     // Freed quota promotes the tenant's oldest deferred submission; its
     // backlog wait is charged to the job as queue time.
@@ -601,7 +589,6 @@ class ServiceSim {
       ts.rejected = adm.rejected;
       ts.submitted = adm.admitted + adm.deferred + adm.rejected;
     }
-#if EFIND_OBS
     if (obs_ != nullptr) {
       obs::MetricsRegistry& mx = obs_->metrics();
       double finished = 0.0;
@@ -618,7 +605,6 @@ class ServiceSim {
       mx.Add(mx.Counter("service.backup_wins"),
              static_cast<double>(result_.backup_wins));
     }
-#endif
   }
 
   const ClusterConfig& config_;

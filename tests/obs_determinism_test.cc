@@ -54,9 +54,6 @@ EFindRunResult RunObserved(const ClusterConfig& config, int threads,
 }
 
 TEST(ObsDeterminismTest, TraceAndMetricsIdenticalAcrossThreadCounts) {
-#if !EFIND_OBS
-  GTEST_SKIP() << "observability compiled out (EFIND_ENABLE_OBS=OFF)";
-#endif
   const ClusterConfig config = FaultMatrixConfig();
   obs::ObsSession serial, parallel;
   const EFindRunResult r1 = RunObserved(config, 1, &serial);
@@ -83,9 +80,6 @@ TEST(ObsDeterminismTest, TraceAndMetricsIdenticalAcrossThreadCounts) {
 }
 
 TEST(ObsDeterminismTest, InstrumentationCoversTasksLookupsAndFaults) {
-#if !EFIND_OBS
-  GTEST_SKIP() << "observability compiled out (EFIND_ENABLE_OBS=OFF)";
-#endif
   const ClusterConfig config = FaultMatrixConfig();
   obs::ObsSession session;
   RunObserved(config, 4, &session);
@@ -145,9 +139,6 @@ EFindRunResult RunSaltedObserved(const ClusterConfig& config, int threads,
 }
 
 TEST(ObsDeterminismTest, SaltedRepartitionTraceIdenticalAcrossThreadCounts) {
-#if !EFIND_OBS
-  GTEST_SKIP() << "observability compiled out (EFIND_ENABLE_OBS=OFF)";
-#endif
   const ClusterConfig config = FaultMatrixConfig();
   obs::ObsSession serial, parallel;
   const EFindRunResult r1 = RunSaltedObserved(config, 1, &serial);

@@ -250,8 +250,8 @@ TEST(ExportTest, ChromeTraceJsonIsDeterministic) {
 }
 
 TEST(ExportTest, ChromeTraceJsonEmptyTraceIsValid) {
-  // An event-free trace (e.g. EFIND_ENABLE_OBS=OFF) must not leave a
-  // trailing comma after the track-naming metadata block.
+  // An event-free trace must not leave a trailing comma after the
+  // track-naming metadata block.
   TraceRecorder tr;
   const std::string json = ChromeTraceJson(tr, 3);
   EXPECT_EQ(json.find(",\n]"), std::string::npos);

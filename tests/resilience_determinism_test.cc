@@ -237,9 +237,6 @@ TEST(ResilienceDeterminismTest, DynamicSurvivesFullMatrix) {
 // retries, injected-latency histograms included) is byte-identical across
 // thread counts under the full fault matrix.
 TEST(ResilienceDeterminismTest, TraceIdenticalAcrossThreadCounts) {
-#if !EFIND_OBS
-  GTEST_SKIP() << "observability compiled out (EFIND_ENABLE_OBS=OFF)";
-#endif
   ToyWorld world(/*num_keys=*/200);
   const auto input = world.MakeInput(24, 40, 120);
   const IndexJobConf conf = world.MakeJoinJob(/*with_reduce=*/true);

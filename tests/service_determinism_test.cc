@@ -132,13 +132,11 @@ TEST(ServiceDeterminismTest, ThreadCountInvariantUnderFaultMatrix) {
 
   ASSERT_EQ(r1.jobs.size(), arrivals.size());
   ExpectResultsIdentical(r1, r8);
-#if EFIND_OBS
   ASSERT_FALSE(s1.trace().events().empty());
   EXPECT_EQ(obs::ChromeTraceJson(s1.trace(), config.num_nodes),
             obs::ChromeTraceJson(s8.trace(), config.num_nodes));
   EXPECT_EQ(s1.metrics().CounterValues(), s8.metrics().CounterValues());
   EXPECT_EQ(s1.metrics().GaugeValues(), s8.metrics().GaugeValues());
-#endif
 }
 
 TEST(ServiceDeterminismTest, RepeatRunIsBitIdentical) {
