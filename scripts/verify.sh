@@ -72,6 +72,12 @@
 #      bench_options_test: every flag spelling parses to its field, the
 #      config echo is pinned, malformed or out-of-range values exit with
 #      code 2, and README.md's flag rows match the knob table).
+#  16. the statistics leg: the Table-1 statistics suite alone (ctest -L
+#      stats — the per-task collector's unit tests, the skew-detector and
+#      FM-sketch units, and stats_golden_test, which pins every collected
+#      statistic and the plan chosen from it, as hex floats, for small
+#      tweets / LOG / Synthetic / fault-matrix / packed-store runs at
+#      threads 1 and 4).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -154,5 +160,7 @@ cmake --build "$BUILD-asan" -j"$(nproc)"
 (cd "$BUILD-asan" && ctest --output-on-failure -j"$(nproc)")
 
 (cd "$BUILD" && ctest --output-on-failure -L bench)
+
+(cd "$BUILD" && ctest --output-on-failure -L stats)
 
 echo "verify: OK"

@@ -20,29 +20,30 @@ double CostModel::PageReadCost(const IndexStats& is) const {
          static_cast<double>(batch);
 }
 
+double CostModel::RemoteLookupCost(const IndexStats& is) const {
+  // `avail_excess` folds the observed per-lookup cost of every resilience
+  // mechanism — host retries/backoff/failover round trips and degraded
+  // service, plus the service-level hedges, flaky retries and corruption
+  // re-fetches (DESIGN.md §10) — into the remote leg, so faulty services
+  // inflate each strategy exactly as the runtime experienced them; it is 0
+  // on a healthy cluster, leaving the paper's equations untouched.
+  // `PageReadCost` does the same for storage-backed indices (0 for
+  // in-memory ones).
+  return config_.RemoteLookupSeconds(static_cast<uint64_t>(is.sik + is.siv)) +
+         is.remote_overhead + is.tj + is.avail_excess + PageReadCost(is);
+}
+
 double CostModel::BaselineCost(const OperatorStats& stats, int j) const {
   if (!ValidIndex(stats, j)) return 0;
   const IndexStats& is = stats.index[j];
-  // `avail_excess` folds the observed per-lookup fault penalty (retries,
-  // backoff, failover round trips, degraded service) into the remote leg;
-  // it is 0 on a healthy cluster, leaving Eq. 1 untouched. `PageReadCost`
-  // does the same for storage-backed indices (0 for in-memory ones).
-  const double per_lookup =
-      config_.RemoteLookupSeconds(
-          static_cast<uint64_t>(is.sik + is.siv)) +
-      is.remote_overhead + is.tj + is.avail_excess + PageReadCost(is);
-  return stats.n1 * is.nik * per_lookup;
+  return stats.n1 * is.nik * RemoteLookupCost(is);
 }
 
 double CostModel::CacheCost(const OperatorStats& stats, int j) const {
   if (!ValidIndex(stats, j)) return 0;
   const IndexStats& is = stats.index[j];
-  const double per_lookup =
-      config_.RemoteLookupSeconds(
-          static_cast<uint64_t>(is.sik + is.siv)) +
-      is.remote_overhead + is.tj + is.avail_excess + PageReadCost(is);
   return stats.n1 * is.nik *
-         (config_.cache_probe_sec + is.miss_ratio * per_lookup);
+         (config_.cache_probe_sec + is.miss_ratio * RemoteLookupCost(is));
 }
 
 double CostModel::ExtraJobSeconds() const {
@@ -161,12 +162,9 @@ double CostModel::SaltedRepartitionCost(const OperatorStats& stats, int j,
   // lookup per sub-partition instead of one total (the dedup-by-Theta term
   // of Eq. 3 assumed one); the duplicates run on distinct nodes, hence the
   // per-machine division.
-  const double per_lookup =
-      config_.RemoteLookupSeconds(static_cast<uint64_t>(is.sik + is.siv)) +
-      is.remote_overhead + is.tj + is.avail_excess + PageReadCost(is);
-  const double dup_lookups =
-      static_cast<double>(is.hot_keys.size()) * (spread - 1) * per_lookup /
-      config_.num_nodes;
+  const double dup_lookups = static_cast<double>(is.hot_keys.size()) *
+                             (spread - 1) * RemoteLookupCost(is) /
+                             config_.num_nodes;
   return RepartitionBase(stats, j, position, spre_eff) +
          SkewExcessCost(stats, is, position, spre_eff, spread) + dup_lookups;
 }
@@ -176,15 +174,8 @@ double CostModel::RepartitionBase(const OperatorStats& stats, int j,
                                   double spre_eff) const {
   const IndexStats& is = stats.index[j];
   const double theta = std::max(1.0, is.theta);
-  // `avail_excess` is the observed per-lookup cost of every resilience
-  // mechanism — host retries/failover plus the service-level hedges, flaky
-  // retries and corruption re-fetches (DESIGN.md §10) — so faulty services
-  // inflate this strategy exactly as the runtime experienced them.
-  const double per_lookup =
-      config_.RemoteLookupSeconds(
-          static_cast<uint64_t>(is.sik + is.siv)) +
-      is.remote_overhead + is.tj + is.avail_excess + PageReadCost(is);
-  const double lookup_cost = stats.n1 * is.nik / theta * per_lookup;
+  const double lookup_cost =
+      stats.n1 * is.nik / theta * RemoteLookupCost(is);
   // Cross-job reuse (DESIGN.md §9): when the materialized store holds a
   // live artifact for this operator's *first* shuffle (spre_eff still at
   // its base value — later shuffles regroup augmented data the store does

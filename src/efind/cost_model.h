@@ -113,6 +113,12 @@ class CostModel {
   const ClusterConfig& config() const { return config_; }
 
  private:
+  /// Seconds of one remote lookup of the index described by `is`: the
+  /// network round trip of key and value, the accessor's marshalling
+  /// overhead, T_j, the observed fault excess and the page reads — the
+  /// per-lookup term of Eq. 1-3.
+  double RemoteLookupCost(const IndexStats& is) const;
+
   /// Cost_result = f * N1 * S_min.
   double ResultCost(const OperatorStats& stats, OperatorPosition position,
                     double spre_eff) const;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <span>
 #include <utility>
 
 #include "efind/cost_model.h"
@@ -13,20 +14,18 @@
 namespace efind {
 
 struct EFindJobRunner::RunContext {
-  std::vector<std::unique_ptr<OperatorRuntime>> head;
-  std::vector<std::unique_ptr<OperatorRuntime>> body;
-  std::vector<std::unique_ptr<OperatorRuntime>> tail;
+  /// One collector per operator, indexed by position, then operator index.
+  std::vector<std::unique_ptr<OperatorRuntime>> runtimes[3];
 
+  std::vector<std::unique_ptr<OperatorRuntime>>& at(OperatorPosition pos) {
+    return runtimes[static_cast<int>(pos)];
+  }
+  const std::vector<std::unique_ptr<OperatorRuntime>>& at(
+      OperatorPosition pos) const {
+    return runtimes[static_cast<int>(pos)];
+  }
   OperatorRuntime* Get(OperatorPosition pos, size_t i) {
-    switch (pos) {
-      case OperatorPosition::kHead:
-        return i < head.size() ? head[i].get() : nullptr;
-      case OperatorPosition::kBody:
-        return i < body.size() ? body[i].get() : nullptr;
-      case OperatorPosition::kTail:
-        return i < tail.size() ? tail[i].get() : nullptr;
-    }
-    return nullptr;
+    return i < at(pos).size() ? at(pos)[i].get() : nullptr;
   }
 };
 
@@ -124,7 +123,9 @@ class PipelineExecutor {
     if (conf_.mapper()) cur_.map_stages.push_back(conf_.mapper());
     if (!conf_.head_ops().empty()) {
       std::vector<OperatorRuntime*> rts;
-      for (auto& rt : rc_->head) rts.push_back(rt.get());
+      for (auto& rt : rc_->at(OperatorPosition::kHead)) {
+        rts.push_back(rt.get());
+      }
       cur_.map_stages.push_back(std::make_shared<MapMeterStage>(rts));
     }
     for (size_t i = 0; i < conf_.body_ops().size(); ++i) {
@@ -163,53 +164,15 @@ class PipelineExecutor {
   const std::vector<const InputSplit*>& view() const { return view_; }
 
  private:
-  const std::vector<std::shared_ptr<IndexOperator>>& OpsAt(
-      OperatorPosition pos) const {
-    switch (pos) {
-      case OperatorPosition::kHead:
-        return conf_.head_ops();
-      case OperatorPosition::kBody:
-        return conf_.body_ops();
-      case OperatorPosition::kTail:
-        return conf_.tail_ops();
-    }
-    return conf_.head_ops();
-  }
-
   const OperatorPlan* PlanAt(OperatorPosition pos, size_t i) const {
-    const std::vector<OperatorPlan>* group = nullptr;
-    switch (pos) {
-      case OperatorPosition::kHead:
-        group = &plan_.head;
-        break;
-      case OperatorPosition::kBody:
-        group = &plan_.body;
-        break;
-      case OperatorPosition::kTail:
-        group = &plan_.tail;
-        break;
-    }
-    return (group != nullptr && i < group->size()) ? &(*group)[i] : nullptr;
+    const std::vector<OperatorPlan>& group = plan_.at(pos);
+    return i < group.size() ? &group[i] : nullptr;
   }
 
   const OperatorStats* StatsHintAt(OperatorPosition pos, size_t i) const {
     if (stats_hint_ == nullptr) return nullptr;
-    const std::vector<OperatorStats>* group = nullptr;
-    switch (pos) {
-      case OperatorPosition::kHead:
-        group = &stats_hint_->head;
-        break;
-      case OperatorPosition::kBody:
-        group = &stats_hint_->body;
-        break;
-      case OperatorPosition::kTail:
-        group = &stats_hint_->tail;
-        break;
-    }
-    if (group == nullptr || i >= group->size() || !(*group)[i].valid) {
-      return nullptr;
-    }
-    return &(*group)[i];
+    const std::vector<OperatorStats>& group = stats_hint_->at(pos);
+    return i < group.size() && group[i].valid ? &group[i] : nullptr;
   }
 
   void StartJob() {
@@ -464,7 +427,7 @@ class PipelineExecutor {
   }
 
   void ExpandOperator(OperatorPosition pos, size_t op_index) {
-    const auto& op = OpsAt(pos)[op_index];
+    const auto& op = conf_.ops(pos)[op_index];
     const OperatorPlan* oplan = PlanAt(pos, op_index);
     OperatorRuntime* rt = rc_->Get(pos, op_index);
     const std::string prefix =
@@ -747,56 +710,37 @@ EFindJobRunner::EFindJobRunner(const ClusterConfig& config,
 std::unique_ptr<EFindJobRunner::RunContext> EFindJobRunner::MakeRunContext(
     const IndexJobConf& conf) const {
   auto rc = std::make_unique<RunContext>();
-  auto fill = [&](const std::vector<std::shared_ptr<IndexOperator>>& ops,
-                  std::vector<std::unique_ptr<OperatorRuntime>>* out) {
-    for (const auto& op : ops) {
-      out->push_back(std::make_unique<OperatorRuntime>(
+  for (OperatorPosition pos : kOperatorPositions) {
+    for (const auto& op : conf.ops(pos)) {
+      rc->at(pos).push_back(std::make_unique<OperatorRuntime>(
           op->num_indices(), config_.num_nodes, options_.cache_capacity,
           options_.hot_key_threshold, options_.salt_fanout));
     }
-  };
-  fill(conf.head_ops(), &rc->head);
-  fill(conf.body_ops(), &rc->body);
-  fill(conf.tail_ops(), &rc->tail);
+  }
   return rc;
 }
-
-namespace {
-
-void FillCapabilities(const std::vector<std::shared_ptr<IndexOperator>>& ops,
-                      std::vector<OperatorStats>* stats) {
-  for (size_t i = 0; i < ops.size() && i < stats->size(); ++i) {
-    auto& st = (*stats)[i];
-    for (int j = 0;
-         j < ops[i]->num_indices() && j < static_cast<int>(st.index.size());
-         ++j) {
-      const IndexAccessor& accessor = *ops[i]->accessors()[j];
-      st.index[j].idempotent = accessor.idempotent();
-      st.index[j].has_partition_scheme =
-          accessor.partition_scheme() != nullptr;
-      st.index[j].remote_overhead = accessor.RemoteOverheadSeconds();
-    }
-  }
-}
-
-}  // namespace
 
 CollectedStats EFindJobRunner::ComputeStatsWithConf(
     const RunContext& rc, const IndexJobConf& conf,
     double extrapolation) const {
   CollectedStats stats;
-  for (const auto& rt : rc.head) {
-    stats.head.push_back(rt->Compute(config_.num_nodes, extrapolation));
+  for (OperatorPosition pos : kOperatorPositions) {
+    const auto& ops = conf.ops(pos);
+    const auto& runtimes = rc.at(pos);
+    for (size_t i = 0; i < runtimes.size(); ++i) {
+      OperatorStats st =
+          runtimes[i]->Compute(config_.num_nodes, extrapolation);
+      // Capability flags come from the accessors.
+      for (int j = 0; j < static_cast<int>(st.index.size()); ++j) {
+        const IndexAccessor& accessor = *ops[i]->accessors()[j];
+        st.index[j].idempotent = accessor.idempotent();
+        st.index[j].has_partition_scheme =
+            accessor.partition_scheme() != nullptr;
+        st.index[j].remote_overhead = accessor.RemoteOverheadSeconds();
+      }
+      stats.at(pos).push_back(std::move(st));
+    }
   }
-  for (const auto& rt : rc.body) {
-    stats.body.push_back(rt->Compute(config_.num_nodes, extrapolation));
-  }
-  for (const auto& rt : rc.tail) {
-    stats.tail.push_back(rt->Compute(config_.num_nodes, extrapolation));
-  }
-  FillCapabilities(conf.head_ops(), &stats.head);
-  FillCapabilities(conf.body_ops(), &stats.body);
-  FillCapabilities(conf.tail_ops(), &stats.tail);
   return stats;
 }
 
@@ -874,13 +818,13 @@ void EFindJobRunner::AnnotateReuse(const IndexJobConf& conf,
                                    CollectedStats* stats) const {
   if (reuse_ == nullptr) return;
   const HostAvailability* avail = avail_.any_faults() ? &avail_ : nullptr;
-  auto annotate = [&](const std::vector<std::shared_ptr<IndexOperator>>& ops,
-                      OperatorPosition pos,
-                      std::vector<OperatorStats>* group) {
-    for (size_t i = 0; i < ops.size() && i < group->size(); ++i) {
+  for (OperatorPosition pos : kOperatorPositions) {
+    const auto& ops = conf.ops(pos);
+    std::vector<OperatorStats>& group = stats->at(pos);
+    for (size_t i = 0; i < ops.size() && i < group.size(); ++i) {
       const uint64_t chain_fp =
           reuse::ChainFingerprint(conf, dataset_fp, pos, static_cast<int>(i));
-      OperatorStats& st = (*group)[i];
+      OperatorStats& st = group[i];
       for (int j = 0; j < ops[i]->num_indices() &&
                       j < static_cast<int>(st.index.size());
            ++j) {
@@ -900,23 +844,23 @@ void EFindJobRunner::AnnotateReuse(const IndexJobConf& conf,
         }
       }
     }
-  };
-  annotate(conf.head_ops(), OperatorPosition::kHead, &stats->head);
-  annotate(conf.body_ops(), OperatorPosition::kBody, &stats->body);
-  annotate(conf.tail_ops(), OperatorPosition::kTail, &stats->tail);
+  }
 }
 
-bool EFindJobRunner::Reoptimize(bool at_map_phase, const IndexJobConf& conf,
-                                const JobPlan& current,
+bool EFindJobRunner::Reoptimize(bool at_map_phase, const JobPlan& current,
                                 const CollectedStats& stats,
                                 JobPlan* new_plan) const {
-  (void)conf;
   const CostModel& cm = optimizer_.cost_model();
+  // The operators of the current phase: head and body while maps remain,
+  // tail during the reduce phase.
+  const std::span<const OperatorPosition> phase =
+      at_map_phase ? std::span(kOperatorPositions).first(2)
+                   : std::span(kOperatorPositions).last(1);
 
   // Algorithm 1, lines 1-3: the collected statistics must be stable.
   bool any_valid = false;
-  auto gate = [&](const std::vector<OperatorStats>& group) {
-    for (const auto& st : group) {
+  for (OperatorPosition pos : phase) {
+    for (const auto& st : stats.at(pos)) {
       if (!st.valid) continue;
       any_valid = true;
       // Gate on the relative standard error of the sample mean (the paper
@@ -928,12 +872,6 @@ bool EFindJobRunner::Reoptimize(bool at_map_phase, const IndexJobConf& conf,
         return false;
       }
     }
-    return true;
-  };
-  if (at_map_phase) {
-    if (!gate(stats.head) || !gate(stats.body)) return false;
-  } else {
-    if (!gate(stats.tail)) return false;
   }
   if (!any_valid) return false;
 
@@ -941,26 +879,16 @@ bool EFindJobRunner::Reoptimize(bool at_map_phase, const IndexJobConf& conf,
   JobPlan candidate = current;
   double current_cost = 0.0;
   double candidate_cost = 0.0;
-  auto optimize_group = [&](const std::vector<OperatorStats>& group,
-                            OperatorPosition pos,
-                            const std::vector<OperatorPlan>& cur_group,
-                            std::vector<OperatorPlan>* out_group) {
-    for (size_t i = 0; i < group.size() && i < out_group->size(); ++i) {
+  for (OperatorPosition pos : phase) {
+    const std::vector<OperatorStats>& group = stats.at(pos);
+    const std::vector<OperatorPlan>& cur_group = current.at(pos);
+    std::vector<OperatorPlan>& out_group = candidate.at(pos);
+    for (size_t i = 0; i < group.size() && i < out_group.size(); ++i) {
       if (!group[i].valid) continue;
       current_cost += cm.OperatorPlanCost(cur_group[i], group[i], pos);
-      (*out_group)[i] = optimizer_.OptimizeOperator(group[i], pos);
-      candidate_cost +=
-          cm.OperatorPlanCost((*out_group)[i], group[i], pos);
+      out_group[i] = optimizer_.OptimizeOperator(group[i], pos);
+      candidate_cost += cm.OperatorPlanCost(out_group[i], group[i], pos);
     }
-  };
-  if (at_map_phase) {
-    optimize_group(stats.head, OperatorPosition::kHead, current.head,
-                   &candidate.head);
-    optimize_group(stats.body, OperatorPosition::kBody, current.body,
-                   &candidate.body);
-  } else {
-    optimize_group(stats.tail, OperatorPosition::kTail, current.tail,
-                   &candidate.tail);
   }
 
   // Line 10: the improvement must exceed the plan-change overhead.
@@ -975,15 +903,13 @@ double EFindJobRunner::PlanCost(const JobPlan& plan,
                                 const CollectedStats& stats) const {
   const CostModel& cm = optimizer_.cost_model();
   double total = 0.0;
-  auto add = [&](const std::vector<OperatorPlan>& group,
-                 const std::vector<OperatorStats>& sg, OperatorPosition pos) {
+  for (OperatorPosition pos : kOperatorPositions) {
+    const std::vector<OperatorPlan>& group = plan.at(pos);
+    const std::vector<OperatorStats>& sg = stats.at(pos);
     for (size_t i = 0; i < group.size() && i < sg.size(); ++i) {
       if (sg[i].valid) total += cm.OperatorPlanCost(group[i], sg[i], pos);
     }
-  };
-  add(plan.head, stats.head, OperatorPosition::kHead);
-  add(plan.body, stats.body, OperatorPosition::kBody);
-  add(plan.tail, stats.tail, OperatorPosition::kTail);
+  }
   return total;
 }
 
@@ -1036,8 +962,8 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   // rounds", §4.1).
   JobPlan new_plan;
   bool changed = wave < total_splits &&
-                 Reoptimize(/*at_map_phase=*/true, conf, base_plan,
-                            wave_stats, &new_plan);
+                 Reoptimize(/*at_map_phase=*/true, base_plan, wave_stats,
+                            &new_plan);
   // Algorithm 1's decision point: the simulated moment the first map wave
   // finished and statistics were inspected.
   if (obs_ != nullptr) {
@@ -1124,8 +1050,8 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
         *rc, conf,
         static_cast<double>(num_reduce) / static_cast<double>(reduce_slots));
     JobPlan tail_plan;
-    const bool tail_changed = Reoptimize(/*at_map_phase=*/false, conf,
-                                         base_plan, tail_stats, &tail_plan);
+    const bool tail_changed = Reoptimize(/*at_map_phase=*/false, base_plan,
+                                         tail_stats, &tail_plan);
     if (!tail_changed) {
       ReducePhaseResult wave2 = job_runner_.RunReduceRange(
           final_job, all_map_tasks, reduce_slots, num_reduce);

@@ -62,6 +62,18 @@ struct CollectedStats {
   std::vector<OperatorStats> head;
   std::vector<OperatorStats> body;
   std::vector<OperatorStats> tail;
+
+  /// The operator statistics at `pos`.
+  std::vector<OperatorStats>& at(OperatorPosition pos) {
+    return pos == OperatorPosition::kHead   ? head
+           : pos == OperatorPosition::kBody ? body
+                                            : tail;
+  }
+  const std::vector<OperatorStats>& at(OperatorPosition pos) const {
+    return pos == OperatorPosition::kHead   ? head
+           : pos == OperatorPosition::kBody ? body
+                                            : tail;
+  }
 };
 
 /// Execution summary of one physical MapReduce job in an EFind pipeline.
@@ -215,9 +227,8 @@ class EFindJobRunner {
                      CollectedStats* stats) const;
   /// Gate + optimize + compare, per Algorithm 1. Returns true and fills
   /// `*new_plan` when the plan should change.
-  bool Reoptimize(bool at_map_phase, const IndexJobConf& conf,
-                  const JobPlan& current, const CollectedStats& stats,
-                  JobPlan* new_plan) const;
+  bool Reoptimize(bool at_map_phase, const JobPlan& current,
+                  const CollectedStats& stats, JobPlan* new_plan) const;
   /// Cost-model estimate (per-machine seconds) of `plan` over the operators
   /// with valid statistics in `stats` — the quantity Algorithm 1 compares;
   /// used for the predicted-vs-actual observability gauges.

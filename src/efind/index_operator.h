@@ -75,6 +75,10 @@ class IndexOperator {
 /// Map, in between Map and Reduce, and after Reduce").
 enum class OperatorPosition { kHead, kBody, kTail };
 
+/// Every position, in data-flow order.
+inline constexpr OperatorPosition kOperatorPositions[] = {
+    OperatorPosition::kHead, OperatorPosition::kBody, OperatorPosition::kTail};
+
 /// Returns "head" / "body" / "tail".
 const char* ToString(OperatorPosition position);
 
@@ -134,6 +138,13 @@ class IndexJobConf {
   }
   const std::vector<std::shared_ptr<IndexOperator>>& tail_ops() const {
     return tail_ops_;
+  }
+  /// The operators at `pos`.
+  const std::vector<std::shared_ptr<IndexOperator>>& ops(
+      OperatorPosition pos) const {
+    return pos == OperatorPosition::kHead   ? head_ops_
+           : pos == OperatorPosition::kBody ? body_ops_
+                                            : tail_ops_;
   }
 
   /// All operators in data-flow order, tagged with their position.

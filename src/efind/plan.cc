@@ -71,9 +71,9 @@ JobPlan MakeUniformPlan(const IndexJobConf& conf, Strategy strategy) {
       out->push_back(std::move(p));
     }
   };
-  fill(conf.head_ops(), &plan.head);
-  fill(conf.body_ops(), &plan.body);
-  fill(conf.tail_ops(), &plan.tail);
+  for (OperatorPosition pos : kOperatorPositions) {
+    fill(conf.ops(pos), &plan.at(pos));
+  }
   return plan;
 }
 

@@ -74,6 +74,18 @@ struct JobPlan {
   std::vector<OperatorPlan> body;
   std::vector<OperatorPlan> tail;
 
+  /// The operator plans at `pos`.
+  std::vector<OperatorPlan>& at(OperatorPosition pos) {
+    return pos == OperatorPosition::kHead   ? head
+           : pos == OperatorPosition::kBody ? body
+                                            : tail;
+  }
+  const std::vector<OperatorPlan>& at(OperatorPosition pos) const {
+    return pos == OperatorPosition::kHead   ? head
+           : pos == OperatorPosition::kBody ? body
+                                            : tail;
+  }
+
   double TotalEstimatedCost() const {
     double c = 0;
     for (const auto& p : head) c += p.estimated_cost;

@@ -131,7 +131,7 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
     counters->Increment(sc.coalesced,
                         static_cast<double>(uncoalesced - distinct));
   }
-  if (stats != nullptr) stats->LookupPages(j, distinct, uncoalesced);
+  if (stats != nullptr) stats->LookupPages(j, uncoalesced);
   if (obs != nullptr && distinct > 0) {
     obs->trace().TaskLocal(ctx)->Span(
         "page_read", "store", t0, ctx->sim_time() - t0,
@@ -275,7 +275,7 @@ void LookupSite::Charge(const std::string& ik, const CachedResult& result,
   }
   ctx->counters()->Increment(lookups);
   if (stats != nullptr) {
-    stats->LookupPerformed(index, ik.size(), result_bytes, service);
+    stats->LookupPerformed(index, result_bytes, service);
   }
 }
 

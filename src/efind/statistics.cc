@@ -16,6 +16,30 @@ double OperatorStats::SidxAfter(const std::vector<int>& accessed) const {
   return s;
 }
 
+// ------------------------------------------------------------ index tally --
+
+void IndexTally::Merge(const IndexTally& other) {
+  keys += other.keys;
+  key_bytes += other.key_bytes;
+  lookups += other.lookups;
+  lookup_result_bytes += other.lookup_result_bytes;
+  service_time += other.service_time;
+  cache_probes += other.cache_probes;
+  cache_misses += other.cache_misses;
+  avail_excess_sec += other.avail_excess_sec;
+  down_lookups += other.down_lookups;
+  failovers += other.failovers;
+  hedges += other.hedges;
+  hedge_wins += other.hedge_wins;
+  flaky_lookups += other.flaky_lookups;
+  corrupt_lookups += other.corrupt_lookups;
+  breaker_short_circuits += other.breaker_short_circuits;
+  uncoalesced_page_reads += other.uncoalesced_page_reads;
+  sketch.Merge(other.sketch);
+  skew.Merge(other.skew);
+  if (other.multi_key_seen) multi_key_seen = true;
+}
+
 // ------------------------------------------------------ per-task collector --
 
 OperatorTaskStats::OperatorTaskStats(OperatorRuntime* runtime)
@@ -29,36 +53,35 @@ void OperatorTaskStats::PreRecord(
   pre_bytes_ += pre_output_bytes;
   const int n = static_cast<int>(index_.size());
   for (int j = 0; j < n && j < static_cast<int>(keys.size()); ++j) {
-    PerIndexTask& pi = index_[j];
-    pi.keys += keys[j].size();
-    if (keys[j].size() != 1) pi.multi_key_seen = true;
+    IndexTally& t = index_[j];
+    t.keys += keys[j].size();
+    if (keys[j].size() != 1) t.multi_key_seen = true;
     for (const auto& k : keys[j]) {
-      pi.key_bytes += k.size();
-      pi.sketch.Add(k);
-      pi.skew.Observe(Hash64(k));
+      t.key_bytes += k.size();
+      const uint64_t h = Hash64(k);
+      t.sketch.AddHash(h);
+      t.skew.Observe(h);
     }
   }
 }
 
-void OperatorTaskStats::LookupPerformed(int j, uint64_t key_bytes,
-                                        uint64_t result_bytes,
+void OperatorTaskStats::LookupPerformed(int j, uint64_t result_bytes,
                                         double service_sec) {
   if (j < 0 || j >= static_cast<int>(index_.size())) return;
-  PerIndexTask& pi = index_[j];
-  ++pi.lookups;
-  (void)key_bytes;  // Key bytes are tracked at extraction time (PreRecord).
-  pi.lookup_result_bytes += result_bytes;
-  pi.service_time += service_sec;
+  IndexTally& t = index_[j];
+  ++t.lookups;
+  t.lookup_result_bytes += result_bytes;
+  t.service_time += service_sec;
 }
 
 void OperatorTaskStats::LookupAvailability(int j, double excess_sec,
                                            bool primary_down,
                                            bool failed_over) {
   if (j < 0 || j >= static_cast<int>(index_.size())) return;
-  PerIndexTask& pi = index_[j];
-  pi.avail_excess_sec += excess_sec;
-  if (primary_down) ++pi.down_lookups;
-  if (failed_over) ++pi.failovers;
+  IndexTally& t = index_[j];
+  t.avail_excess_sec += excess_sec;
+  if (primary_down) ++t.down_lookups;
+  if (failed_over) ++t.failovers;
 }
 
 void OperatorTaskStats::LookupResilience(int j, int hedges, bool hedge_won,
@@ -66,18 +89,16 @@ void OperatorTaskStats::LookupResilience(int j, int hedges, bool hedge_won,
                                          int corrupt_detected,
                                          bool breaker_short_circuit) {
   if (j < 0 || j >= static_cast<int>(index_.size())) return;
-  PerIndexTask& pi = index_[j];
-  if (hedges > 0) ++pi.hedges;
-  if (hedge_won) ++pi.hedge_wins;
-  if (flaky_errors > 0) ++pi.flaky_lookups;
-  if (corrupt_detected > 0) ++pi.corrupt_lookups;
-  if (breaker_short_circuit) ++pi.breaker_short_circuits;
+  IndexTally& t = index_[j];
+  if (hedges > 0) ++t.hedges;
+  if (hedge_won) ++t.hedge_wins;
+  if (flaky_errors > 0) ++t.flaky_lookups;
+  if (corrupt_detected > 0) ++t.corrupt_lookups;
+  if (breaker_short_circuit) ++t.breaker_short_circuits;
 }
 
-void OperatorTaskStats::LookupPages(int j, uint64_t distinct_pages,
-                                    uint64_t uncoalesced_pages) {
+void OperatorTaskStats::LookupPages(int j, uint64_t uncoalesced_pages) {
   if (j < 0 || j >= static_cast<int>(index_.size())) return;
-  index_[j].page_reads += distinct_pages;
   index_[j].uncoalesced_page_reads += uncoalesced_pages;
 }
 
@@ -112,13 +133,9 @@ OperatorRuntime::OperatorRuntime(int num_indices, int num_nodes,
       cache_capacity_(cache_capacity),
       hot_key_threshold_(hot_key_threshold),
       salt_fanout_(salt_fanout),
-      per_index_(num_indices_) {
+      index_(num_indices_),
+      nik_samples_(num_indices_) {
   shadow_caches_.resize(static_cast<size_t>(num_nodes_) * num_indices_);
-}
-
-void OperatorRuntime::Reset() {
-  *this = OperatorRuntime(num_indices_, num_nodes_, cache_capacity_,
-                          hot_key_threshold_, salt_fanout_);
 }
 
 OperatorTaskStats* OperatorRuntime::TaskLocal(TaskContext* ctx) {
@@ -132,34 +149,11 @@ OperatorTaskStats* OperatorRuntime::TaskLocal(TaskContext* ctx) {
 }
 
 void OperatorRuntime::AbsorbTask(const OperatorTaskStats& task) {
+  // A task's collector is sized by its runtime, so the index counts agree.
   total_inputs_ += task.inputs_;
   total_input_bytes_ += task.input_bytes_;
   total_pre_bytes_ += task.pre_bytes_;
-  for (int j = 0;
-       j < num_indices_ && j < static_cast<int>(task.index_.size()); ++j) {
-    PerIndex& pi = per_index_[j];
-    const OperatorTaskStats::PerIndexTask& ti = task.index_[j];
-    pi.keys += ti.keys;
-    pi.key_bytes += ti.key_bytes;
-    pi.sketch.Merge(ti.sketch);
-    pi.skew.Merge(ti.skew);
-    if (ti.multi_key_seen) pi.multi_key_seen = true;
-    pi.lookups += ti.lookups;
-    pi.lookup_result_bytes += ti.lookup_result_bytes;
-    pi.service_time += ti.service_time;
-    pi.cache_probes += ti.cache_probes;
-    pi.cache_misses += ti.cache_misses;
-    pi.avail_excess_sec += ti.avail_excess_sec;
-    pi.down_lookups += ti.down_lookups;
-    pi.failovers += ti.failovers;
-    pi.hedges += ti.hedges;
-    pi.hedge_wins += ti.hedge_wins;
-    pi.flaky_lookups += ti.flaky_lookups;
-    pi.corrupt_lookups += ti.corrupt_lookups;
-    pi.breaker_short_circuits += ti.breaker_short_circuits;
-    pi.page_reads += ti.page_reads;
-    pi.uncoalesced_page_reads += ti.uncoalesced_page_reads;
-  }
+  for (int j = 0; j < num_indices_; ++j) index_[j].Merge(task.index_[j]);
   if (task.inputs_ > 0) {
     ++pre_tasks_;
     const double n = static_cast<double>(task.inputs_);
@@ -167,9 +161,7 @@ void OperatorRuntime::AbsorbTask(const OperatorTaskStats& task) {
     s1_samples_.Add(static_cast<double>(task.input_bytes_) / n);
     spre_samples_.Add(static_cast<double>(task.pre_bytes_) / n);
     for (int j = 0; j < num_indices_; ++j) {
-      const uint64_t task_keys =
-          j < static_cast<int>(task.index_.size()) ? task.index_[j].keys : 0;
-      per_index_[j].nik_samples.Add(static_cast<double>(task_keys) / n);
+      nik_samples_[j].Add(static_cast<double>(task.index_[j].keys) / n);
     }
   }
   total_post_records_ += task.post_records_;
@@ -195,132 +187,50 @@ bool OperatorRuntime::ShadowCacheTouch(int j, int node,
   return hit;
 }
 
-void OperatorRuntime::PreBeginTask() {
-  task_inputs_ = 0;
-  task_input_bytes_ = 0;
-  task_pre_bytes_ = 0;
-  for (auto& pi : per_index_) pi.task_keys = 0;
+namespace {
+
+/// The lookup-side statistics of one index (Siv_j, T_j, R and the
+/// availability/resilience/page shares): defined from its lookups and
+/// cache probes alone, so they are surfaced even before any preProcess
+/// sample exists.
+void DeriveLookupStats(const IndexTally& t, IndexStats* is) {
+  is->siv = t.lookups > 0 ? static_cast<double>(t.lookup_result_bytes) /
+                                static_cast<double>(t.lookups)
+                          : 0.0;
+  is->tj = t.lookups > 0 ? t.service_time / static_cast<double>(t.lookups)
+                         : 0.0;
+  is->miss_ratio = t.cache_probes > 0
+                       ? static_cast<double>(t.cache_misses) /
+                             static_cast<double>(t.cache_probes)
+                       : 1.0;
+  if (t.lookups == 0) return;
+  const double lookups = static_cast<double>(t.lookups);
+  is->avail_excess = t.avail_excess_sec / lookups;
+  is->down_share = static_cast<double>(t.down_lookups) / lookups;
+  is->failover_share = static_cast<double>(t.failovers) / lookups;
+  is->hedge_share = static_cast<double>(t.hedges) / lookups;
+  is->hedge_win_share = static_cast<double>(t.hedge_wins) / lookups;
+  is->flaky_share = static_cast<double>(t.flaky_lookups) / lookups;
+  is->corrupt_share = static_cast<double>(t.corrupt_lookups) / lookups;
+  is->breaker_share = static_cast<double>(t.breaker_short_circuits) / lookups;
+  is->pages_per_lookup =
+      static_cast<double>(t.uncoalesced_page_reads) / lookups;
 }
 
-void OperatorRuntime::PreRecord(
-    uint64_t input_bytes, uint64_t pre_output_bytes,
-    const std::vector<std::vector<std::string>>& keys) {
-  ++total_inputs_;
-  ++task_inputs_;
-  total_input_bytes_ += input_bytes;
-  task_input_bytes_ += input_bytes;
-  total_pre_bytes_ += pre_output_bytes;
-  task_pre_bytes_ += pre_output_bytes;
-  for (int j = 0; j < num_indices_ && j < static_cast<int>(keys.size());
-       ++j) {
-    PerIndex& pi = per_index_[j];
-    pi.keys += keys[j].size();
-    pi.task_keys += keys[j].size();
-    if (keys[j].size() != 1) pi.multi_key_seen = true;
-    for (const auto& k : keys[j]) {
-      pi.key_bytes += k.size();
-      pi.sketch.Add(k);
-      pi.skew.Observe(Hash64(k));
-    }
-  }
-}
-
-void OperatorRuntime::PreEndTask() {
-  if (task_inputs_ == 0) return;
-  ++pre_tasks_;
-  const double n = static_cast<double>(task_inputs_);
-  inputs_samples_.Add(n);
-  s1_samples_.Add(static_cast<double>(task_input_bytes_) / n);
-  spre_samples_.Add(static_cast<double>(task_pre_bytes_) / n);
-  for (auto& pi : per_index_) {
-    pi.nik_samples.Add(static_cast<double>(pi.task_keys) / n);
-  }
-}
-
-void OperatorRuntime::LookupPerformed(int j, uint64_t key_bytes,
-                                      uint64_t result_bytes,
-                                      double service_sec) {
-  if (j < 0 || j >= num_indices_) return;
-  PerIndex& pi = per_index_[j];
-  ++pi.lookups;
-  (void)key_bytes;  // Key bytes are tracked at extraction time (PreRecord).
-  pi.lookup_result_bytes += result_bytes;
-  pi.service_time += service_sec;
-}
-
-void OperatorRuntime::CacheProbe(int j, bool miss) {
-  if (j < 0 || j >= num_indices_) return;
-  ++per_index_[j].cache_probes;
-  if (miss) ++per_index_[j].cache_misses;
-}
-
-void OperatorRuntime::ShadowProbe(int j, int node, const std::string& key) {
-  if (j < 0 || j >= num_indices_) return;
-  const bool hit = ShadowCacheTouch(j, node, key);
-  CacheProbe(j, /*miss=*/!hit);
-}
-
-void OperatorRuntime::PostBeginTask() {
-  task_post_records_ = 0;
-  task_post_bytes_ = 0;
-}
-
-void OperatorRuntime::PostRecord(uint64_t output_bytes) {
-  ++total_post_records_;
-  ++task_post_records_;
-  total_post_bytes_ += output_bytes;
-  task_post_bytes_ += output_bytes;
-}
-
-void OperatorRuntime::PostEndTask() {
-  if (task_post_records_ == 0) return;
-  ++post_tasks_;
-  spost_samples_.Add(static_cast<double>(task_post_bytes_) /
-                     static_cast<double>(task_post_records_));
-}
-
-void OperatorRuntime::MapOutput(uint64_t bytes) { map_output_bytes_ += bytes; }
+}  // namespace
 
 OperatorStats OperatorRuntime::Compute(int num_nodes,
                                        double extrapolation) const {
   OperatorStats stats;
   if (num_nodes <= 0) num_nodes = 1;
   if (extrapolation < 1.0) extrapolation = 1.0;
-  if (total_inputs_ == 0) {
-    // No preProcess samples yet: still surface the lookup-side statistics
-    // (siv, tj, miss ratio) but leave the stats invalid for planning.
-    stats.index.resize(num_indices_);
-    for (int j = 0; j < num_indices_; ++j) {
-      const PerIndex& pi = per_index_[j];
-      IndexStats& is = stats.index[j];
-      is.siv = pi.lookups > 0
-                   ? static_cast<double>(pi.lookup_result_bytes) /
-                         static_cast<double>(pi.lookups)
-                   : 0.0;
-      is.tj = pi.lookups > 0
-                  ? pi.service_time / static_cast<double>(pi.lookups)
-                  : 0.0;
-      is.miss_ratio = pi.cache_probes > 0
-                          ? static_cast<double>(pi.cache_misses) /
-                                static_cast<double>(pi.cache_probes)
-                          : 1.0;
-      if (pi.lookups > 0) {
-        const double lookups = static_cast<double>(pi.lookups);
-        is.avail_excess = pi.avail_excess_sec / lookups;
-        is.down_share = static_cast<double>(pi.down_lookups) / lookups;
-        is.failover_share = static_cast<double>(pi.failovers) / lookups;
-        is.hedge_share = static_cast<double>(pi.hedges) / lookups;
-        is.hedge_win_share = static_cast<double>(pi.hedge_wins) / lookups;
-        is.flaky_share = static_cast<double>(pi.flaky_lookups) / lookups;
-        is.corrupt_share = static_cast<double>(pi.corrupt_lookups) / lookups;
-        is.breaker_share =
-            static_cast<double>(pi.breaker_short_circuits) / lookups;
-        is.pages_per_lookup =
-            static_cast<double>(pi.uncoalesced_page_reads) / lookups;
-      }
-    }
-    return stats;
+  stats.index.resize(num_indices_);
+  for (int j = 0; j < num_indices_; ++j) {
+    DeriveLookupStats(index_[j], &stats.index[j]);
   }
+  // No preProcess samples yet: the lookup-side statistics are surfaced,
+  // but the stats stay invalid for planning.
+  if (total_inputs_ == 0) return stats;
 
   const double inputs = static_cast<double>(total_inputs_);
   stats.n1 = inputs * extrapolation / num_nodes;
@@ -333,59 +243,34 @@ OperatorStats OperatorRuntime::Compute(int num_nodes,
   stats.smap = static_cast<double>(map_output_bytes_) / inputs;
   stats.tasks_sampled = pre_tasks_;
 
-  stats.index.resize(num_indices_);
   double max_cov = std::max(
       {inputs_samples_.coefficient_of_variation(),
        s1_samples_.coefficient_of_variation(),
        spre_samples_.coefficient_of_variation(),
        post_tasks_ >= 2 ? spost_samples_.coefficient_of_variation() : 0.0});
   for (int j = 0; j < num_indices_; ++j) {
-    const PerIndex& pi = per_index_[j];
+    const IndexTally& t = index_[j];
     IndexStats& is = stats.index[j];
-    is.nik = static_cast<double>(pi.keys) / inputs;
-    is.sik = pi.keys > 0 ? static_cast<double>(pi.key_bytes) /
-                               static_cast<double>(pi.keys)
-                         : 0.0;
-    is.siv = pi.lookups > 0 ? static_cast<double>(pi.lookup_result_bytes) /
-                                  static_cast<double>(pi.lookups)
-                            : 0.0;
-    is.tj = pi.lookups > 0
-                ? pi.service_time / static_cast<double>(pi.lookups)
-                : 0.0;
-    const double distinct = pi.sketch.EstimateDistinct();
+    is.nik = static_cast<double>(t.keys) / inputs;
+    is.sik = t.keys > 0 ? static_cast<double>(t.key_bytes) /
+                              static_cast<double>(t.keys)
+                        : 0.0;
+    const double distinct = t.sketch.EstimateDistinct();
     // FM estimates the distinct count of the *sampled* keys; scale both the
     // total and distinct by the same extrapolation so Theta is unbiased
     // under uniform duplication. (Distinct counts do not extrapolate
     // linearly in general; treat Theta as the duplicate factor observed in
     // the sample, which is what re-optimization acts on.)
     is.theta = distinct > 0.5
-                   ? std::max(1.0, static_cast<double>(pi.keys) / distinct)
+                   ? std::max(1.0, static_cast<double>(t.keys) / distinct)
                    : 1.0;
-    is.miss_ratio = pi.cache_probes > 0
-                        ? static_cast<double>(pi.cache_misses) /
-                              static_cast<double>(pi.cache_probes)
-                        : 1.0;
-    is.repartitionable = !pi.multi_key_seen;
-    is.max_key_share = pi.skew.MaxShare();
+    is.repartitionable = !t.multi_key_seen;
+    is.max_key_share = t.skew.MaxShare();
     is.salt_fanout = salt_fanout_;
-    for (const auto& hk : pi.skew.HotKeys(hot_key_threshold_)) {
+    for (const auto& hk : t.skew.HotKeys(hot_key_threshold_)) {
       is.hot_keys.push_back(hk.hash);
     }
-    if (pi.lookups > 0) {
-      const double lookups = static_cast<double>(pi.lookups);
-      is.avail_excess = pi.avail_excess_sec / lookups;
-      is.down_share = static_cast<double>(pi.down_lookups) / lookups;
-      is.failover_share = static_cast<double>(pi.failovers) / lookups;
-      is.hedge_share = static_cast<double>(pi.hedges) / lookups;
-      is.hedge_win_share = static_cast<double>(pi.hedge_wins) / lookups;
-      is.flaky_share = static_cast<double>(pi.flaky_lookups) / lookups;
-      is.corrupt_share = static_cast<double>(pi.corrupt_lookups) / lookups;
-      is.breaker_share =
-          static_cast<double>(pi.breaker_short_circuits) / lookups;
-      is.pages_per_lookup =
-          static_cast<double>(pi.uncoalesced_page_reads) / lookups;
-    }
-    max_cov = std::max(max_cov, pi.nik_samples.coefficient_of_variation());
+    max_cov = std::max(max_cov, nik_samples_[j].coefficient_of_variation());
   }
   stats.max_cov = max_cov;
   stats.valid = true;

@@ -128,6 +128,38 @@ struct OperatorStats {
   double SidxAfter(const std::vector<int>& accessed) const;
 };
 
+/// The per-index counters behind Table 1, for one index of one operator:
+/// the lookup-key stream (counts, bytes, the FM sketch for Theta and the
+/// skew detector's exact key counts), the actual lookups and their cache
+/// probes, and the fault/resilience/page observations. A task fills its own
+/// tally; the runtime `Merge`s every task's tally in task-index order.
+struct IndexTally {
+  uint64_t keys = 0;
+  uint64_t key_bytes = 0;
+  uint64_t lookups = 0;
+  uint64_t lookup_result_bytes = 0;
+  double service_time = 0.0;
+  uint64_t cache_probes = 0;
+  uint64_t cache_misses = 0;
+  double avail_excess_sec = 0.0;
+  uint64_t down_lookups = 0;
+  uint64_t failovers = 0;
+  uint64_t hedges = 0;
+  uint64_t hedge_wins = 0;
+  uint64_t flaky_lookups = 0;
+  uint64_t corrupt_lookups = 0;
+  uint64_t breaker_short_circuits = 0;
+  uint64_t uncoalesced_page_reads = 0;
+  FmSketch sketch{64};
+  SkewDetector skew;
+  /// Some record extracted other than exactly one key for this index.
+  bool multi_key_seen = false;
+
+  /// Folds `other` (one task's tally) into this one: sums, the OR-merged
+  /// sketch and the merged key counts.
+  void Merge(const IndexTally& other);
+};
+
 /// One task's private statistics accumulator for an operator. Stages obtain
 /// it via `OperatorRuntime::TaskLocal(ctx)` and feed it with no shared-state
 /// writes, so concurrent tasks never contend; the execution engine folds it
@@ -141,13 +173,14 @@ class OperatorTaskStats {
  public:
   explicit OperatorTaskStats(OperatorRuntime* runtime);
 
-  /// One record through preProcess (see OperatorRuntime::PreRecord).
+  /// One record through preProcess: its input size, its post-pre output
+  /// size (record + keys), and per-index extracted keys.
   void PreRecord(uint64_t input_bytes, uint64_t pre_output_bytes,
                  const std::vector<std::vector<std::string>>& keys);
-  /// An actual lookup of index `j` returning `result_bytes` with service
-  /// time `service_sec`.
-  void LookupPerformed(int j, uint64_t key_bytes, uint64_t result_bytes,
-                       double service_sec);
+  /// An actual lookup of index `j` (cache miss or no cache) returning
+  /// `result_bytes` with service time `service_sec`. Key bytes are counted
+  /// at extraction time (`PreRecord`).
+  void LookupPerformed(int j, uint64_t result_bytes, double service_sec);
   /// Host-availability outcome of an actual lookup of index `j` (the
   /// failure-aware runtime's extra time and down/failover flags). Reported
   /// separately from `LookupPerformed` so the clean statistics are
@@ -161,9 +194,9 @@ class OperatorTaskStats {
   void LookupResilience(int j, int hedges, bool hedge_won, int flaky_errors,
                         int corrupt_detected, bool breaker_short_circuit);
   /// Page accounting of one flush against a storage-backed index `j`:
-  /// `distinct_pages` physically read after same-page coalescing,
-  /// `uncoalesced_pages` the serial cost of the same lookups.
-  void LookupPages(int j, uint64_t distinct_pages, uint64_t uncoalesced_pages);
+  /// `uncoalesced_pages`, the pages its lookups would read one at a time
+  /// (the Nipl_j statistic behind `pages_per_lookup`).
+  void LookupPages(int j, uint64_t uncoalesced_pages);
   /// A probe of the real lookup cache for index `j`.
   void CacheProbe(int j, bool miss);
   /// Probes the runtime's shadow (key-only) cache on `node` for index `j`
@@ -177,29 +210,6 @@ class OperatorTaskStats {
  private:
   friend class OperatorRuntime;
 
-  struct PerIndexTask {
-    uint64_t keys = 0;
-    uint64_t key_bytes = 0;
-    uint64_t lookups = 0;
-    uint64_t lookup_result_bytes = 0;
-    double service_time = 0.0;
-    uint64_t cache_probes = 0;
-    uint64_t cache_misses = 0;
-    double avail_excess_sec = 0.0;
-    uint64_t down_lookups = 0;
-    uint64_t failovers = 0;
-    uint64_t hedges = 0;
-    uint64_t hedge_wins = 0;
-    uint64_t flaky_lookups = 0;
-    uint64_t corrupt_lookups = 0;
-    uint64_t breaker_short_circuits = 0;
-    uint64_t page_reads = 0;
-    uint64_t uncoalesced_page_reads = 0;
-    FmSketch sketch{64};
-    SkewDetector skew;
-    bool multi_key_seen = false;
-  };
-
   OperatorRuntime* runtime_;
   uint64_t inputs_ = 0;
   uint64_t input_bytes_ = 0;
@@ -207,21 +217,16 @@ class OperatorTaskStats {
   uint64_t post_records_ = 0;
   uint64_t post_bytes_ = 0;
   uint64_t map_output_bytes_ = 0;
-  std::vector<PerIndexTask> index_;
+  std::vector<IndexTally> index_;
 };
 
 /// Online statistics collector for one operator instance, mirroring the
-/// paper's counter-based collection: per-task samples for the variance gate,
-/// OR-merged FM sketches for Theta, and a per-node shadow cache for R.
-///
-/// Two feeding modes exist:
-///  - Per-task collection (the execution engine): stages call
-///    `TaskLocal(ctx)` and feed the returned `OperatorTaskStats`; the engine
-///    absorbs every task's collector in task-index order, so results are
-///    bit-identical at any thread count. Used by all EFind stages.
-///  - Direct serial hooks (`PreBeginTask`/`PreRecord`/.../`PostEndTask`):
-///    single-threaded convenience API for standalone drivers and tests.
-/// The two modes must not be interleaved within one phase.
+/// paper's counter-based collection (§4.2): every task feeds a private
+/// `OperatorTaskStats` (per-task counters, FM sketch and skew counts), and
+/// `AbsorbTask` folds each into the shared totals in task-index order —
+/// one sample per task for the variance gate, OR-merged sketches for
+/// Theta, and a per-node shadow cache for R — so results are bit-identical
+/// at any thread count.
 class OperatorRuntime {
  public:
   /// `num_indices` accessors; `num_nodes` for per-node shadow caches of
@@ -232,41 +237,14 @@ class OperatorRuntime {
   OperatorRuntime(int num_indices, int num_nodes, size_t cache_capacity,
                   double hot_key_threshold = 0.05, int salt_fanout = 8);
 
-  // --- per-task collection (execution engine) ---------------------------
   /// Returns this task's private collector, creating and registering it in
   /// `ctx`'s state bag on first use (with an AbsorbTask merge closure the
   /// engine runs in task-index order).
   OperatorTaskStats* TaskLocal(TaskContext* ctx);
-  /// Folds one task's collected statistics into the shared totals, exactly
-  /// as the serial hook sequence for that task would have.
+  /// Folds one task's collected statistics into the shared totals: a task
+  /// with preProcess records adds one N1/S1/Spre/Nik sample, one with
+  /// postProcess records one Spost sample.
   void AbsorbTask(const OperatorTaskStats& task);
-
-  // --- preProcess-side hooks -------------------------------------------
-  void PreBeginTask();
-  /// One record through preProcess: its input size, its post-pre output
-  /// size (record + keys), and per-index extracted keys.
-  void PreRecord(uint64_t input_bytes, uint64_t pre_output_bytes,
-                 const std::vector<std::vector<std::string>>& keys);
-  void PreEndTask();
-
-  // --- lookup-side hooks ------------------------------------------------
-  /// An actual lookup of index `j` (cache miss or no cache) returning
-  /// `result_bytes` with service time `service_sec`.
-  void LookupPerformed(int j, uint64_t key_bytes, uint64_t result_bytes,
-                       double service_sec);
-  /// A probe of the real lookup cache for index `j`.
-  void CacheProbe(int j, bool miss);
-  /// Probes the shadow (key-only) cache on `node` for index `j` when the
-  /// real cache is not active; records the hit/miss for estimating R.
-  void ShadowProbe(int j, int node, const std::string& key);
-
-  // --- postProcess-side hooks --------------------------------------------
-  void PostBeginTask();
-  void PostRecord(uint64_t output_bytes);
-  void PostEndTask();
-
-  // --- original-Map metering (for Smap of head operators) ----------------
-  void MapOutput(uint64_t bytes);
 
   /// Total operator input records observed so far (pre-side).
   uint64_t total_inputs() const { return total_inputs_; }
@@ -276,9 +254,6 @@ class OperatorRuntime {
   /// first wave has run; `num_nodes` converts totals to per-machine N1.
   OperatorStats Compute(int num_nodes, double extrapolation) const;
 
-  /// Resets everything (fresh job).
-  void Reset();
-
  private:
   friend class OperatorTaskStats;
 
@@ -287,33 +262,6 @@ class OperatorRuntime {
   /// caller counts). Safe across tasks because a node's tasks run on one
   /// strand.
   bool ShadowCacheTouch(int j, int node, const std::string& key);
-
-  struct PerIndex {
-    uint64_t keys = 0;
-    uint64_t key_bytes = 0;
-    uint64_t lookups = 0;
-    uint64_t lookup_result_bytes = 0;
-    double service_time = 0.0;
-    uint64_t cache_probes = 0;
-    uint64_t cache_misses = 0;
-    double avail_excess_sec = 0.0;
-    uint64_t down_lookups = 0;
-    uint64_t failovers = 0;
-    uint64_t hedges = 0;
-    uint64_t hedge_wins = 0;
-    uint64_t flaky_lookups = 0;
-    uint64_t corrupt_lookups = 0;
-    uint64_t breaker_short_circuits = 0;
-    uint64_t page_reads = 0;
-    uint64_t uncoalesced_page_reads = 0;
-    FmSketch sketch{64};
-    SkewDetector skew;
-    // Per-task temporaries (serial hook mode only).
-    uint64_t task_keys = 0;
-    uint64_t task_records_with_one_key = 0;
-    RunningStats nik_samples;
-    bool multi_key_seen = false;
-  };
 
   int num_indices_;
   int num_nodes_;
@@ -327,15 +275,7 @@ class OperatorRuntime {
   uint64_t total_post_records_ = 0;
   uint64_t total_post_bytes_ = 0;
   uint64_t map_output_bytes_ = 0;
-
-  // Per-task temporaries (pre side; serial hook mode only).
-  uint64_t task_inputs_ = 0;
-  uint64_t task_input_bytes_ = 0;
-  uint64_t task_pre_bytes_ = 0;
   size_t pre_tasks_ = 0;
-  // Per-task temporaries (post side; serial hook mode only).
-  uint64_t task_post_records_ = 0;
-  uint64_t task_post_bytes_ = 0;
   size_t post_tasks_ = 0;
 
   RunningStats inputs_samples_;
@@ -343,7 +283,9 @@ class OperatorRuntime {
   RunningStats spre_samples_;
   RunningStats spost_samples_;
 
-  std::vector<PerIndex> per_index_;
+  std::vector<IndexTally> index_;
+  /// Per-task Nik_j samples, parallel to `index_`.
+  std::vector<RunningStats> nik_samples_;
   // shadow_caches_[node * num_indices_ + j]; key-only LRU, value unused.
   std::vector<std::unique_ptr<LruCache<std::string, char>>> shadow_caches_;
 };

@@ -9,17 +9,14 @@
 #include <unordered_map>
 #include <vector>
 
-#include "common/fm_sketch.h"
-
 namespace efind {
 
 /// Heavy-hitter detector over a key stream (DESIGN.md §12).
 ///
-/// Counts exact per-key-hash frequencies and pairs them with the same
-/// Flajolet–Martin sketch the Θ estimator uses, so "hot" is judged both
-/// against an absolute share threshold (the knob) and against the uniform
-/// share implied by the distinct count — a fixed threshold alone would
-/// flag every key of a tiny domain.
+/// Counts exact per-key-hash frequencies, so "hot" is judged both against
+/// an absolute share threshold (the knob) and against the uniform share
+/// implied by the exact distinct count — a fixed threshold alone would flag
+/// every key of a tiny domain.
 ///
 /// Determinism: one instance per task, fed in that task's fixed record
 /// order, merged across tasks in task-index order (exact counts make the
@@ -37,14 +34,12 @@ class SkewDetector {
   void Observe(uint64_t key_hash) {
     ++counts_[key_hash];
     ++total_;
-    sketch_.AddHash(key_hash);
   }
 
   /// Folds another (per-task) detector into this one.
   void Merge(const SkewDetector& other) {
     for (const auto& [hash, count] : other.counts_) counts_[hash] += count;
     total_ += other.total_;
-    sketch_.Merge(other.sketch_);
   }
 
   /// Keys observed on a share of the stream >= `threshold` (and >= a few
@@ -82,13 +77,12 @@ class SkewDetector {
   }
 
   uint64_t total() const { return total_; }
-  double EstimateDistinct() const { return sketch_.EstimateDistinct(); }
 
  private:
   /// A key only counts as hot when it is at least `kUniformGuard` times
   /// hotter than a perfectly uniform key would be. Uses the exact distinct
-  /// count (the counts map is exact anyway); the FM sketch's estimate is
-  /// too noisy at the tiny cardinalities this guard exists for.
+  /// count (an FM estimate is too noisy at the tiny cardinalities this
+  /// guard exists for).
   double UniformGuardShare() const {
     static constexpr double kUniformGuard = 4.0;
     const double distinct = std::max<double>(1.0, counts_.size());
@@ -97,7 +91,6 @@ class SkewDetector {
 
   std::unordered_map<uint64_t, uint64_t> counts_;
   uint64_t total_ = 0;
-  FmSketch sketch_{64};
 };
 
 }  // namespace efind

@@ -104,10 +104,7 @@ uint64_t PlanArtifactFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
                                  OperatorPosition pos, int op_index,
                                  const OperatorPlan& oplan, int shuffle_ordinal,
                                  int partition_count) {
-  const std::vector<std::shared_ptr<IndexOperator>>& ops =
-      pos == OperatorPosition::kHead   ? conf.head_ops()
-      : pos == OperatorPosition::kBody ? conf.body_ops()
-                                       : conf.tail_ops();
+  const std::vector<std::shared_ptr<IndexOperator>>& ops = conf.ops(pos);
   if (op_index < 0 || op_index >= static_cast<int>(ops.size())) return 0;
   std::vector<int> prefix;
   ArtifactLayout layout = ArtifactLayout::kRepartition;

@@ -299,7 +299,10 @@ class ServiceSim {
   // --- execution (real data flow, admission order) -------------------------
 
   const ExecutedJob& Execute(int tmpl_idx, int tenant) {
-    const bool memoize = options_.memoize_templates && store_ == nullptr;
+    // Each distinct template executes once and its demand profile / outputs
+    // replay for repeat submissions (identical by determinism) — except
+    // with a reuse store attached, where runs mutate shared store state.
+    const bool memoize = store_ == nullptr;
     if (memoize) {
       auto it = memo_.find(tmpl_idx);
       if (it != memo_.end()) return it->second;

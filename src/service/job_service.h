@@ -71,10 +71,6 @@ struct ServiceOptions {
   /// Keep every job's output splits in its outcome record (memory-heavy;
   /// tests only — checksums are always kept).
   bool keep_outputs = false;
-  /// Execute each distinct template once and replay its demand profile /
-  /// outputs for repeat submissions (identical by determinism). Forced off
-  /// while a reuse store is attached, where runs mutate shared store state.
-  bool memoize_templates = true;
   /// When non-empty, every submission and its admission-lifecycle
   /// transitions (admit / defer / reject / finish) are appended to a
   /// write-ahead journal at this path (crash site "service.wal") before

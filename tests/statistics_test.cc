@@ -5,6 +5,8 @@
 #include <string>
 #include <vector>
 
+#include "mapreduce/stage.h"
+
 namespace efind {
 namespace {
 
@@ -21,19 +23,22 @@ TEST(OperatorRuntimeTest, EmptyIsInvalid) {
 TEST(OperatorRuntimeTest, BasicTableOneTerms) {
   OperatorRuntime rt(1, 12, 1024);
   // Two tasks, 3 records each; input 100 B, pre output 60 B, one 8-byte key
-  // per record.
+  // per record. The first task performs the lookups.
   for (int task = 0; task < 2; ++task) {
-    rt.PreBeginTask();
+    OperatorTaskStats ts(&rt);
     for (int r = 0; r < 3; ++r) {
-      rt.PreRecord(100, 60, OneKey("key" + std::to_string(r) + "0000"));
+      ts.PreRecord(100, 60, OneKey("key" + std::to_string(r) + "0000"));
     }
-    rt.PreEndTask();
+    if (task == 0) {
+      for (int i = 0; i < 6; ++i) ts.LookupPerformed(0, 200, 0.001);
+    }
+    rt.AbsorbTask(ts);
   }
-  for (int i = 0; i < 6; ++i) rt.LookupPerformed(0, 8, 200, 0.001);
-  rt.PostBeginTask();
-  rt.PostRecord(30);
-  rt.PostRecord(30);
-  rt.PostEndTask();
+  // A post-side task.
+  OperatorTaskStats post(&rt);
+  post.PostRecord(30);
+  post.PostRecord(30);
+  rt.AbsorbTask(post);
 
   OperatorStats stats = rt.Compute(12, 1.0);
   ASSERT_TRUE(stats.valid);
@@ -52,9 +57,9 @@ TEST(OperatorRuntimeTest, BasicTableOneTerms) {
 
 TEST(OperatorRuntimeTest, ExtrapolationScalesN1Only) {
   OperatorRuntime rt(1, 12, 1024);
-  rt.PreBeginTask();
-  for (int r = 0; r < 10; ++r) rt.PreRecord(50, 50, OneKey("k"));
-  rt.PreEndTask();
+  OperatorTaskStats ts(&rt);
+  for (int r = 0; r < 10; ++r) ts.PreRecord(50, 50, OneKey("k"));
+  rt.AbsorbTask(ts);
   OperatorStats s1 = rt.Compute(12, 1.0);
   OperatorStats s4 = rt.Compute(12, 4.0);
   EXPECT_DOUBLE_EQ(s4.n1, 4 * s1.n1);
@@ -64,14 +69,14 @@ TEST(OperatorRuntimeTest, ExtrapolationScalesN1Only) {
 
 TEST(OperatorRuntimeTest, ThetaFromDuplicates) {
   OperatorRuntime rt(1, 12, 1024);
-  rt.PreBeginTask();
+  OperatorTaskStats ts(&rt);
   // 5000 distinct keys, each extracted 3 times -> Theta ~ 3.
   for (int round = 0; round < 3; ++round) {
     for (int i = 0; i < 5000; ++i) {
-      rt.PreRecord(10, 10, OneKey("key" + std::to_string(i)));
+      ts.PreRecord(10, 10, OneKey("key" + std::to_string(i)));
     }
   }
-  rt.PreEndTask();
+  rt.AbsorbTask(ts);
   OperatorStats stats = rt.Compute(12, 1.0);
   EXPECT_GT(stats.index[0].theta, 2.0);
   EXPECT_LT(stats.index[0].theta, 4.5);
@@ -79,10 +84,10 @@ TEST(OperatorRuntimeTest, ThetaFromDuplicates) {
 
 TEST(OperatorRuntimeTest, MultiKeyRecordsBlockRepartitioning) {
   OperatorRuntime rt(1, 12, 1024);
-  rt.PreBeginTask();
-  rt.PreRecord(10, 10, {{"a", "b"}});  // Two keys for index 0.
-  rt.PreRecord(10, 10, OneKey("c"));
-  rt.PreEndTask();
+  OperatorTaskStats ts(&rt);
+  ts.PreRecord(10, 10, {{"a", "b"}});  // Two keys for index 0.
+  ts.PreRecord(10, 10, OneKey("c"));
+  rt.AbsorbTask(ts);
   OperatorStats stats = rt.Compute(12, 1.0);
   EXPECT_FALSE(stats.index[0].repartitionable);
   EXPECT_DOUBLE_EQ(stats.index[0].nik, 1.5);
@@ -91,18 +96,35 @@ TEST(OperatorRuntimeTest, MultiKeyRecordsBlockRepartitioning) {
 TEST(OperatorRuntimeTest, ShadowCacheEstimatesMissRatio) {
   OperatorRuntime rt(1, 2, 4);  // Capacity 4, two nodes.
   // Node 0 sees the same key repeatedly: high hit rate. Node 1 scans.
-  for (int i = 0; i < 100; ++i) rt.ShadowProbe(0, 0, "hot");
+  OperatorTaskStats node0(&rt), node1(&rt);
+  for (int i = 0; i < 100; ++i) node0.ShadowProbe(0, 0, "hot");
   for (int i = 0; i < 100; ++i) {
-    rt.ShadowProbe(0, 1, "cold" + std::to_string(i));
+    node1.ShadowProbe(0, 1, "cold" + std::to_string(i));
   }
+  rt.AbsorbTask(node0);
+  rt.AbsorbTask(node1);
   OperatorStats stats = rt.Compute(2, 1.0);
   // 1 miss + 99 hits on node 0; 100 misses on node 1 => R ~ 101/200.
   EXPECT_NEAR(stats.index[0].miss_ratio, 0.505, 1e-9);
 }
 
+TEST(OperatorRuntimeTest, ShadowCachesArePerNode) {
+  OperatorRuntime rt(1, 2, 4);
+  // The same key probed on two nodes misses on each: node 1's LRU does not
+  // see node 0's insert. A second probe on node 0 hits.
+  OperatorTaskStats ts(&rt);
+  ts.ShadowProbe(0, 0, "k");
+  ts.ShadowProbe(0, 1, "k");
+  ts.ShadowProbe(0, 0, "k");
+  rt.AbsorbTask(ts);
+  EXPECT_DOUBLE_EQ(rt.Compute(2, 1.0).index[0].miss_ratio, 2.0 / 3.0);
+}
+
 TEST(OperatorRuntimeTest, CacheProbesFeedMissRatio) {
   OperatorRuntime rt(1, 12, 1024);
-  for (int i = 0; i < 8; ++i) rt.CacheProbe(0, i % 4 == 0);
+  OperatorTaskStats ts(&rt);
+  for (int i = 0; i < 8; ++i) ts.CacheProbe(0, i % 4 == 0);
+  rt.AbsorbTask(ts);
   OperatorStats stats = rt.Compute(12, 1.0);
   EXPECT_DOUBLE_EQ(stats.index[0].miss_ratio, 0.25);
 }
@@ -110,18 +132,61 @@ TEST(OperatorRuntimeTest, CacheProbesFeedMissRatio) {
 TEST(OperatorRuntimeTest, VarianceGateSeesSkew) {
   OperatorRuntime uniform(1, 12, 16), skewed(1, 12, 16);
   for (int task = 0; task < 4; ++task) {
-    uniform.PreBeginTask();
-    skewed.PreBeginTask();
-    for (int r = 0; r < 100; ++r) uniform.PreRecord(50, 50, OneKey("k"));
+    OperatorTaskStats u(&uniform), s(&skewed);
+    for (int r = 0; r < 100; ++r) u.PreRecord(50, 50, OneKey("k"));
     const int skew_records = task == 0 ? 1000 : 10;
     for (int r = 0; r < skew_records; ++r) {
-      skewed.PreRecord(50, 50, OneKey("k"));
+      s.PreRecord(50, 50, OneKey("k"));
     }
-    uniform.PreEndTask();
-    skewed.PreEndTask();
+    uniform.AbsorbTask(u);
+    skewed.AbsorbTask(s);
   }
   EXPECT_LT(uniform.Compute(12, 1.0).max_cov, 0.01);
   EXPECT_GT(skewed.Compute(12, 1.0).max_cov, 0.5);
+}
+
+TEST(OperatorRuntimeTest, PostOnlyTaskAddsOnlySpostSample) {
+  OperatorRuntime rt(1, 12, 1024);
+  // Two pre-side tasks with 4 and 8 records: N1/S1/Nik samples 4 and 8.
+  for (int records : {4, 8}) {
+    OperatorTaskStats ts(&rt);
+    for (int r = 0; r < records; ++r) ts.PreRecord(10, 10, OneKey("k"));
+    rt.AbsorbTask(ts);
+  }
+  const OperatorStats before = rt.Compute(12, 1.0);
+  // A task with post records only (a reduce-side task of a tail operator):
+  // one Spost sample, no N1/S1/Spre/Nik sample.
+  OperatorTaskStats post(&rt);
+  post.PostRecord(20);
+  rt.AbsorbTask(post);
+  const OperatorStats after = rt.Compute(12, 1.0);
+  EXPECT_EQ(after.tasks_sampled, before.tasks_sampled);
+  EXPECT_EQ(after.tasks_sampled, 2u);
+  EXPECT_DOUBLE_EQ(after.n1, before.n1);
+  EXPECT_DOUBLE_EQ(after.index[0].nik, before.index[0].nik);
+  EXPECT_DOUBLE_EQ(after.max_cov, before.max_cov);
+  EXPECT_EQ(rt.total_inputs(), 12u);
+  EXPECT_DOUBLE_EQ(after.spost, 20.0);
+  EXPECT_DOUBLE_EQ(before.spost, 0.0);
+}
+
+TEST(OperatorRuntimeTest, TaskLocalMergesThroughStateBag) {
+  // The engine's route: a TaskContext registers the task's collector on
+  // first use, and the drained state bag's merge absorbs it.
+  OperatorRuntime rt(1, 12, 1024);
+  TaskContext ctx(/*node_id=*/3, /*task_index=*/0, /*counters=*/nullptr);
+  OperatorTaskStats* ts = rt.TaskLocal(&ctx);
+  EXPECT_EQ(rt.TaskLocal(&ctx), ts);
+  ts->PreRecord(100, 60, OneKey("k"));
+  ts->LookupPerformed(0, 40, 0.002);
+  EXPECT_EQ(rt.total_inputs(), 0u);  // Not merged yet.
+  ctx.TakeTaskState().Merge();
+  EXPECT_EQ(rt.total_inputs(), 1u);
+  const OperatorStats stats = rt.Compute(12, 1.0);
+  ASSERT_TRUE(stats.valid);
+  EXPECT_DOUBLE_EQ(stats.s1, 100.0);
+  EXPECT_DOUBLE_EQ(stats.index[0].siv, 40.0);
+  EXPECT_DOUBLE_EQ(stats.index[0].tj, 0.002);
 }
 
 TEST(OperatorStatsTest, SidxAccumulatesResults) {
@@ -135,16 +200,6 @@ TEST(OperatorStatsTest, SidxAccumulatesResults) {
   EXPECT_DOUBLE_EQ(stats.SidxAfter({}), 100.0);
   EXPECT_DOUBLE_EQ(stats.SidxAfter({0}), 150.0);
   EXPECT_DOUBLE_EQ(stats.SidxAfter({0, 1}), 170.0);
-}
-
-TEST(OperatorRuntimeTest, ResetClears) {
-  OperatorRuntime rt(1, 12, 1024);
-  rt.PreBeginTask();
-  rt.PreRecord(10, 10, OneKey("a"));
-  rt.PreEndTask();
-  rt.Reset();
-  EXPECT_EQ(rt.total_inputs(), 0u);
-  EXPECT_FALSE(rt.Compute(12, 1.0).valid);
 }
 
 }  // namespace
