@@ -184,20 +184,21 @@ class PipelineExecutor {
     cur_.name += std::string(":") + label;
     JobStageSummary summary;
     summary.name = cur_.name;
-    if (!first_job_ && !artifact_adopted_) {
+    const bool boundary = !first_job_ && !artifact_adopted_;
+    const uint64_t boundary_bytes = boundary ? BytesOfView(view_) : 0;
+    if (boundary) {
       // The previous job stored its output in the DFS (replicated write,
       // parallel across nodes); this job's map tasks charge the retrieval
       // as their input read, so only the store side is added here. An
       // adopted artifact is already DFS-resident — no job wrote it this
       // run, so only its retrieval (the map input read) is charged.
       summary.boundary_seconds =
-          config_.DfsStoreSeconds(BytesOfView(view_)) / config_.num_nodes;
+          config_.DfsStoreSeconds(boundary_bytes) / config_.num_nodes;
     }
     artifact_adopted_ = false;
     double job_t0 = 0.0;
     if (obs_ != nullptr) {
       obs::TraceRecorder& tr = obs_->trace();
-      const uint64_t boundary_bytes = BytesOfView(view_);
       if (summary.boundary_seconds > 0.0) {
         tr.Span("dfs_boundary", "boundary", tr.clock(),
                 summary.boundary_seconds, obs::kClusterTrack, 0,
@@ -212,7 +213,11 @@ class PipelineExecutor {
       }
       job_t0 = tr.clock();
     }
-    JobResult job = job_runner_->Run(cur_, view_);
+    // The pipeline's own intermediate data is handed over by ownership
+    // (its records move into the map tasks); the caller's input is only
+    // ever borrowed.
+    JobResult job = view_is_data_ ? job_runner_->Run(cur_, std::move(data_))
+                                  : job_runner_->Run(cur_, view_);
     summary.map_seconds = job.map_seconds;
     summary.reduce_seconds = job.reduce_seconds;
     summary.map_tasks = job.num_map_tasks;
@@ -371,13 +376,14 @@ class PipelineExecutor {
   /// num_partitions-way parallelism (this is why the index being
   /// "replicated to three data nodes" matters). Chunk cuts fall between
   /// records; a group cut in two costs one extra lookup, nothing more.
+  /// Runs right after the grouped data (the shuffle job's output, or a copy
+  /// of a stored artifact) was adopted, so it moves the records out of the
+  /// owned `data_` into the chunks.
   void ResplitForLocality(const PartitionScheme* scheme) {
     uint64_t total_records = 0;
-    for (const InputSplit* split : view_) {
-      total_records += split->records.size();
-    }
+    for (const InputSplit& split : data_) total_records += split.records.size();
     std::vector<InputSplit> resplit;
-    for (size_t r = 0; r < view_.size(); ++r) {
+    for (size_t r = 0; r < data_.size(); ++r) {
       const int p = static_cast<int>(r);
       // Failure-aware placement: skip replica hosts that are down for
       // the whole run — their chunks would only lose locality later.
@@ -395,7 +401,7 @@ class PipelineExecutor {
         }
       }
       if (hosts.empty()) hosts.push_back(p % config_.num_nodes);
-      const auto& records = view_[r]->records;
+      std::vector<Record>& records = data_[r].records;
       const size_t n_rec = records.size();
       // Chunk count proportional to the partition's share of the data
       // (big partitions = more HDFS chunks), so skewed partitions do
@@ -415,8 +421,8 @@ class PipelineExecutor {
         chunk.node = hosts[c % hosts.size()];
         const size_t from = n_rec * c / n_chunks;
         const size_t to = n_rec * (c + 1) / n_chunks;
-        chunk.records.assign(records.begin() + from,
-                             records.begin() + to);
+        chunk.records.assign(std::make_move_iterator(records.begin() + from),
+                             std::make_move_iterator(records.begin() + to));
         if (!chunk.records.empty() || c == 0) {
           resplit.push_back(std::move(chunk));
         }

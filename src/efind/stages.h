@@ -289,12 +289,15 @@ class ShuffleKeyStage : public RecordStage {
 };
 
 /// The shuffle job's reduce: passes records through in grouped order so the
-/// downstream `GroupedLookupStage` sees equal lookup keys contiguously.
+/// downstream `GroupedLookupStage` sees equal lookup keys contiguously. A
+/// pass-through reducer, so the engine streams the groups without calling
+/// `Reduce`.
 class GroupReducer : public Reducer {
  public:
   std::string name() const override { return "efind.group"; }
   void Reduce(const std::string& key, std::vector<Record> values,
               TaskContext* ctx, Emitter* out) override;
+  bool pass_through() const override { return true; }
 };
 
 /// Performs one lookup per *run* of equal lookup keys (records arrive

@@ -265,11 +265,10 @@ OperatorStats OperatorRuntime::Compute(int num_nodes,
                    ? std::max(1.0, static_cast<double>(t.keys) / distinct)
                    : 1.0;
     is.repartitionable = !t.multi_key_seen;
-    is.max_key_share = t.skew.MaxShare();
+    const SkewDetector::Summary skew = t.skew.Summarize(hot_key_threshold_);
+    is.max_key_share = skew.max_share;
     is.salt_fanout = salt_fanout_;
-    for (const auto& hk : t.skew.HotKeys(hot_key_threshold_)) {
-      is.hot_keys.push_back(hk.hash);
-    }
+    for (const auto& hk : skew.hot) is.hot_keys.push_back(hk.hash);
     max_cov = std::max(max_cov, nik_samples_[j].coefficient_of_variation());
   }
   stats.max_cov = max_cov;

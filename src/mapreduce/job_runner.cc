@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <cstring>
 #include <map>
 #include <memory>
 #include <string>
@@ -25,6 +26,13 @@ const Partitioner& EffectivePartitioner(const JobConfig& job) {
   return kDefaultPartitioner;
 }
 
+std::vector<const InputSplit*> ViewOf(const std::vector<InputSplit>& splits) {
+  std::vector<const InputSplit*> view;
+  view.reserve(splits.size());
+  for (const auto& s : splits) view.push_back(&s);
+  return view;
+}
+
 uint64_t BytesOf(const std::vector<Record>& records) {
   uint64_t n = 0;
   for (const auto& r : records) n += r.size_bytes();
@@ -42,10 +50,86 @@ const CounterHandle kShuffleChecksumMismatch("mr.shuffle.checksum_mismatch");
 // share (per-record overhead + per-byte parse), returned for accumulation.
 double ChargeMapInput(const ClusterConfig& config, const Record& r,
                       MapTaskResult* result) {
-  result->input_bytes += r.size_bytes();
+  const uint64_t bytes = r.size_bytes();
+  result->input_bytes += bytes;
   ++result->input_records;
   return config.cpu_per_record_sec +
-         config.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
+         config.cpu_per_byte_sec * static_cast<double>(bytes);
+}
+
+// Input record `i` of a map task, for the stage chain: moved out of a
+// consumable split (one the job owns), copied from a borrowed one.
+Record TakeInput(const InputSplit& split, InputSplit* consumable, size_t i) {
+  if (consumable != nullptr) return std::move(consumable->records[i]);
+  return split.records[i];
+}
+
+// Frees a consumed split's record storage. Called at the end of its map
+// task, so the frees run inside the parallel phase.
+void ReleaseInput(InputSplit* consumable) {
+  if (consumable != nullptr) std::vector<Record>().swap(consumable->records);
+}
+
+// Big-endian value of the key's first eight bytes, zero-padded: comparing
+// prefixes agrees with comparing keys in byte order (std::string `<`)
+// wherever the prefixes differ.
+uint64_t KeyPrefix(std::string_view key) {
+  unsigned char bytes[8] = {};
+  std::memcpy(bytes, key.data(), std::min<size_t>(key.size(), 8));
+  uint64_t prefix = 0;
+  for (unsigned char b : bytes) prefix = (prefix << 8) | b;
+  return prefix;
+}
+
+// Positions [0, n) ordered by `key_of(i)` in byte order (std::string `<`);
+// the keys must be distinct. An LSD radix sort over (key prefix, position)
+// pairs, one byte per pass, skipping passes whose histogram has a single
+// bucket; then a full-key sort within each run of equal prefixes, so the
+// order is exact.
+template <typename KeyOf>
+std::vector<uint32_t> ByteOrder(uint32_t n, const KeyOf& key_of) {
+  struct Entry {
+    uint64_t prefix;
+    uint32_t pos;
+  };
+  std::vector<uint32_t> order(n);
+  if (n == 0) return order;
+  std::vector<Entry> a(n);
+  for (uint32_t i = 0; i < n; ++i) a[i] = Entry{KeyPrefix(key_of(i)), i};
+  // Byte `d` of a prefix, least significant first.
+  auto digit = [](uint64_t prefix, int d) {
+    return static_cast<size_t>((prefix >> (8 * d)) & 0xff);
+  };
+  std::vector<uint32_t> hist(8 * 256, 0);
+  for (const Entry& e : a) {
+    for (int d = 0; d < 8; ++d) ++hist[d * 256 + digit(e.prefix, d)];
+  }
+  std::vector<Entry> tmp(n);
+  for (int d = 0; d < 8; ++d) {
+    uint32_t* count = &hist[d * 256];
+    if (count[digit(a[0].prefix, d)] == n) continue;
+    uint32_t offset = 0;
+    for (int b = 0; b < 256; ++b) {
+      const uint32_t c = count[b];
+      count[b] = offset;
+      offset += c;
+    }
+    for (const Entry& e : a) tmp[count[digit(e.prefix, d)]++] = e;
+    a.swap(tmp);
+  }
+  for (uint32_t lo = 0; lo < n;) {
+    uint32_t hi = lo + 1;
+    while (hi < n && a[hi].prefix == a[lo].prefix) ++hi;
+    if (hi - lo > 1) {
+      std::sort(a.begin() + lo, a.begin() + hi,
+                [&key_of](const Entry& x, const Entry& y) {
+                  return key_of(x.pos) < key_of(y.pos);
+                });
+    }
+    lo = hi;
+  }
+  for (uint32_t i = 0; i < n; ++i) order[i] = a[i].pos;
+  return order;
 }
 
 std::string ShortNum(double v) {
@@ -220,10 +304,11 @@ void JobRunner::RunStrands(size_t count,
 
 MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
                                             const InputSplit& split,
+                                            InputSplit* consumable,
                                             int task_index,
                                             TaskStateBag* bag) {
   if (job.reducer || !job.reduce_stages.empty()) {
-    return RunMapTaskBatched(job, split, task_index, bag);
+    return RunMapTaskBatched(job, split, consumable, task_index, bag);
   }
   // Map-only job: the stage chain's output is already the final
   // representation (an output split), so it lands in a plain vector — no
@@ -235,11 +320,12 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
   StageChain chain(&job.map_stages, &ctx, &result.output);
   chain.Begin();
   double cpu = 0.0;
-  for (const Record& r : split.records) {
-    cpu += ChargeMapInput(config_, r, &result);
-    chain.Push(r);
+  for (size_t i = 0; i < split.records.size(); ++i) {
+    cpu += ChargeMapInput(config_, split.records[i], &result);
+    chain.Push(TakeInput(split, consumable, i));
   }
   chain.Finish();
+  ReleaseInput(consumable);
   for (const Record& r : result.output) {
     result.output_bytes += r.size_bytes();
     ++result.output_records;
@@ -268,6 +354,7 @@ void JobRunner::FinishMapTask(const JobConfig& job, int task_index,
 
 MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
                                            const InputSplit& split,
+                                           InputSplit* consumable,
                                            int task_index, TaskStateBag* bag) {
   MapTaskResult result;
   result.node = split.node;
@@ -334,16 +421,18 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
       bucket.Append(r.key, r.value, r.extra_bytes, r.attachment, h);
       ChecksumBatchRecord(&digests[p], bucket, bucket.size() - 1);
     }
+    ReleaseInput(consumable);
   } else {
     RecordBatch staging(&arena);
     StageChain chain(&job.map_stages, &ctx, &staging);
     chain.Begin();
 
-    for (const Record& r : split.records) {
-      cpu += ChargeMapInput(config_, r, &result);
-      chain.Push(r);
+    for (size_t i = 0; i < split.records.size(); ++i) {
+      cpu += ChargeMapInput(config_, split.records[i], &result);
+      chain.Push(TakeInput(split, consumable, i));
     }
     chain.Finish();
+    ReleaseInput(consumable);
 
     // Fused sweep: partition mapping, per-bucket content digest, and byte
     // accounting in one sequential pass over the staging buffer. Logical
@@ -404,7 +493,8 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
 MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
                                     const InputSplit& split, int task_index) {
   TaskStateBag bag;
-  MapTaskResult result = RunMapTaskDeferred(job, split, task_index, &bag);
+  MapTaskResult result =
+      RunMapTaskDeferred(job, split, /*consumable=*/nullptr, task_index, &bag);
   bag.Merge();
   return result;
 }
@@ -412,15 +502,18 @@ MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
 MapPhaseResult JobRunner::RunMapPhase(const JobConfig& job,
                                       const std::vector<InputSplit>& input,
                                       size_t begin, size_t end) {
-  std::vector<const InputSplit*> view;
-  view.reserve(input.size());
-  for (const auto& s : input) view.push_back(&s);
-  return RunMapPhase(job, view, begin, end);
+  return RunMapPhase(job, ViewOf(input), begin, end);
 }
 
 MapPhaseResult JobRunner::RunMapPhase(
     const JobConfig& job, const std::vector<const InputSplit*>& input,
     size_t begin, size_t end) {
+  return RunMapPhase(job, input, begin, end, /*owned=*/nullptr);
+}
+
+MapPhaseResult JobRunner::RunMapPhase(
+    const JobConfig& job, const std::vector<const InputSplit*>& input,
+    size_t begin, size_t end, std::vector<InputSplit>* owned) {
   MapPhaseResult phase;
   if (end > input.size()) end = input.size();
   if (begin > end) begin = end;
@@ -431,9 +524,10 @@ MapPhaseResult JobRunner::RunMapPhase(
       count,
       [&](size_t k) { return input[begin + k]->node; },
       [&](size_t k) {
-        phase.tasks[k] = RunMapTaskDeferred(job, *input[begin + k],
-                                            static_cast<int>(begin + k),
-                                            &bags[k]);
+        phase.tasks[k] = RunMapTaskDeferred(
+            job, *input[begin + k],
+            owned != nullptr ? &(*owned)[begin + k] : nullptr,
+            static_cast<int>(begin + k), &bags[k]);
       });
   // Deterministic collection: fold per-task state into shared structures in
   // task-index order, exactly as serial execution would have.
@@ -587,17 +681,15 @@ ReducePhaseResult JobRunner::RunReduceRange(
       }
     }
     // Reducers consume keys in sorted byte order.
-    std::vector<uint32_t> ordered(groups.size());
-    for (uint32_t i = 0; i < static_cast<uint32_t>(ordered.size()); ++i) {
-      ordered[i] = i;
-    }
-    std::sort(ordered.begin(), ordered.end(),
-              [&groups](uint32_t a, uint32_t b) {
-                return groups[a].key < groups[b].key;
-              });
+    const std::vector<uint32_t> ordered =
+        ByteOrder(static_cast<uint32_t>(groups.size()),
+                  [&groups](uint32_t g) { return groups[g].key; });
 
     TaskContext ctx(node, r, &phase.task_counters[slot]);
+    const bool grouped_reduce = job.reducer && !job.reducer->pass_through();
     std::vector<Record> sink;
+    // A pure pass-through emits exactly the received records.
+    if (!grouped_reduce && job.reduce_stages.empty()) sink.reserve(total);
     StageChain chain(&job.reduce_stages, &ctx, &sink);
     chain.Begin();
     if (job.reducer) job.reducer->BeginTask(&ctx);
@@ -609,7 +701,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
       const Loc& loc = locs[arrival];
       return loc.batch->MaterializeRecord(loc.index);
     };
-    if (job.reducer) {
+    if (grouped_reduce) {
       for (const uint32_t gi : ordered) {
         const Group& g = groups[gi];
         std::vector<Record> values;
@@ -620,8 +712,9 @@ ReducePhaseResult JobRunner::RunReduceRange(
         job.reducer->Reduce(std::string(g.key), std::move(values), &ctx,
                             chain.EmitterInto(0));
       }
-      job.reducer->EndTask(&ctx, chain.EmitterInto(0));
     } else {
+      // No reducer, or a pass-through one: the group-ordered records
+      // stream straight into the reduce-side chain.
       for (const uint32_t gi : ordered) {
         const Group& g = groups[gi];
         for (uint32_t k = g.offset; k < g.offset + g.count; ++k) {
@@ -629,6 +722,7 @@ ReducePhaseResult JobRunner::RunReduceRange(
         }
       }
     }
+    if (job.reducer) job.reducer->EndTask(&ctx, chain.EmitterInto(0));
     chain.Finish();
     if (mismatches > 0) {
       phase.task_counters[slot].Increment(kShuffleChecksumMismatch,
@@ -680,16 +774,24 @@ ReducePhaseResult JobRunner::RunReduceRange(
 
 JobResult JobRunner::Run(const JobConfig& job,
                          const std::vector<InputSplit>& input) {
-  std::vector<const InputSplit*> view;
-  view.reserve(input.size());
-  for (const auto& s : input) view.push_back(&s);
-  return Run(job, view);
+  return Run(job, ViewOf(input));
+}
+
+JobResult JobRunner::Run(const JobConfig& job,
+                         std::vector<InputSplit>&& input) {
+  return Run(job, ViewOf(input), &input);
 }
 
 JobResult JobRunner::Run(const JobConfig& job,
                          const std::vector<const InputSplit*>& input) {
+  return Run(job, input, /*owned=*/nullptr);
+}
+
+JobResult JobRunner::Run(const JobConfig& job,
+                         const std::vector<const InputSplit*>& input,
+                         std::vector<InputSplit>* owned) {
   JobResult result;
-  MapPhaseResult map_phase = RunMapPhase(job, input, 0, input.size());
+  MapPhaseResult map_phase = RunMapPhase(job, input, 0, input.size(), owned);
   result.num_map_tasks = map_phase.tasks.size();
   result.map_seconds = map_phase.makespan();
   result.speculative_launched += map_phase.schedule.speculative_launched;

@@ -62,6 +62,11 @@ class JobRunner {
   /// Runs the whole job: map phase over `input`, then (if a reducer is
   /// configured) shuffle + reduce phase.
   JobResult Run(const JobConfig& job, const std::vector<InputSplit>& input);
+  /// As above, consuming `input`: map tasks move each record into the
+  /// stage chain instead of copying it, and free their split's record
+  /// storage when they finish. `input` is left holding emptied splits.
+  /// Outputs, counters and simulated times equal the borrowing overload's.
+  JobResult Run(const JobConfig& job, std::vector<InputSplit>&& input);
   /// As above over a borrowed view of splits (no copies; pointers must stay
   /// valid for the duration of the call).
   JobResult Run(const JobConfig& job,
@@ -120,12 +125,26 @@ class JobRunner {
  private:
   int ReduceTaskNode(const JobConfig& job, int reduce_index) const;
 
+  /// The shared body of the `Run` overloads. `owned`, when non-null, is the
+  /// vector `input` points into, and its splits are consumed.
+  JobResult Run(const JobConfig& job,
+                const std::vector<const InputSplit*>& input,
+                std::vector<InputSplit>* owned);
+  /// RunMapPhase over `input`; `owned` as in `Run`.
+  MapPhaseResult RunMapPhase(const JobConfig& job,
+                             const std::vector<const InputSplit*>& input,
+                             size_t begin, size_t end,
+                             std::vector<InputSplit>* owned);
+
   /// RunMapTask with the task's deferred state handed back to the caller
   /// instead of merged immediately (the engine merges bags in task order).
   /// Map-only jobs collect their output in `MapTaskResult::output`; jobs
-  /// with a reduce phase go through `RunMapTaskBatched`.
+  /// with a reduce phase go through `RunMapTaskBatched`. `consumable` is
+  /// null for a borrowed split, or `&split` when the task may move the
+  /// split's records out (and then frees their storage).
   MapTaskResult RunMapTaskDeferred(const JobConfig& job,
-                                   const InputSplit& split, int task_index,
+                                   const InputSplit& split,
+                                   InputSplit* consumable, int task_index,
                                    TaskStateBag* bag);
 
   /// The shuffled map task: stage output lands in an arena-backed
@@ -133,7 +152,8 @@ class JobRunner {
   /// batches while computing content digests and byte accounting
   /// (DESIGN.md §11).
   MapTaskResult RunMapTaskBatched(const JobConfig& job,
-                                  const InputSplit& split, int task_index,
+                                  const InputSplit& split,
+                                  InputSplit* consumable, int task_index,
                                   TaskStateBag* bag);
 
   /// Shared tail of both map-task paths: the task's time model (startup +

@@ -167,6 +167,12 @@ class Reducer {
     (void)ctx;
     (void)out;
   }
+  /// True when `Reduce` emits exactly its values, unchanged and in order,
+  /// and nothing else. The engine then streams each group's records
+  /// straight into the reduce-side stages instead of calling `Reduce`
+  /// (no per-group value vector or key string); `BeginTask` and `EndTask`
+  /// still run.
+  virtual bool pass_through() const { return false; }
 };
 
 }  // namespace efind

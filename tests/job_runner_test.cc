@@ -3,10 +3,13 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdio>
 #include <memory>
+#include <set>
 #include <string>
 #include <vector>
 
+#include "common/random.h"
 #include "mapreduce/stage_chain.h"
 #include "reuse/materialized_store.h"
 
@@ -300,6 +303,121 @@ TEST(JobRunnerTest, ReduceStagesRunAfterReducer) {
   for (const auto& r : result.CollectRecords()) {
     EXPECT_EQ(r.value, "4");  // count 2 doubled... (20 records, 10 keys)
   }
+}
+
+// ---------------------------------------------------------------------------
+// Reduce-side key order: reducers must see their keys in std::string `<`
+// order (unsigned byte order, a proper prefix first) whatever the keys look
+// like. The adversarial set covers the empty key, keys shorter than eight
+// bytes, keys that differ only past an eight-byte prefix or only by
+// trailing NULs, bytes >= 0x80, and embedded NULs. The digest and hex
+// simulated seconds were pinned while the engine sorted with std::sort.
+
+std::string HexSeconds(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+std::vector<std::string> AdversarialKeys() {
+  using namespace std::string_literals;
+  std::vector<std::string> keys = {
+      ""s,           "a"s,          "ab"s,          "ab\0"s,
+      "ab\0\0"s,     "ab\0cd"s,     "\0"s,          "\0\0"s,
+      "\0a"s,        "abcdefgh"s,   "abcdefgh\0"s,  "abcdefghA"s,
+      "abcdefghB"s,  "abcdefgh\x80"s, "abcdefg\xff"s, "\x7f"s,
+      "\x80"s,       "\xff"s,       "\xff\xfe"s,    "\xff\xff\xff\xff\xff"
+                                                    "\xff\xff\xff\xff"s,
+      "a\x80"s,      "a\x7f"s,      "zz"s};
+  // Random keys over a tiny alphabet (NUL, 0x01, 'a', 0x7f, 0x80, 0xff)
+  // and lengths 0..12: many share long prefixes, enough for the reduce
+  // side to sort hundreds of distinct keys per task.
+  const char alphabet[] = {'\0', '\x01', 'a', '\x7f', '\x80', '\xff'};
+  Rng rng(99);
+  for (int i = 0; i < 1500; ++i) {
+    std::string k;
+    const uint64_t len = rng.Uniform(13);
+    for (uint64_t b = 0; b < len; ++b) k += alphabet[rng.Uniform(6)];
+    keys.push_back(k);
+  }
+  return keys;
+}
+
+std::vector<InputSplit> AdversarialInput() {
+  const std::vector<std::string> keys = AdversarialKeys();
+  std::vector<InputSplit> input(5);
+  Rng rng(7);
+  for (int s = 0; s < 5; ++s) {
+    input[s].node = s;
+    for (int r = 0; r < 900; ++r) {
+      input[s].records.push_back(Record(keys[rng.Uniform(keys.size())],
+                                        std::to_string(s * 1000 + r), r % 3));
+    }
+  }
+  return input;
+}
+
+// Emits one record per group, so each output split lists the keys its
+// reduce task saw, in the order it saw them.
+class KeyLogReducer : public Reducer {
+ public:
+  std::string name() const override { return "keylog"; }
+  void Reduce(const std::string& key, std::vector<Record> values,
+              TaskContext* ctx, Emitter* out) override {
+    (void)ctx;
+    std::string joined;
+    for (const Record& v : values) joined += v.value + ",";
+    out->Emit(Record(key, joined));
+  }
+};
+
+TEST(JobRunnerTest, ReducersSeeKeysInByteOrder) {
+  const std::vector<InputSplit> input = AdversarialInput();
+  std::set<std::string> distinct;
+  for (const auto& s : input) {
+    for (const auto& r : s.records) distinct.insert(r.key);
+  }
+  ClusterConfig config;
+  JobRunner runner(config);
+  JobConfig job;
+  job.reducer = std::make_shared<KeyLogReducer>();
+  job.num_reduce_tasks = 3;
+  const JobResult result = runner.Run(job, input);
+
+  std::set<std::string> seen;
+  for (const InputSplit& split : result.outputs) {
+    for (size_t i = 1; i < split.records.size(); ++i) {
+      EXPECT_LT(split.records[i - 1].key, split.records[i].key);
+    }
+    for (const Record& r : split.records) seen.insert(r.key);
+  }
+  EXPECT_EQ(seen, distinct);
+  EXPECT_EQ(reuse::ChecksumSplits(result.outputs), 0x62e3c2eb5eb59a1aULL);
+  EXPECT_EQ(HexSeconds(result.sim_seconds), "0x1.7832f52869339p-7");
+}
+
+TEST(JobRunnerTest, ReduceStagesSeeRecordsGroupedInByteOrder) {
+  // No reducer: records stream into the reduce stages grouped by key, keys
+  // in byte order, values in arrival order (split order, then record order).
+  const std::vector<InputSplit> input = AdversarialInput();
+  ClusterConfig config;
+  JobRunner runner(config);
+  JobConfig job;
+  job.reduce_stages.push_back(std::make_shared<DoubleStage>());
+  const JobResult result = runner.Run(job, input);
+  ASSERT_EQ(result.outputs.size(), 1u);
+  const std::vector<Record>& out = result.outputs[0].records;
+  size_t total = 0;
+  for (const auto& s : input) total += s.records.size();
+  ASSERT_EQ(out.size(), total);
+  for (size_t i = 1; i < out.size(); ++i) {
+    ASSERT_LE(out[i - 1].key, out[i].key);
+    if (out[i - 1].key == out[i].key) {
+      EXPECT_LT(std::stoi(out[i - 1].value), std::stoi(out[i].value));
+    }
+  }
+  EXPECT_EQ(reuse::ChecksumSplits(result.outputs), 0x36bdcccaf86890e4ULL);
+  EXPECT_EQ(HexSeconds(result.sim_seconds), "0x1.2900ddd40ebe4p-6");
 }
 
 TEST(RecordTest, SizeIncludesVirtualBytesAndAttachment) {

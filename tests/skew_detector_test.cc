@@ -5,17 +5,22 @@
 // (DESIGN.md §12): hot-key flagging against the share threshold and the
 // uniform guard, merge order-independence, and the deterministic
 // round-robin salt assignment that spreads a hot key across sub-partitions
-// while leaving cold keys exactly where HashPartitioner puts them.
+// while leaving cold keys exactly where HashPartitioner puts them. A
+// reference test checks the detector's exact counts against a std::map
+// over adversarial hash streams merged across tasks.
 
 #include "mapreduce/skew_detector.h"
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <map>
 #include <string>
 #include <vector>
 
 #include "common/hash.h"
+#include "common/random.h"
 #include "mapreduce/partitioner.h"
 
 namespace efind {
@@ -83,6 +88,130 @@ TEST(SkewDetectorTest, MergeIsOrderIndependent) {
   ASSERT_EQ(h1.size(), 1u);
   EXPECT_EQ(h1[0].hash, Hash64("hot"));
   EXPECT_EQ(h1[0].count, 150u);
+}
+
+// ---------------------------------------------------------------------------
+// Reference check: per-task detectors merged in task order must report the
+// same total, max share and hot set as exact std::map counts of the same
+// streams. The hot-set reference restates the documented rule: share >=
+// max(threshold, min(1, 4 / distinct)), hottest first, ties by hash,
+// truncated to `max_keys`.
+
+using Stream = std::vector<uint64_t>;
+
+struct Reference {
+  std::map<uint64_t, uint64_t> counts;
+  uint64_t total = 0;
+
+  void Add(const Stream& s) {
+    for (uint64_t h : s) {
+      ++counts[h];
+      ++total;
+    }
+  }
+
+  double MaxShare() const {
+    if (total == 0) return 0.0;
+    uint64_t max_count = 0;
+    for (const auto& [h, c] : counts) max_count = std::max(max_count, c);
+    return static_cast<double>(max_count) / static_cast<double>(total);
+  }
+
+  std::vector<SkewDetector::HotKey> HotKeys(double threshold,
+                                            size_t max_keys) const {
+    std::vector<SkewDetector::HotKey> hot;
+    if (total == 0 || threshold <= 0.0) return hot;
+    const double distinct = std::max<double>(1.0, counts.size());
+    const double min_share = std::max(threshold, std::min(1.0, 4.0 / distinct));
+    for (const auto& [h, c] : counts) {
+      if (static_cast<double>(c) / static_cast<double>(total) >= min_share) {
+        hot.push_back({h, c});
+      }
+    }
+    std::stable_sort(hot.begin(), hot.end(),
+                     [](const SkewDetector::HotKey& a,
+                        const SkewDetector::HotKey& b) {
+                       return a.count > b.count;
+                     });
+    if (hot.size() > max_keys) hot.resize(max_keys);
+    return hot;
+  }
+};
+
+void ExpectMatchesReference(const std::vector<Stream>& tasks,
+                            const std::string& label) {
+  SCOPED_TRACE(label);
+  SkewDetector merged;
+  Reference ref;
+  for (const Stream& s : tasks) {
+    SkewDetector task;
+    for (uint64_t h : s) task.Observe(h);
+    merged.Merge(task);
+    ref.Add(s);
+  }
+  EXPECT_EQ(merged.total(), ref.total);
+  EXPECT_EQ(merged.MaxShare(), ref.MaxShare());
+  for (double threshold : {0.01, 0.05, 0.2}) {
+    for (size_t max_keys : {size_t{1}, size_t{64}}) {
+      const auto got = merged.HotKeys(threshold, max_keys);
+      const auto want = ref.HotKeys(threshold, max_keys);
+      ASSERT_EQ(got.size(), want.size())
+          << "threshold=" << threshold << " max_keys=" << max_keys;
+      for (size_t i = 0; i < got.size(); ++i) {
+        EXPECT_EQ(got[i].hash, want[i].hash) << "rank " << i;
+        EXPECT_EQ(got[i].count, want[i].count) << "rank " << i;
+      }
+    }
+  }
+}
+
+TEST(SkewDetectorTest, MatchesExactReferenceOnAdversarialStreams) {
+  Rng rng(20260417);
+  // Skewed random streams over a small domain, with hash 0 and a few
+  // hashes that share all of their low 32 bits mixed in as hot keys.
+  std::vector<Stream> mixed(7);
+  for (size_t t = 0; t < mixed.size(); ++t) {
+    for (int i = 0; i < 400; ++i) {
+      const uint64_t u = rng.Uniform(100);
+      if (u < 12) {
+        mixed[t].push_back(0);
+      } else if (u < 20) {
+        mixed[t].push_back((rng.Uniform(3) + 1) << 32);
+      } else {
+        mixed[t].push_back(Hash64("k" + std::to_string(rng.Uniform(150))));
+      }
+    }
+  }
+  ExpectMatchesReference(mixed, "mixed");
+
+  // Hashes equal in their low 48 bits (and in their high bits, in the
+  // second family): a table homed on either end of the hash sees long
+  // collision runs that wrap around its end.
+  std::vector<Stream> low_collide(3);
+  for (uint64_t i = 0; i < 300; ++i) {
+    low_collide[i % 3].push_back((i << 48) | 0x5a5a);
+    low_collide[(i + 1) % 3].push_back(i);
+    if (i % 7 == 0) low_collide[0].push_back(uint64_t{1} << 63);
+  }
+  ExpectMatchesReference(low_collide, "low_collide");
+
+  // Many distinct keys in one task, enough to cross several growth steps,
+  // plus a light second task whose keys overlap the first.
+  std::vector<Stream> growth(2);
+  for (uint64_t i = 0; i < 20000; ++i) {
+    growth[0].push_back(Hash64(std::to_string(i % 5000)));
+    if (i % 3 == 0) growth[1].push_back(Hash64(std::to_string(i % 17)));
+  }
+  ExpectMatchesReference(growth, "growth");
+
+  // One key only (every threshold flags it) and all-distinct keys
+  // (nothing is hot, the max share is 1/n).
+  ExpectMatchesReference({Stream(500, 0), Stream(250, 0)}, "single_zero");
+  ExpectMatchesReference({Stream(40, Hash64("solo"))}, "single");
+  std::vector<Stream> distinct(4);
+  for (uint64_t i = 0; i < 4000; ++i) distinct[i % 4].push_back(i * 0x10001);
+  ExpectMatchesReference(distinct, "all_distinct");
+  ExpectMatchesReference({Stream(), Stream()}, "empty");
 }
 
 TEST(SaltingPartitionerTest, ColdKeysMatchHashPartitioner) {
