@@ -64,7 +64,10 @@ bool OutputsEqual(const std::vector<InputSplit>& a,
   if (a.size() != b.size()) return false;
   for (size_t i = 0; i < a.size(); ++i) {
     if (a[i].node != b[i].node) return false;
-    if (a[i].records != b[i].records) return false;
+    std::vector<Record> ra, rb;
+    a[i].AppendRecordsTo(&ra);
+    b[i].AppendRecordsTo(&rb);
+    if (ra != rb) return false;
   }
   return true;
 }

@@ -4,6 +4,7 @@
 #ifndef EFIND_COMMON_STRINGS_H_
 #define EFIND_COMMON_STRINGS_H_
 
+#include <algorithm>
 #include <string>
 #include <string_view>
 #include <vector>
@@ -11,9 +12,11 @@
 namespace efind {
 
 /// Splits `s` on `delim` into a vector of views (no copies). Empty fields
-/// are preserved: Split("a||b", '|') -> {"a", "", "b"}.
+/// are preserved: Split("a||b", '|') -> {"a", "", "b"}. The vector is sized
+/// once, from a count of the delimiters.
 inline std::vector<std::string_view> Split(std::string_view s, char delim) {
   std::vector<std::string_view> out;
+  out.reserve(static_cast<size_t>(std::count(s.begin(), s.end(), delim)) + 1);
   size_t start = 0;
   while (true) {
     const size_t pos = s.find(delim, start);

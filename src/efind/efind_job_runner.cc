@@ -8,6 +8,7 @@
 
 #include "efind/cost_model.h"
 #include "efind/stages.h"
+#include "mapreduce/record_batch.h"
 #include "obs/obs.h"
 #include "reuse/materialized_store.h"
 
@@ -252,8 +253,9 @@ class PipelineExecutor {
     view_is_data_ = true;
   }
 
-  /// Moves the current data into result_->outputs (materializing borrowed
-  /// splits only if no job ever ran, i.e. the pipeline was empty).
+  /// Moves the current data into result_->outputs (copying borrowed splits
+  /// only if no job ever ran, i.e. the pipeline was empty). Outputs leave
+  /// the engine in record form, so batch-form splits are materialized here.
   void TakeOutputs() {
     if (view_is_data_) {
       result_->outputs = std::move(data_);
@@ -262,6 +264,7 @@ class PipelineExecutor {
       result_->outputs.reserve(view_.size());
       for (const InputSplit* s : view_) result_->outputs.push_back(*s);
     }
+    for (InputSplit& split : result_->outputs) split.Materialize();
     data_.clear();
     view_.clear();
     view_is_data_ = false;
@@ -333,6 +336,7 @@ class PipelineExecutor {
   /// job's end costs capacity, not seconds.
   void PublishArtifact(uint64_t fp, const std::string& op_name,
                        reuse::ArtifactLayout layout, int partitions) {
+    // The shuffle output is in batch form, so the copy shares its batches.
     std::vector<InputSplit> copy;
     copy.reserve(view_.size());
     for (const InputSplit* s : view_) copy.push_back(*s);
@@ -377,11 +381,14 @@ class PipelineExecutor {
   /// "replicated to three data nodes" matters). Chunk cuts fall between
   /// records; a group cut in two costs one extra lookup, nothing more.
   /// Runs right after the grouped data (the shuffle job's output, or a copy
-  /// of a stored artifact) was adopted, so it moves the records out of the
-  /// owned `data_` into the chunks.
+  /// of a stored artifact) was adopted, so it cuts the owned `data_` into
+  /// the chunks: a batch-form split into batch slices, a record-form one by
+  /// moving its records.
   void ResplitForLocality(const PartitionScheme* scheme) {
     uint64_t total_records = 0;
-    for (const InputSplit& split : data_) total_records += split.records.size();
+    for (const InputSplit& split : data_) {
+      total_records += split.num_records();
+    }
     std::vector<InputSplit> resplit;
     for (size_t r = 0; r < data_.size(); ++r) {
       const int p = static_cast<int>(r);
@@ -401,8 +408,8 @@ class PipelineExecutor {
         }
       }
       if (hosts.empty()) hosts.push_back(p % config_.num_nodes);
-      std::vector<Record>& records = data_[r].records;
-      const size_t n_rec = records.size();
+      InputSplit& split = data_[r];
+      const size_t n_rec = split.num_records();
       // Chunk count proportional to the partition's share of the data
       // (big partitions = more HDFS chunks), so skewed partitions do
       // not become stragglers; ~4 chunks per slot keeps the wave
@@ -421,9 +428,14 @@ class PipelineExecutor {
         chunk.node = hosts[c % hosts.size()];
         const size_t from = n_rec * c / n_chunks;
         const size_t to = n_rec * (c + 1) / n_chunks;
-        chunk.records.assign(std::make_move_iterator(records.begin() + from),
-                             std::make_move_iterator(records.begin() + to));
-        if (!chunk.records.empty() || c == 0) {
+        if (split.batch) {
+          chunk.batch = split.batch->Slice(from, to);
+        } else {
+          chunk.records.assign(
+              std::make_move_iterator(split.records.begin() + from),
+              std::make_move_iterator(split.records.begin() + to));
+        }
+        if (chunk.num_records() > 0 || c == 0) {
           resplit.push_back(std::move(chunk));
         }
       }

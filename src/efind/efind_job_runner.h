@@ -114,9 +114,7 @@ struct EFindRunResult {
 
   std::vector<Record> CollectRecords() const {
     std::vector<Record> all;
-    for (const auto& s : outputs) {
-      all.insert(all.end(), s.records.begin(), s.records.end());
-    }
+    for (const auto& s : outputs) s.AppendRecordsTo(&all);
     return all;
   }
 };

@@ -24,9 +24,10 @@ std::string RatioStr(double v) {
 
 // Copy-on-write helper for the shared attachment. When this record holds
 // the only reference (the common case: PreProcess creates a fresh
-// attachment and downstream stages hand the record along one at a time),
-// the attachment is mutated in place; a genuinely shared one (records
-// still referenced by an input split or a shuffle batch) is deep-copied.
+// attachment, a batch-form split decodes one per materialized record, and
+// downstream stages hand the record along one at a time), the attachment
+// is mutated in place; a genuinely shared one (a record copied from a
+// borrowed record-form split) is deep-copied.
 // The uniqueness check is race-free: holding the sole reference means no
 // other thread has a handle to copy from.
 std::shared_ptr<RecordAttachment> MutableAttachment(Record* record) {

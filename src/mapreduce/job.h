@@ -82,7 +82,9 @@ struct MapPhaseResult {
 
 /// Execution record of the reduce phase.
 struct ReducePhaseResult {
-  /// One output split per reduce task, placed on the task's node.
+  /// One output split per reduce task, placed on the task's node; in batch
+  /// form when the job's reduce is a pure pass-through (no reduce-side
+  /// stages and no reducer or a pass-through one).
   std::vector<InputSplit> outputs;
   std::vector<double> durations;
   /// Fault-free counterparts of `durations` (speculative backup speed).
@@ -128,12 +130,11 @@ struct JobResult {
   /// (`ClusterConfig::speculation_backup_budget`) across both phases.
   size_t speculative_preempted = 0;
 
-  /// Flattens the outputs into one vector (test convenience).
+  /// Flattens the outputs into one vector, materializing batch-form splits
+  /// (test convenience).
   std::vector<Record> CollectRecords() const {
     std::vector<Record> all;
-    for (const auto& split : outputs) {
-      all.insert(all.end(), split.records.begin(), split.records.end());
-    }
+    for (const auto& split : outputs) split.AppendRecordsTo(&all);
     return all;
   }
 };

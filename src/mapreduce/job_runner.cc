@@ -46,28 +46,34 @@ const CounterHandle kShuffleRecords("mr.shuffle.records");
 const CounterHandle kShuffleBatchBytes("mr.shuffle.batch_bytes");
 const CounterHandle kShuffleChecksumMismatch("mr.shuffle.checksum_mismatch");
 
-// Input-side charge of one map record: byte/record accounting plus its CPU
+// Input-side charge of map record `i`: byte/record accounting plus its CPU
 // share (per-record overhead + per-byte parse), returned for accumulation.
-double ChargeMapInput(const ClusterConfig& config, const Record& r,
-                      MapTaskResult* result) {
-  const uint64_t bytes = r.size_bytes();
+// A batch-form split's sizes are read off its table.
+double ChargeMapInput(const ClusterConfig& config, const InputSplit& split,
+                      size_t i, MapTaskResult* result) {
+  const uint64_t bytes = split.batch ? split.batch->LogicalBytesAt(i)
+                                     : split.records[i].size_bytes();
   result->input_bytes += bytes;
   ++result->input_records;
   return config.cpu_per_record_sec +
          config.cpu_per_byte_sec * static_cast<double>(bytes);
 }
 
-// Input record `i` of a map task, for the stage chain: moved out of a
-// consumable split (one the job owns), copied from a borrowed one.
+// Input record `i` of a map task, for the stage chain: materialized on this
+// task's thread from a batch-form split, moved out of a consumable
+// record-form split (one the job owns), copied from a borrowed one.
 Record TakeInput(const InputSplit& split, InputSplit* consumable, size_t i) {
+  if (split.batch) return split.batch->MaterializeRecord(i);
   if (consumable != nullptr) return std::move(consumable->records[i]);
   return split.records[i];
 }
 
-// Frees a consumed split's record storage. Called at the end of its map
-// task, so the frees run inside the parallel phase.
+// Frees a consumed split's storage, or drops its share of a batch. Called
+// at the end of its map task, so the frees run inside the parallel phase.
 void ReleaseInput(InputSplit* consumable) {
-  if (consumable != nullptr) std::vector<Record>().swap(consumable->records);
+  if (consumable == nullptr) return;
+  std::vector<Record>().swap(consumable->records);
+  consumable->batch.reset();
 }
 
 // Big-endian value of the key's first eight bytes, zero-padded: comparing
@@ -320,8 +326,9 @@ MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
   StageChain chain(&job.map_stages, &ctx, &result.output);
   chain.Begin();
   double cpu = 0.0;
-  for (size_t i = 0; i < split.records.size(); ++i) {
-    cpu += ChargeMapInput(config_, split.records[i], &result);
+  const size_t n = split.num_records();
+  for (size_t i = 0; i < n; ++i) {
+    cpu += ChargeMapInput(config_, split, i, &result);
     chain.Push(TakeInput(split, consumable, i));
   }
   chain.Finish();
@@ -388,16 +395,17 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
   uint64_t staging_bytes = 0;
   uint64_t staging_allocs = 0;
 
-  if (job.map_stages.empty()) {
+  if (job.map_stages.empty() && !split.batch) {
     // Stage-less fast path: re-partition legs are pure data movement, so
     // input records go straight into the per-bucket batches — no stage
     // chain, no per-record std::string copies at all. Charges accumulate
     // as on the staged path: every input charge first, then every output
-    // charge, in the same record order.
+    // charge, in the same record order. (A batch-form split takes the
+    // staged path, which materializes its records on this task.)
     uint64_t payload = 0;
-    for (const Record& r : split.records) {
-      cpu += ChargeMapInput(config_, r, &result);
-      payload += r.key.size() + r.value.size();
+    for (size_t i = 0; i < split.records.size(); ++i) {
+      cpu += ChargeMapInput(config_, split, i, &result);
+      payload += split.records[i].key.size() + split.records[i].value.size();
     }
     if (!split.records.empty()) {
       const size_t est_records = split.records.size() / num_partitions + 1;
@@ -418,7 +426,7 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
                                                             num_partitions)
                                  : part.Partition(r.key, num_partitions);
       RecordBatch& bucket = result.partitioned_batches[p];
-      bucket.Append(r.key, r.value, r.extra_bytes, r.attachment, h);
+      bucket.Append(r.key, r.value, r.extra_bytes, r.attachment.get(), h);
       ChecksumBatchRecord(&digests[p], bucket, bucket.size() - 1);
     }
     ReleaseInput(consumable);
@@ -427,8 +435,9 @@ MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
     StageChain chain(&job.map_stages, &ctx, &staging);
     chain.Begin();
 
-    for (size_t i = 0; i < split.records.size(); ++i) {
-      cpu += ChargeMapInput(config_, split.records[i], &result);
+    const size_t n = split.num_records();
+    for (size_t i = 0; i < n; ++i) {
+      cpu += ChargeMapInput(config_, split, i, &result);
       chain.Push(TakeInput(split, consumable, i));
     }
     chain.Finish();
@@ -585,10 +594,11 @@ ReducePhaseResult JobRunner::RunReduceRange(
   std::vector<TaskStateBag> bags(count);
 
   // Batched gather: group `string_view` keys pointing straight into the
-  // map-side shuffle buffers; each record is materialized exactly once, for
-  // the reducer's value vector. The map side's per-bucket digest is
-  // re-derived in the same sweep, verifying the in-memory shuffle hand-off
-  // end to end (counted as `mr.shuffle.checksum_mismatch`, expected 0).
+  // map-side shuffle buffers; each record is materialized at most once, for
+  // the reducer's value vector or the reduce-side chain. The map side's
+  // per-bucket digest is re-derived in the same sweep, verifying the
+  // in-memory shuffle hand-off end to end (counted as
+  // `mr.shuffle.checksum_mismatch`, expected 0).
   auto run_reduce_task = [&](size_t slot) {
     const int r = begin + static_cast<int>(slot);
     const int node = ReduceTaskNode(job, r);
@@ -641,12 +651,14 @@ ReducePhaseResult JobRunner::RunReduceRange(
       }
     };
     uint64_t received_bytes = 0;
+    uint64_t received_buffer_bytes = 0;
     size_t received_records = 0;
     uint64_t mismatches = 0;
     for (const MapTaskResult* mt : map_outputs) {
       if (r >= static_cast<int>(mt->partitioned_batches.size())) continue;
       const RecordBatch& b = mt->partitioned_batches[r];
       received_bytes += b.payload_bytes();
+      received_buffer_bytes += b.buffer_bytes();
       received_records += b.size();
       Checksum64 digest;
       for (size_t i = 0; i < b.size(); ++i) {
@@ -687,10 +699,20 @@ ReducePhaseResult JobRunner::RunReduceRange(
 
     TaskContext ctx(node, r, &phase.task_counters[slot]);
     const bool grouped_reduce = job.reducer && !job.reducer->pass_through();
+    // A pure pass-through (no reduce function or a pass-through one, and no
+    // reduce-side stages) emits exactly the received records. Its output
+    // stays in batch form: one heap-mode batch the entries are copied into
+    // with their encoded attachments, so no per-record object is created
+    // here or freed by whichever task reads the split next.
+    std::shared_ptr<RecordBatch> batch_sink;
+    if (!grouped_reduce && job.reduce_stages.empty()) {
+      batch_sink = std::make_shared<RecordBatch>();
+      batch_sink->Reserve(total, received_buffer_bytes);
+    }
     std::vector<Record> sink;
-    // A pure pass-through emits exactly the received records.
-    if (!grouped_reduce && job.reduce_stages.empty()) sink.reserve(total);
-    StageChain chain(&job.reduce_stages, &ctx, &sink);
+    StageChain chain = batch_sink ? StageChain(&job.reduce_stages, &ctx,
+                                               batch_sink.get())
+                                  : StageChain(&job.reduce_stages, &ctx, &sink);
     chain.Begin();
     if (job.reducer) job.reducer->BeginTask(&ctx);
 
@@ -712,6 +734,14 @@ ReducePhaseResult JobRunner::RunReduceRange(
         job.reducer->Reduce(std::string(g.key), std::move(values), &ctx,
                             chain.EmitterInto(0));
       }
+    } else if (batch_sink) {
+      for (const uint32_t gi : ordered) {
+        const Group& g = groups[gi];
+        for (uint32_t k = g.offset; k < g.offset + g.count; ++k) {
+          const Loc& loc = locs[grouped[k]];
+          batch_sink->AppendFrom(*loc.batch, loc.index);
+        }
+      }
     } else {
       // No reducer, or a pass-through one: the group-ordered records
       // stream straight into the reduce-side chain.
@@ -729,9 +759,11 @@ ReducePhaseResult JobRunner::RunReduceRange(
                                           static_cast<double>(mismatches));
     }
 
-    const uint64_t out_bytes = BytesOf(sink);
+    const uint64_t out_bytes =
+        batch_sink ? batch_sink->payload_bytes() : BytesOf(sink);
     cpu += config_.cpu_per_byte_sec * static_cast<double>(out_bytes);
     phase.outputs[slot].records = std::move(sink);
+    phase.outputs[slot].batch = std::move(batch_sink);
 
     // Time model: startup + shuffle transfer of the received bytes +
     // CPU + stage-charged time + writing the final output.

@@ -99,18 +99,32 @@ struct Record {
   }
 };
 
+class RecordBatch;
+
 /// A contiguous chunk of job input hosted on one cluster node, analogous to
 /// an HDFS split. Map tasks are data-local by default: a map task processing
 /// this split is assumed to run on `node`.
+///
+/// A split holds its records in one of two forms. Record form (`records`)
+/// is how data enters and leaves the engine: the caller's input and the
+/// final outputs. Batch form (`batch`, with `records` empty) is pipeline-
+/// internal: a shuffle job's pass-through reduce writes its grouped output
+/// as one immutable `RecordBatch`, the next job's map tasks materialize each
+/// entry on their own thread, and copies of the split (reuse artifacts)
+/// share the batch (DESIGN.md §11).
 struct InputSplit {
   std::vector<Record> records;
+  std::shared_ptr<const RecordBatch> batch;
   int node = 0;
 
-  uint64_t size_bytes() const {
-    uint64_t n = 0;
-    for (const auto& r : records) n += r.size_bytes();
-    return n;
-  }
+  size_t num_records() const;
+  /// Summed `Record::size_bytes()`; read off the batch in batch form.
+  uint64_t size_bytes() const;
+  /// Converts batch form to record form in place (no-op in record form).
+  void Materialize();
+  /// Appends copies of the split's records to `out`, materializing batch
+  /// form; lets a reader accept either form.
+  void AppendRecordsTo(std::vector<Record>* out) const;
 };
 
 /// Summed logical size of a whole input — what a job's DFS read/write of

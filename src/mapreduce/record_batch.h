@@ -10,14 +10,14 @@
 // and stored in the table, so downstream passes (partitioning, byte
 // accounting, checksums) never re-walk attachments.
 //
-// Attachments stay as shared_ptr references in a side array: they are
-// immutable in flight (copy-on-write, see efind/stages.cc) and shared, not
-// serialized, when a batch hands records across task boundaries in-process.
+// A record's attachment is encoded in wire form into the buffer right after
+// its value, and `MaterializeRecord` decodes a fresh one owned by the
+// caller. So a batch holds no per-record heap object: whichever task or
+// thread drops it frees a few buffers, never one object per record.
 
 #ifndef EFIND_MAPREDUCE_RECORD_BATCH_H_
 #define EFIND_MAPREDUCE_RECORD_BATCH_H_
 
-#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -58,10 +58,9 @@ inline void ChecksumBatchRecord(Checksum64* sum, const RecordBatch& batch,
 
 /// One contiguous byte buffer plus an offset/length table.
 ///
-/// With an `Arena`, the byte buffer grows from the arena (task-confined:
-/// the batch must not outlive the arena); without one it owns heap memory
-/// and may cross task boundaries. Either way the offset table and the
-/// attachment side array are small amortized-growth vectors.
+/// With an `Arena`, the byte buffer and the offset table grow from the
+/// arena (task-confined: the batch must not outlive the arena); without one
+/// they own heap memory and the batch may cross task boundaries.
 class RecordBatch {
  public:
   /// Per-record view into the batch (valid until the batch is mutated).
@@ -69,7 +68,6 @@ class RecordBatch {
     std::string_view key;
     std::string_view value;
     uint64_t extra_bytes = 0;
-    const std::shared_ptr<const RecordAttachment>* attachment = nullptr;
     uint64_t logical_bytes = 0;
   };
 
@@ -83,23 +81,26 @@ class RecordBatch {
   void Reserve(size_t records, size_t bytes);
 
   void Append(const Record& record) {
-    Append(record.key, record.value, record.extra_bytes, record.attachment);
+    Append(record.key, record.value, record.extra_bytes,
+           record.attachment.get());
   }
+  /// Appends one record; `attachment` (may be null) is encoded into the
+  /// buffer after the value.
   void Append(std::string_view key, std::string_view value,
-              uint64_t extra_bytes,
-              std::shared_ptr<const RecordAttachment> attachment) {
-    Append(key, value, extra_bytes, std::move(attachment), Hash64(key));
+              uint64_t extra_bytes, const RecordAttachment* attachment) {
+    Append(key, value, extra_bytes, attachment, Hash64(key));
   }
   /// Append with the key's `Hash64` already in hand (the partition sweep
   /// computes it anyway); it is stored in the entry so the reduce-side
   /// gather groups records without re-hashing key bytes.
   void Append(std::string_view key, std::string_view value,
-              uint64_t extra_bytes,
-              std::shared_ptr<const RecordAttachment> attachment,
+              uint64_t extra_bytes, const RecordAttachment* attachment,
               uint64_t key_hash);
-  /// Copies record `i` of `other` (memcpy of payload; the precomputed
-  /// logical size is carried over, no attachment walk).
+  /// Copies record `i` of `other`, attachment included (one memcpy; the
+  /// precomputed logical size and key hash are carried over).
   void AppendFrom(const RecordBatch& other, size_t i);
+  /// A heap-mode copy of records [from, to) (one memcpy of their bytes).
+  std::shared_ptr<const RecordBatch> Slice(size_t from, size_t to) const;
 
   size_t size() const { return entries_size_; }
   bool empty() const { return entries_size_ == 0; }
@@ -114,8 +115,8 @@ class RecordBatch {
   }
   uint64_t ExtraAt(size_t i) const { return entries_[i].extra_bytes; }
   /// The record's key and value as one contiguous byte slice (they are
-  /// adjacent in the buffer) — lets checksums absorb the record in a
-  /// single streaming pass.
+  /// adjacent in the buffer; the attachment follows) — lets checksums
+  /// absorb the record in a single streaming pass.
   std::string_view SliceAt(size_t i) const {
     const Entry& e = entries_[i];
     return std::string_view(buf_ + e.key_off,
@@ -128,10 +129,10 @@ class RecordBatch {
   uint64_t LogicalBytesAt(size_t i) const {
     return entries_[i].logical_bytes;
   }
-  const std::shared_ptr<const RecordAttachment>& AttachmentAt(size_t i) const;
   View at(size_t i) const;
 
-  /// Rebuilds record `i` as an owning `Record`.
+  /// Rebuilds record `i` as an owning `Record`, decoding its attachment
+  /// into a fresh one that the caller solely owns.
   Record MaterializeRecord(size_t i) const;
   /// Materializes the whole batch (conversion boundary to the legacy path).
   std::vector<Record> ToRecords() const;
@@ -141,19 +142,21 @@ class RecordBatch {
   /// Sum of per-record logical sizes — equals summing `size_bytes()` over
   /// the materialized records, with zero attachment walks at read time.
   uint64_t payload_bytes() const { return payload_bytes_; }
-  /// Key+value bytes resident in the buffer.
+  /// Bytes resident in the buffer: keys, values and encoded attachments.
   uint64_t buffer_bytes() const { return buf_size_; }
   /// Bytes currently reserved for the buffer (heap-owned mode only; an
   /// arena-backed buffer is accounted by its arena).
   uint64_t buffer_reserved_bytes() const { return arena_ ? 0 : buf_cap_; }
-  /// Heap allocation events this batch performed itself (buffer growths in
-  /// heap mode plus table/side-array growths). Arena-backed buffer growth
-  /// is counted by the arena, not here.
+  /// Heap allocation events this batch performed itself (buffer and table
+  /// growths in heap mode). Arena-backed growth is counted by the arena.
   uint64_t heap_allocations() const { return heap_allocations_; }
 
   /// Digest of the batch content in `ChecksumRecord` framing, one
   /// sequential sweep over the buffer.
   uint64_t ContentChecksum(uint64_t seed = 0) const;
+  /// Absorbs every record into `sum` in `ChecksumRecord` framing — the
+  /// streaming form of `ContentChecksum`, for digests spanning splits.
+  void UpdateChecksum(Checksum64* sum) const;
 
   /// Forgets all records; keeps buffer capacity in heap mode.
   void Clear();
@@ -163,7 +166,7 @@ class RecordBatch {
     uint64_t key_off = 0;       // Buffer offset of key; value follows key.
     uint32_t key_len = 0;
     uint32_t value_len = 0;
-    int32_t attach = -1;        // Index into attachments_, -1 if none.
+    uint32_t attach_len = 0;    // Encoded attachment after value; 0 if none.
     uint64_t key_hash = 0;      // Hash64(key), for the reduce-side gather.
     uint64_t extra_bytes = 0;
     uint64_t logical_bytes = 0; // Full Record::size_bytes() equivalent.
@@ -177,17 +180,6 @@ class RecordBatch {
   void EnsureEntryRoom() {
     if (entries_size_ == entries_cap_) GrowEntries(entries_cap_ * 2);
   }
-  /// Counts the impending growth of the attachment side array and, on the
-  /// first one, sizes it for the expected record count so attachment-heavy
-  /// batches do one growth instead of a doubling ladder from zero.
-  void ReserveAttachmentSlot() {
-    if (attachments_.size() == attachments_.capacity()) {
-      ++heap_allocations_;
-      if (attachments_.capacity() < entries_cap_) {
-        attachments_.reserve(std::max<size_t>(entries_cap_, 8));
-      }
-    }
-  }
 
   Arena* arena_ = nullptr;
   char* buf_ = nullptr;
@@ -198,7 +190,6 @@ class RecordBatch {
   size_t entries_size_ = 0;
   size_t entries_cap_ = 0;
   std::unique_ptr<Entry[]> entries_owned_;  // Backs entries_ in heap mode.
-  std::vector<std::shared_ptr<const RecordAttachment>> attachments_;
   uint64_t payload_bytes_ = 0;
   uint64_t heap_allocations_ = 0;
 };

@@ -1,5 +1,7 @@
 #include "reuse/fingerprint.h"
 
+#include "mapreduce/record_batch.h"
+
 namespace efind {
 namespace reuse {
 
@@ -7,7 +9,15 @@ uint64_t FingerprintSplits(const std::vector<InputSplit>& splits) {
   FingerprintHasher h;
   h.Fold(static_cast<uint64_t>(splits.size()));
   for (const InputSplit& split : splits) {
-    h.Fold(static_cast<uint64_t>(split.records.size()));
+    h.Fold(static_cast<uint64_t>(split.num_records()));
+    if (split.batch) {
+      for (size_t i = 0; i < split.batch->size(); ++i) {
+        h.Fold(split.batch->KeyAt(i));
+        h.Fold(split.batch->ValueAt(i));
+        h.Fold(split.batch->ExtraAt(i));
+      }
+      continue;
+    }
     for (const Record& r : split.records) {
       h.Fold(r.key);
       h.Fold(r.value);

@@ -85,25 +85,20 @@ bool ParseFpRecord(std::string_view record, const char* verb, uint64_t* fp) {
 }  // namespace
 
 std::vector<InputSplit> CopySplits(const std::vector<InputSplit>& splits) {
-  std::vector<InputSplit> out;
-  out.reserve(splits.size());
-  for (const InputSplit& s : splits) {
-    InputSplit copy;
-    copy.node = s.node;
-    copy.records = s.records;  // Attachments are shared immutable pointers.
-    out.push_back(std::move(copy));
-  }
-  return out;
+  return splits;
 }
 
 uint64_t ChecksumSplits(const std::vector<InputSplit>& splits) {
   Checksum64 c;
   for (const InputSplit& s : splits) {
-    c.UpdateU64(static_cast<uint64_t>(s.records.size()));
+    c.UpdateU64(static_cast<uint64_t>(s.num_records()));
+    if (s.batch) {
+      s.batch->UpdateChecksum(&c);
+      continue;
+    }
     for (const Record& r : s.records) {
-      // Canonical record framing shared with the batched shuffle digests
-      // (record_batch.h), so artifact digests and batch content checksums
-      // agree on identical record content.
+      // Canonical record framing shared with the batch content checksum
+      // (record_batch.h), so both forms of a split digest identically.
       ChecksumRecord(&c, r.key, r.value, r.extra_bytes);
     }
   }
@@ -294,10 +289,7 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
       faults->config()->artifact_corrupt_rate > 0.0) {
     const int max_refetches = faults->config()->integrity_max_refetches;
     for (size_t i = 0; i < it->second.splits.size(); ++i) {
-      uint64_t split_bytes = 0;
-      for (const Record& r : it->second.splits[i].records) {
-        split_bytes += r.size_bytes();
-      }
+      const uint64_t split_bytes = it->second.splits[i].size_bytes();
       const int chunk = static_cast<int>(i);
       int fetch = 0;
       while (fetch < max_refetches &&

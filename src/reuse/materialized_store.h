@@ -10,8 +10,8 @@
 //    the store keeps them; otherwise the publish is rejected and nothing
 //    else changes.
 //  - Resolve: at plan-expansion time a job asks for an artifact by
-//    fingerprint. A hit returns the stored splits (the caller deep-copies;
-//    stored data is immutable) unless every DFS replica home of the
+//    fingerprint. A hit returns the stored splits (the caller copies them,
+//    sharing their batches; stored data is immutable) unless every DFS replica home of the
 //    artifact is down for the whole run, in which case the artifact is
 //    unreachable this run and the job deterministically rebuilds.
 //  - Eviction: benefit density = saved_seconds * (1 + reuse_count) / bytes
@@ -45,9 +45,10 @@
 namespace efind {
 namespace reuse {
 
-/// Deep copy of a split vector. Record attachments are
-/// `shared_ptr<const RecordAttachment>` and therefore shared, not cloned —
-/// they are immutable by type, so sharing is safe across jobs.
+/// Copy of a split vector. Batch-form splits (a shuffle job's output) share
+/// their immutable batch, so the copy costs O(splits); record-form splits
+/// copy their records and share the attachments, which are immutable by
+/// type. Either way the copy is safe to consume while the source lives.
 std::vector<InputSplit> CopySplits(const std::vector<InputSplit>& splits);
 
 /// End-to-end content checksum of an artifact's splits (every record's key

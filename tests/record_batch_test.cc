@@ -10,6 +10,7 @@
 #include "common/hash.h"
 #include "common/random.h"
 #include "mapreduce/job_runner.h"
+#include "reuse/fingerprint.h"
 #include "reuse/materialized_store.h"
 
 namespace efind {
@@ -25,6 +26,19 @@ Record MakeAttachedRecord(int i) {
     r.attachment = att;
   }
   return r;
+}
+
+// Deep equality of two records' attachments (both absent, or equal keys,
+// results and saved key).
+void ExpectSameAttachment(const Record& actual, const Record& expected) {
+  ASSERT_EQ(actual.attachment == nullptr, expected.attachment == nullptr);
+  if (expected.attachment == nullptr) return;
+  const RecordAttachment& a = *actual.attachment;
+  const RecordAttachment& e = *expected.attachment;
+  EXPECT_EQ(a.keys, e.keys);
+  EXPECT_EQ(a.results, e.results);
+  EXPECT_EQ(a.saved_key, e.saved_key);
+  EXPECT_EQ(a.has_saved_key, e.has_saved_key);
 }
 
 std::vector<Record> MakeRecords(int n) {
@@ -45,8 +59,8 @@ TEST(RecordBatchTest, RoundTripsByteIdenticallyWithRecordVector) {
     EXPECT_EQ(back[i].key, original[i].key);
     EXPECT_EQ(back[i].value, original[i].value);
     EXPECT_EQ(back[i].extra_bytes, original[i].extra_bytes);
-    // Attachments are shared, not cloned.
-    EXPECT_EQ(back[i].attachment, original[i].attachment);
+    // Attachments come back as fresh, deep-equal copies.
+    ExpectSameAttachment(back[i], original[i]);
     EXPECT_EQ(back[i].size_bytes(), original[i].size_bytes());
   }
 }
@@ -86,7 +100,7 @@ TEST(RecordBatchTest, ViewsAndAccessorsMatchRecords) {
     EXPECT_EQ(batch.KeyAt(i), original[i].key);
     EXPECT_EQ(batch.ValueAt(i), original[i].value);
     EXPECT_EQ(batch.ExtraAt(i), original[i].extra_bytes);
-    EXPECT_EQ(batch.AttachmentAt(i), original[i].attachment);
+    ExpectSameAttachment(batch.MaterializeRecord(i), original[i]);
     RecordBatch::View v = batch.at(i);
     EXPECT_EQ(v.key, original[i].key);
     EXPECT_EQ(v.value, original[i].value);
@@ -105,7 +119,7 @@ TEST(RecordBatchTest, AppendFromCarriesPayloadAndAttachment) {
   for (size_t i = 0; i < dst.size(); ++i) {
     const Record r = dst.MaterializeRecord(i);
     EXPECT_EQ(r, original[2 * i]);
-    EXPECT_EQ(r.attachment, original[2 * i].attachment);
+    ExpectSameAttachment(r, original[2 * i]);
     EXPECT_EQ(dst.LogicalBytesAt(i), original[2 * i].size_bytes());
   }
 }
@@ -131,6 +145,118 @@ TEST(RecordBatchTest, ContentChecksumMatchesArtifactFraming) {
     ChecksumRecord(&framed, r.key, r.value, r.extra_bytes);
   }
   EXPECT_EQ(reuse::ChecksumSplits({split}), framed.Digest());
+}
+
+// Attachment wire form: every shape an operator can produce survives the
+// encode/decode round trip, and the batch's sizes and digests are those of
+// the records it was built from.
+std::vector<Record> WireFormRecords() {
+  const std::string binary("\0k\x80\xff\0", 5);  // NUL and bytes >= 0x80.
+  std::vector<Record> records;
+  records.emplace_back("plain", "no attachment", 9);
+  for (int indices = 0; indices <= 3; ++indices) {
+    for (int shape = 0; shape < 4; ++shape) {
+      auto att = std::make_shared<RecordAttachment>();
+      att->keys.resize(indices);
+      att->results.resize(shape == 1 ? 0 : indices);
+      for (int j = 0; j < indices; ++j) {
+        if (shape == 2 && j == 0) continue;  // An empty key list.
+        for (int k = 0; k <= j; ++k) {
+          att->keys[j].push_back(k == 0 ? binary
+                                        : "ik" + std::to_string(j * 10 + k));
+        }
+        if (shape == 1) continue;  // No results yet.
+        att->results[j].resize(att->keys[j].size());
+        for (size_t k = 0; k < att->keys[j].size(); ++k) {
+          if (k == 1) continue;  // An empty result list.
+          att->results[j][k].emplace_back(binary + std::to_string(k),
+                                          uint64_t{1} << (10 * shape));
+          att->results[j][k].emplace_back("", uint64_t{1} << 40);
+        }
+      }
+      att->has_saved_key = shape % 2 == 1;
+      att->saved_key = shape == 3 ? "" : "saved" + binary;
+      Record r("k" + std::to_string(indices) + binary,
+               std::string(shape == 3 ? 70 * 1024 : 16, 'v'),
+               static_cast<uint64_t>(shape) << 33);
+      r.attachment = std::move(att);
+      records.push_back(std::move(r));
+    }
+  }
+  // An attachment with nothing in it still round-trips as present.
+  Record empty("empty", "", 0);
+  empty.attachment = std::make_shared<RecordAttachment>();
+  records.push_back(std::move(empty));
+  return records;
+}
+
+TEST(RecordBatchTest, AttachmentWireFormRoundTrips) {
+  const std::vector<Record> original = WireFormRecords();
+  RecordBatch batch;
+  for (const Record& r : original) batch.Append(r);
+  RecordBatch copied;
+  for (size_t i = 0; i < batch.size(); ++i) copied.AppendFrom(batch, i);
+  const auto slice = batch.Slice(1, batch.size());
+  ASSERT_EQ(batch.size(), original.size());
+  ASSERT_EQ(slice->size(), original.size() - 1);
+  uint64_t payload = 0;
+  for (size_t i = 0; i < original.size(); ++i) {
+    SCOPED_TRACE("record " + std::to_string(i));
+    for (const RecordBatch* b : {&batch, &copied}) {
+      const Record r = b->MaterializeRecord(i);
+      EXPECT_EQ(r, original[i]);
+      ExpectSameAttachment(r, original[i]);
+      EXPECT_EQ(b->LogicalBytesAt(i), original[i].size_bytes());
+    }
+    if (i > 0) {
+      ExpectSameAttachment(slice->MaterializeRecord(i - 1), original[i]);
+      EXPECT_EQ(slice->LogicalBytesAt(i - 1), original[i].size_bytes());
+    }
+    payload += original[i].size_bytes();
+  }
+  EXPECT_EQ(batch.payload_bytes(), payload);
+  EXPECT_EQ(copied.payload_bytes(), payload);
+  EXPECT_EQ(slice->payload_bytes(), payload - original[0].size_bytes());
+
+  // A materialized attachment is the caller's own: mutating it leaves the
+  // batch's copy untouched.
+  Record first = batch.MaterializeRecord(4);
+  ASSERT_NE(first.attachment, nullptr);
+  EXPECT_EQ(first.attachment.use_count(), 1);
+  std::const_pointer_cast<RecordAttachment>(first.attachment)->keys.clear();
+  ExpectSameAttachment(batch.MaterializeRecord(4), original[4]);
+
+  // Digests and sizes exclude nothing but attachments, in either form.
+  InputSplit records_form;
+  records_form.records = original;
+  InputSplit batch_form;
+  batch_form.batch = std::make_shared<RecordBatch>(std::move(copied));
+  EXPECT_EQ(batch.ContentChecksum(), [&] {
+    Checksum64 sum;
+    for (const Record& r : original) {
+      ChecksumRecord(&sum, r.key, r.value, r.extra_bytes);
+    }
+    return sum.Digest();
+  }());
+  EXPECT_EQ(reuse::ChecksumSplits({batch_form}),
+            reuse::ChecksumSplits({records_form}));
+  EXPECT_EQ(reuse::FingerprintSplits({batch_form}),
+            reuse::FingerprintSplits({records_form}));
+  EXPECT_EQ(batch_form.num_records(), original.size());
+  EXPECT_EQ(batch_form.size_bytes(), records_form.size_bytes());
+  std::vector<Record> appended;
+  batch_form.AppendRecordsTo(&appended);
+  ASSERT_EQ(appended, original);
+  for (size_t i = 0; i < original.size(); ++i) {
+    ExpectSameAttachment(appended[i], original[i]);
+  }
+  batch_form.Materialize();
+  EXPECT_EQ(batch_form.batch, nullptr);
+  ASSERT_EQ(batch_form.records.size(), original.size());
+  for (size_t i = 0; i < original.size(); ++i) {
+    EXPECT_EQ(batch_form.records[i], original[i]);
+    ExpectSameAttachment(batch_form.records[i], original[i]);
+  }
 }
 
 TEST(RecordBatchTest, ArenaBackedBatchDoesZeroOwnHeapAllocations) {
@@ -355,6 +481,96 @@ TEST(RecordBatchTest, PassThroughReducePhaseMatchesLegacy) {
   }
   ASSERT_EQ(a.outputs.size(), 1u);
   EXPECT_EQ(a.outputs[0].records, expected);
+}
+
+// A pure pass-through reduce (a pass-through reducer, no reduce stages)
+// leaves its output in batch form, attachments included; the next job's map
+// tasks read it exactly as they read the same records in record form, on
+// the shuffled path (stage-less and staged) and on the map-only path, both
+// borrowed and consumed.
+TEST(RecordBatchTest, PassThroughOutputFeedsTheNextJobInBatchForm) {
+  class PassThrough : public Reducer {
+   public:
+    std::string name() const override { return "pass"; }
+    void Reduce(const std::string& key, std::vector<Record> values,
+                TaskContext* ctx, Emitter* out) override {
+      (void)key;
+      (void)ctx;
+      for (Record& r : values) out->Emit(std::move(r));
+    }
+    bool pass_through() const override { return true; }
+  };
+  class Tag : public RecordStage {
+   public:
+    std::string name() const override { return "tag"; }
+    void Process(Record r, TaskContext* ctx, Emitter* out) override {
+      (void)ctx;
+      r.value += "!";
+      out->Emit(std::move(r));
+    }
+  };
+  std::vector<InputSplit> input(4);
+  for (int s = 0; s < 4; ++s) {
+    input[s].node = s;
+    for (int i = 0; i < 40; ++i) {
+      input[s].records.push_back(MakeAttachedRecord(s * 100 + i));
+    }
+  }
+  JobConfig group;
+  group.reducer = std::make_shared<PassThrough>();
+  group.num_reduce_tasks = 3;
+  ClusterConfig config;
+  JobRunner runner(config);
+  const JobResult grouped = runner.Run(group, input);
+
+  std::vector<InputSplit> as_records = grouped.outputs;
+  uint64_t records = 0;
+  for (InputSplit& split : as_records) {
+    ASSERT_NE(split.batch, nullptr);
+    EXPECT_TRUE(split.records.empty());
+    records += split.num_records();
+    const uint64_t bytes = split.size_bytes();
+    split.Materialize();
+    EXPECT_EQ(split.size_bytes(), bytes);
+  }
+  EXPECT_EQ(records, 160u);
+  EXPECT_EQ(reuse::ChecksumSplits(grouped.outputs),
+            reuse::ChecksumSplits(as_records));
+  const std::vector<Record> collected = grouped.CollectRecords();
+  ASSERT_EQ(collected.size(), records);
+  size_t k = 0;
+  for (const InputSplit& split : as_records) {
+    for (const Record& r : split.records) {
+      EXPECT_EQ(collected[k], r);
+      ExpectSameAttachment(collected[k++], r);
+    }
+  }
+
+  JobConfig reduce;  // Stage-less shuffle.
+  reduce.reducer = std::make_shared<WordLengthReducer>();
+  reduce.num_reduce_tasks = 2;
+  JobConfig staged = reduce;
+  staged.map_stages.push_back(std::make_shared<Tag>());
+  JobConfig map_only;
+  map_only.map_stages.push_back(std::make_shared<Tag>());
+  for (const JobConfig* job : {&reduce, &staged, &map_only}) {
+    SCOPED_TRACE(job == &reduce ? "stage-less" : job == &staged ? "staged"
+                                                                : "map-only");
+    const JobResult want = runner.Run(*job, as_records);
+    const JobResult borrowed = runner.Run(*job, grouped.outputs);
+    std::vector<InputSplit> owned = grouped.outputs;
+    const JobResult consumed = runner.Run(*job, std::move(owned));
+    for (const JobResult* got : {&borrowed, &consumed}) {
+      EXPECT_EQ(reuse::ChecksumSplits(got->outputs),
+                reuse::ChecksumSplits(want.outputs));
+      EXPECT_EQ(got->sim_seconds, want.sim_seconds);
+      EXPECT_EQ(got->counters.Get("mr.shuffle.records"),
+                want.counters.Get("mr.shuffle.records"));
+    }
+  }
+  // Neither run disturbed the batch-form splits they read.
+  EXPECT_EQ(reuse::ChecksumSplits(grouped.outputs),
+            reuse::ChecksumSplits(as_records));
 }
 
 }  // namespace
