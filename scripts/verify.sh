@@ -78,6 +78,10 @@
 #      statistic and the plan chosen from it, as hex floats, for small
 #      tweets / LOG / Synthetic / fault-matrix / packed-store runs at
 #      threads 1 and 4).
+#  17. the lookup-driver leg: the lookup suite alone (ctest -L lookup —
+#      stages_test, which pins both lookup stages' drivers and their
+#      shared flush as hex simulated times, store_accessor_test, and
+#      strategy_property_test).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -162,5 +166,7 @@ cmake --build "$BUILD-asan" -j"$(nproc)"
 (cd "$BUILD" && ctest --output-on-failure -L bench)
 
 (cd "$BUILD" && ctest --output-on-failure -L stats)
+
+(cd "$BUILD" && ctest --output-on-failure -L lookup)
 
 echo "verify: OK"

@@ -45,6 +45,12 @@ std::vector<const InputSplit*> MakeView(const std::vector<InputSplit>& splits) {
   return view;
 }
 
+/// Outputs leave the engine in record form: converts batch-form splits (a
+/// pass-through reduce's output) in place.
+void MaterializeOutputs(std::vector<InputSplit>* outputs) {
+  for (InputSplit& split : *outputs) split.Materialize();
+}
+
 std::string FpHex(uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -254,8 +260,7 @@ class PipelineExecutor {
   }
 
   /// Moves the current data into result_->outputs (copying borrowed splits
-  /// only if no job ever ran, i.e. the pipeline was empty). Outputs leave
-  /// the engine in record form, so batch-form splits are materialized here.
+  /// only if no job ever ran, i.e. the pipeline was empty), in record form.
   void TakeOutputs() {
     if (view_is_data_) {
       result_->outputs = std::move(data_);
@@ -264,7 +269,7 @@ class PipelineExecutor {
       result_->outputs.reserve(view_.size());
       for (const InputSplit* s : view_) result_->outputs.push_back(*s);
     }
-    for (InputSplit& split : result_->outputs) split.Materialize();
+    MaterializeOutputs(&result_->outputs);
     data_.clear();
     view_.clear();
     view_is_data_ = false;
@@ -1034,6 +1039,7 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
         result.outputs.push_back(std::move(split));
       }
     }
+    MaterializeOutputs(&result.outputs);
     result.sim_seconds += elapsed;
     result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
     return result;
@@ -1110,6 +1116,7 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
     }
   }
 
+  MaterializeOutputs(&result.outputs);
   result.sim_seconds += elapsed;
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
   if (obs_ != nullptr) {

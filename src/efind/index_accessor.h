@@ -114,8 +114,9 @@ class BatchedLookupHandle {
 
 /// Capability interface: accessors whose backend can serve many
 /// outstanding lookups per handle (page-packed stores). The lookup stages
-/// detect it with dynamic_cast and switch to the batched driver; accessors
-/// without it keep the serial path untouched.
+/// detect it with dynamic_cast and submit such a site's lookups to the
+/// task's pending-lookup buffer; accessors without it are looked up one
+/// blocking call at a time.
 class BatchedLookupIndex {
  public:
   virtual ~BatchedLookupIndex() = default;

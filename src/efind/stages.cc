@@ -1,6 +1,7 @@
 #include "efind/stages.h"
 
 #include <cstdio>
+#include <span>
 #include <unordered_map>
 #include <utility>
 
@@ -109,20 +110,20 @@ void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
   }
 }
 
-// Device-side accounting of one batched-store flush (DESIGN.md §13): the
-// whole batch's distinct pages are charged as overlapped device waves
-// (`PageBatchSeconds`), the run-global `efind.store.*` counters record what
-// coalescing saved, and the pages feed the Nipl_j statistic behind the cost
-// model's page-read term. Per-lookup service/network charges go through
-// `LookupSite::Charge` in submit order — this helper only owns the shared
-// page leg.
-void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
-                     uint64_t uncoalesced, uint64_t lookups,
-                     const ClusterConfig* config, TaskContext* ctx,
-                     OperatorTaskStats* stats, obs::ObsSession* obs) {
+// Device-side accounting of one batched-store flush of `site` (DESIGN.md
+// §13): the whole batch's distinct pages are charged as overlapped device
+// waves (`PageBatchSeconds`), the run-global `efind.store.*` counters record
+// what coalescing saved, and the pages feed the Nipl_j statistic behind the
+// cost model's page-read term. Per-lookup service/network charges go
+// through `LookupSite::Charge` in submit order — this helper only owns the
+// shared page leg.
+void ChargePageBatch(const LookupSite& site, uint64_t distinct,
+                     uint64_t uncoalesced, uint64_t lookups, TaskContext* ctx,
+                     OperatorTaskStats* stats) {
   const double t0 = ctx->sim_time();
-  ctx->AddSimTime(config->PageBatchSeconds(distinct));
+  ctx->AddSimTime(site.config->PageBatchSeconds(distinct));
   Counters* counters = ctx->counters();
+  const StoreCounters& sc = site.store;
   counters->Increment(sc.batches);
   counters->Increment(sc.batched_lookups, static_cast<double>(lookups));
   if (distinct > 0) {
@@ -132,9 +133,9 @@ void ChargePageBatch(const StoreCounters& sc, int j, uint64_t distinct,
     counters->Increment(sc.coalesced,
                         static_cast<double>(uncoalesced - distinct));
   }
-  if (stats != nullptr) stats->LookupPages(j, uncoalesced);
-  if (obs != nullptr && distinct > 0) {
-    obs->trace().TaskLocal(ctx)->Span(
+  if (stats != nullptr) stats->LookupPages(site.index, uncoalesced);
+  if (site.obs != nullptr && distinct > 0) {
+    site.obs->trace().TaskLocal(ctx)->Span(
         "page_read", "store", t0, ctx->sim_time() - t0,
         {{"pages", std::to_string(distinct)},
          {"coalesced", std::to_string(uncoalesced - distinct)},
@@ -291,6 +292,190 @@ CachedResult LookupSite::Lookup(const std::string& ik, bool local,
   return result;
 }
 
+void LookupSite::Observe(double t0, bool local, TaskContext* ctx) const {
+  if (obs == nullptr) return;
+  const double charged = ctx->sim_time() - t0;
+  obs->metrics().TaskLocal(ctx)->Observe(latency_hist, charged);
+  if (lookup_span != nullptr) {
+    obs->trace().TaskLocal(ctx)->Span(
+        lookup_span, "lookup", t0, charged,
+        {{"index", std::to_string(index)},
+         {"mode", local ? "local" : "remote"}});
+  }
+}
+
+// ------------------------------------------------------- pending lookups --
+
+namespace {
+
+// One task's batched lookups in flight, shared by both lookup stages
+// (DESIGN.md §13). Per lookup site (slot s of the stage's site list) it
+// holds the open batch and the keys submitted to it since the last flush;
+// across sites, the records buffered behind those lookups, in arrival
+// order. `Flush` is the one place where completions resume.
+class PendingLookups {
+ public:
+  // One key a buffered record waits on: the site slot, the key's position
+  // in the record's key list for the site's index, and the ticket whose
+  // values it takes at flush.
+  struct Ref {
+    size_t site = 0;
+    size_t key_index = 0;
+    uint64_t ticket = 0;
+  };
+
+  // `sites` (borrowed) outlives the task: it is the stage's site list.
+  explicit PendingLookups(std::span<const LookupSite> sites)
+      : sites_(sites), batches_(sites.size()) {}
+
+  // Submits `ik` to slot `s`'s batch; `local` selects its charge at flush.
+  uint64_t Submit(size_t s, const std::string& ik, bool local) {
+    SiteBatch& sb = batches_[s];
+    if (!sb.handle) sb.handle = sites_[s].batched->NewBatch();
+    sb.submitted.push_back({ik, local});
+    ++pending_;
+    return sb.handle->Submit(ik);
+  }
+
+  // Lookups submitted since the last flush, across sites.
+  size_t pending() const { return pending_; }
+  bool empty() const { return buffered_.empty(); }
+
+  // Emits `record` at once when it waits on no lookup and nothing is
+  // buffered ahead of it; otherwise buffers it, so it cannot overtake.
+  void Add(Record&& record, std::vector<Ref>&& refs, Emitter* out) {
+    if (refs.empty() && buffered_.empty()) {
+      out->Emit(std::move(record));
+      return;
+    }
+    buffered_.push_back({std::move(record), std::move(refs)});
+  }
+
+  // Serves every pending lookup: per site in slot order, one coalesced
+  // sweep whose completions are taken by ticket and charged in submit order
+  // (`LookupSite::Charge`, then `Observe`, then `on_resolved(s, ticket, ik,
+  // values)`), then the site's page leg. Then attaches the results to the
+  // buffered records — moving each result into the last ref that takes it —
+  // and emits them in arrival order.
+  template <typename OnResolved>
+  void Flush(TaskContext* ctx, OperatorTaskStats* stats, Emitter* out,
+             OnResolved&& on_resolved);
+
+ private:
+  struct Submitted {
+    std::string key;
+    bool local = false;
+  };
+  struct SiteBatch {
+    std::unique_ptr<BatchedLookupHandle> handle;
+    // Keys in ticket (= submit) order for the current flush.
+    std::vector<Submitted> submitted;
+    // Ticket of submitted[0]; tickets grow monotonically across flushes.
+    uint64_t ticket_base = 0;
+  };
+  struct PendingRecord {
+    Record record;
+    std::vector<Ref> refs;
+  };
+
+  std::span<const LookupSite> sites_;
+  std::vector<SiteBatch> batches_;  // Parallel to sites_.
+  std::vector<PendingRecord> buffered_;
+  size_t pending_ = 0;
+};
+
+template <typename OnResolved>
+void PendingLookups::Flush(TaskContext* ctx, OperatorTaskStats* stats,
+                           Emitter* out, OnResolved&& on_resolved) {
+  // Resolved values per site, indexed by (ticket - pre-flush ticket_base).
+  std::vector<std::vector<CachedResult>> resolved(sites_.size());
+  std::vector<uint64_t> base(sites_.size(), 0);
+  for (size_t s = 0; s < sites_.size(); ++s) {
+    SiteBatch& sb = batches_[s];
+    base[s] = sb.ticket_base;
+    const size_t n = sb.submitted.size();
+    if (n == 0) continue;
+    const LookupSite& site = sites_[s];
+    BatchedLookupOutcome outcome = sb.handle->Flush();
+    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
+    for (auto& c : outcome.completions) {
+      const uint64_t i = c.ticket - sb.ticket_base;
+      if (i < n) by_ticket[i] = &c;
+    }
+    resolved[s].resize(n);
+    for (size_t i = 0; i < n; ++i) {
+      const Submitted& sub = sb.submitted[i];
+      const double t0 = ctx->sim_time();
+      CachedResult values;
+      bool error = false;
+      if (by_ticket[i] != nullptr) {
+        error = by_ticket[i]->error;
+        if (!error) values = std::move(by_ticket[i]->values);
+      }
+      site.Charge(sub.key, values, error, sub.local, ctx, stats);
+      site.Observe(t0, sub.local, ctx);
+      on_resolved(s, sb.ticket_base + i, sub.key, values);
+      resolved[s][i] = std::move(values);
+    }
+    ChargePageBatch(site, outcome.distinct_pages, outcome.uncoalesced_pages,
+                    n, ctx, stats);
+    sb.ticket_base += n;
+    sb.submitted.clear();
+  }
+  // Refs still to take each resolved list: refs sharing a ticket copy it,
+  // and the last one takes it by move.
+  std::vector<std::vector<uint32_t>> takers(sites_.size());
+  for (size_t s = 0; s < sites_.size(); ++s) {
+    takers[s].assign(resolved[s].size(), 0);
+  }
+  for (const PendingRecord& pr : buffered_) {
+    for (const Ref& ref : pr.refs) {
+      const uint64_t i = ref.ticket - base[ref.site];
+      if (i < takers[ref.site].size()) ++takers[ref.site][i];
+    }
+  }
+  for (PendingRecord& pr : buffered_) {
+    if (!pr.refs.empty()) {
+      auto attachment = MutableAttachment(&pr.record);
+      for (const Ref& ref : pr.refs) {
+        const uint64_t i = ref.ticket - base[ref.site];
+        if (i >= resolved[ref.site].size()) continue;
+        const bool last = --takers[ref.site][i] == 0;
+        const size_t j = static_cast<size_t>(sites_[ref.site].index);
+        if (j >= attachment->results.size() ||
+            ref.key_index >= attachment->results[j].size()) {
+          continue;
+        }
+        CachedResult& slot = attachment->results[j][ref.key_index];
+        if (last) {
+          slot = std::move(resolved[ref.site][i]);
+        } else {
+          slot = resolved[ref.site][i];
+        }
+      }
+      pr.record.attachment = std::move(attachment);
+    }
+    out->Emit(std::move(pr.record));
+  }
+  buffered_.clear();
+  pending_ = 0;
+}
+
+// The task state `owner` keeps in `ctx`, constructed from `args` on first
+// use.
+template <typename T, typename... Args>
+T* TaskStateFor(TaskContext* ctx, const void* owner, Args&&... args) {
+  if (auto* existing = static_cast<T*>(ctx->FindTaskState(owner))) {
+    return existing;
+  }
+  auto state = std::make_shared<T>(std::forward<Args>(args)...);
+  T* raw = state.get();
+  ctx->AddTaskState(owner, std::move(state));
+  return raw;
+}
+
+}  // namespace
+
 // --------------------------------------------------------- inline lookup --
 
 InlineLookupStage::InlineLookupStage(std::shared_ptr<IndexOperator> op,
@@ -339,51 +524,16 @@ std::string InlineLookupStage::name() const {
   return counter_prefix_ + ".lookup";
 }
 
-// Per-task state of the driver. Records whose keys hit a batched slot are
-// buffered until a flush resolves their lookups; the flush then emits them
-// in arrival order, and records arriving while others are buffered queue
-// behind them. Keyed by `&tasks_` in the TaskContext (distinct from every
-// other task-state owner of this stage).
-struct InlineLookupStage::BatchState {
-  // One batched task slot's outstanding batch (parallel to tasks_; serial
-  // slots never populate theirs).
-  struct SlotBatch {
-    std::unique_ptr<BatchedLookupHandle> handle;
-    // Keys in ticket (= submit) order for the current flush.
-    std::vector<std::string> submitted;
-    // Ticket of submitted[0]; tickets grow monotonically across flushes.
-    uint64_t ticket_base = 0;
-    // Cached slots only: keys submitted but not yet Put() into the cache.
-    // A probe of such a key would have hit serially (the earlier miss's
-    // Put precedes it), so it counts as a hit and rides the same ticket.
-    std::unordered_map<std::string, uint64_t> pending_keys;
-  };
-  // One buffered key of a buffered record: slot t, position in the record's
-  // key list, and the ticket whose values it takes at flush.
-  struct Ref {
-    size_t t = 0;
-    size_t key_index = 0;
-    uint64_t ticket = 0;
-  };
-  struct PendingRecord {
-    Record record;
-    std::vector<Ref> refs;
-  };
-
-  std::vector<SlotBatch> slots;
-  std::vector<PendingRecord> buffered;
-  size_t total_pending = 0;
+// Per-task state: the batched slots' pending lookups, and per cached slot
+// the keys submitted but not yet Put() into the cache. A probe of such a key
+// would have hit serially (the earlier miss's Put precedes it), so it counts
+// as a hit and rides the same ticket.
+struct InlineLookupStage::TaskState {
+  explicit TaskState(std::span<const LookupSite> sites)
+      : pending(sites), pending_keys(sites.size()) {}
+  PendingLookups pending;
+  std::vector<std::unordered_map<std::string, uint64_t>> pending_keys;
 };
-
-InlineLookupStage::BatchState* InlineLookupStage::BatchFor(TaskContext* ctx) {
-  auto* existing = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-  if (existing != nullptr) return existing;
-  auto state = std::make_shared<BatchState>();
-  state->slots.resize(tasks_.size());
-  BatchState* raw = state.get();
-  ctx->AddTaskState(&tasks_, std::move(state));
-  return raw;
-}
 
 void InlineLookupStage::CountCacheHit(size_t t, TaskContext* ctx,
                                       OperatorTaskStats* stats) {
@@ -427,36 +577,20 @@ CachedResult InlineLookupStage::LookupOne(size_t t, const std::string& ik,
 
 void InlineLookupStage::Process(Record record, TaskContext* ctx,
                                 Emitter* out) {
+  TaskState* ts = TaskStateFor<TaskState>(ctx, this, sites_);
   if (!record.attachment) {
     // Nothing to look up — but it may not overtake buffered records.
-    auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-    if (bs != nullptr && !bs->buffered.empty()) {
-      BatchState::PendingRecord pr;
-      pr.record = std::move(record);
-      bs->buffered.push_back(std::move(pr));
-      return;
-    }
-    out->Emit(std::move(record));
+    ts->pending.Add(std::move(record), {}, out);
     return;
   }
   OperatorTaskStats* stats =
       runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  BatchState* bs = BatchFor(ctx);
   obs::TaskTrace* tt =
       obs_ != nullptr ? obs_->trace().TaskLocal(ctx) : nullptr;
-  obs::TaskMetrics* tm =
-      obs_ != nullptr ? obs_->metrics().TaskLocal(ctx) : nullptr;
   const double batch_t0 = ctx->sim_time();
   size_t batch_keys = 0;
-  // Latency of one key of slot t resolved since `t0` (keys submitted to a
-  // batch are observed at the flush instead).
-  auto observe = [&](size_t t, double t0) {
-    if (tm != nullptr) {
-      tm->Observe(sites_[t].latency_hist, ctx->sim_time() - t0);
-    }
-  };
   auto attachment = MutableAttachment(&record);
-  BatchState::PendingRecord pr;
+  std::vector<PendingLookups::Ref> refs;
   for (size_t t = 0; t < tasks_.size(); ++t) {
     const int j = tasks_[t].index;
     if (j < 0 || j >= static_cast<int>(attachment->keys.size())) continue;
@@ -464,16 +598,19 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
     auto& results = attachment->results[j];
     results.resize(keys.size());
     batch_keys += keys.size();
-    if (sites_[t].batched == nullptr) {
+    const LookupSite& site = sites_[t];
+    // Keys resolved here observe their latency at once; keys submitted to a
+    // batch are observed at the flush.
+    if (site.batched == nullptr) {
       // Serial slot: resolve inline.
       for (size_t i = 0; i < keys.size(); ++i) {
         const double lk_t0 = ctx->sim_time();
         results[i] = LookupOne(t, keys[i], ctx, stats);
-        observe(t, lk_t0);
+        site.Observe(lk_t0, /*local=*/false, ctx);
       }
       continue;
     }
-    BatchState::SlotBatch& sb = bs->slots[t];
+    auto& pending_keys = ts->pending_keys[t];
     LruCache<std::string, CachedResult>* cache =
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
     for (size_t i = 0; i < keys.size(); ++i) {
@@ -483,28 +620,23 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
         CachedResult cached;
         if (ProbeCache(t, cache, ik, ctx, stats, &cached)) {
           results[i] = std::move(cached);
-          observe(t, lk_t0);
+          site.Observe(lk_t0, /*local=*/false, ctx);
           continue;
         }
-        auto it = sb.pending_keys.find(ik);
-        if (it != sb.pending_keys.end()) {
-          // Serially the earlier miss's Put() would precede this probe:
-          // count the hit and ride the pending ticket.
+        auto it = pending_keys.find(ik);
+        if (it != pending_keys.end()) {
           CountCacheHit(t, ctx, stats);
-          pr.refs.push_back({t, i, it->second});
-          observe(t, lk_t0);
+          refs.push_back({t, i, it->second});
+          site.Observe(lk_t0, /*local=*/false, ctx);
           continue;
         }
         if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
       } else if (stats != nullptr) {
         stats->ShadowProbe(j, ctx->node_id(), ik);
       }
-      if (!sb.handle) sb.handle = sites_[t].batched->NewBatch();
-      const uint64_t ticket = sb.handle->Submit(ik);
-      sb.submitted.push_back(ik);
-      if (cache != nullptr) sb.pending_keys.emplace(ik, ticket);
-      pr.refs.push_back({t, i, ticket});
-      ++bs->total_pending;
+      const uint64_t ticket = ts->pending.Submit(t, ik, /*local=*/false);
+      if (cache != nullptr) pending_keys.emplace(ik, ticket);
+      refs.push_back({t, i, ticket});
     }
   }
   record.attachment = std::move(attachment);
@@ -512,104 +644,32 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
     tt->Span("lookup_batch", "lookup", batch_t0, ctx->sim_time() - batch_t0,
              {{"keys", std::to_string(batch_keys)}});
   }
-  if (pr.refs.empty() && bs->buffered.empty()) {
-    out->Emit(std::move(record));
-  } else {
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
-  }
-  if (bs->total_pending >= static_cast<size_t>(config_->store_batch_depth)) {
-    FlushBatch(bs, ctx, out, stats);
+  ts->pending.Add(std::move(record), std::move(refs), out);
+  if (ts->pending.pending() >=
+      static_cast<size_t>(config_->store_batch_depth)) {
+    Flush(ts, ctx, out, stats);
   }
 }
 
-void InlineLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
-                                   Emitter* out, OperatorTaskStats* stats) {
-  // Resolved values per slot, indexed by (ticket - pre-flush ticket_base).
-  std::vector<std::vector<CachedResult>> resolved(tasks_.size());
-  std::vector<uint64_t> base(tasks_.size(), 0);
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    BatchState::SlotBatch& sb = bs->slots[t];
-    base[t] = sb.ticket_base;
-    const size_t n = sb.submitted.size();
-    if (n == 0) continue;
-    BatchedLookupOutcome outcome = sb.handle->Flush();
-    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
-    for (auto& c : outcome.completions) {
-      const uint64_t i = c.ticket - sb.ticket_base;
-      if (i < n) by_ticket[i] = &c;
-    }
-    LruCache<std::string, CachedResult>* cache =
-        caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
-    resolved[t].resize(n);
-    // Per-lookup charges replay in submit order.
-    for (size_t i = 0; i < n; ++i) {
-      const std::string& ik = sb.submitted[i];
-      const double lk_t0 = ctx->sim_time();
-      CachedResult values;
-      bool error = false;
-      if (by_ticket[i] != nullptr) {
-        error = by_ticket[i]->error;
-        if (!error) values = std::move(by_ticket[i]->values);
-      }
-      sites_[t].Charge(ik, values, error, /*local=*/false, ctx, stats);
-      if (cache != nullptr) cache->Put(ik, values);
-      if (obs_ != nullptr) {
-        obs_->metrics().TaskLocal(ctx)->Observe(sites_[t].latency_hist,
-                                                ctx->sim_time() - lk_t0);
-      }
-      resolved[t][i] = std::move(values);
-    }
-    ChargePageBatch(store_counters_, tasks_[t].index, outcome.distinct_pages,
-                    outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);
-    sb.ticket_base += n;
-    sb.submitted.clear();
-    sb.pending_keys.clear();
-  }
-  // Refs still to take each resolved list: refs sharing a pending ticket
-  // copy it, and the last one takes it by move.
-  std::vector<std::vector<uint32_t>> takers(tasks_.size());
-  for (size_t t = 0; t < tasks_.size(); ++t) {
-    takers[t].assign(resolved[t].size(), 0);
-  }
-  for (const auto& pr : bs->buffered) {
-    for (const BatchState::Ref& ref : pr.refs) {
-      const uint64_t i = ref.ticket - base[ref.t];
-      if (i < takers[ref.t].size()) ++takers[ref.t][i];
-    }
-  }
-  // Emit the buffered records in arrival order, results attached.
-  for (auto& pr : bs->buffered) {
-    if (!pr.refs.empty()) {
-      auto attachment = MutableAttachment(&pr.record);
-      for (const BatchState::Ref& ref : pr.refs) {
-        const int j = tasks_[ref.t].index;
-        auto& results = attachment->results[j];
-        const uint64_t i = ref.ticket - base[ref.t];
-        if (i >= resolved[ref.t].size()) continue;
-        const bool last = --takers[ref.t][i] == 0;
-        if (ref.key_index >= results.size()) continue;
-        if (last) {
-          results[ref.key_index] = std::move(resolved[ref.t][i]);
-        } else {
-          results[ref.key_index] = resolved[ref.t][i];
-        }
-      }
-      pr.record.attachment = std::move(attachment);
-    }
-    out->Emit(std::move(pr.record));
-  }
-  bs->buffered.clear();
-  bs->total_pending = 0;
+void InlineLookupStage::Flush(TaskState* ts, TaskContext* ctx, Emitter* out,
+                              OperatorTaskStats* stats) {
+  ts->pending.Flush(ctx, stats, out,
+                    [&](size_t t, uint64_t, const std::string& ik,
+                        const CachedResult& values) {
+                      if (caches_[t]) {
+                        caches_[t]->ForNode(ctx->node_id()).Put(ik, values);
+                      }
+                    });
+  for (auto& keys : ts->pending_keys) keys.clear();
 }
 
 void InlineLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
   // Drain the tail batch before the obs snapshot so its page reads and
   // cache puts are part of this task's record.
-  auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&tasks_));
-  if (bs != nullptr && (!bs->buffered.empty() || bs->total_pending > 0)) {
-    FlushBatch(bs, ctx, out,
-               runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
+  auto* ts = static_cast<TaskState*>(ctx->FindTaskState(this));
+  if (ts != nullptr && !ts->pending.empty()) {
+    Flush(ts, ctx, out,
+          runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
   }
   // Cache hit/miss snapshot at end of task: the node cache is shared by the
   // node's (serially executed) tasks, so the ratio is the node's cumulative
@@ -758,76 +818,27 @@ GroupedLookupStage::GroupedLookupStage(std::shared_ptr<IndexOperator> op,
       local_(local),
       runtime_(runtime),
       config_(config),
-      obs_(session),
       counter_prefix_(std::move(counter_prefix)),
       site_(op_->accessors()[index_].get(), index_,
             counter_prefix_ + ".idx" + std::to_string(index_),
-            ".grouped_lookup_latency_sec", config_, failover, obs_),
+            ".grouped_lookup_latency_sec", config_, failover, session),
       lookup_reuses_(counter_prefix_ + ".idx" + std::to_string(index_) +
-                     ".lookup_reuses") {}
+                     ".lookup_reuses") {
+  site_.lookup_span = "grouped_lookup";
+}
 
 std::string GroupedLookupStage::name() const {
   return counter_prefix_ + ".grouped_lookup" + std::to_string(index_);
 }
 
-GroupedLookupStage::Memo* GroupedLookupStage::MemoFor(TaskContext* ctx) const {
-  auto* existing = static_cast<Memo*>(ctx->FindTaskState(this));
-  if (existing != nullptr) return existing;
-  auto memo = std::make_shared<Memo>();
-  Memo* raw = memo.get();
-  ctx->AddTaskState(this, std::move(memo));
-  return raw;
-}
-
-void GroupedLookupStage::ObserveLookup(double t0, bool local, bool span,
-                                       TaskContext* ctx) {
-  if (obs_ == nullptr) return;
-  const double charged = ctx->sim_time() - t0;
-  obs_->metrics().TaskLocal(ctx)->Observe(site_.latency_hist, charged);
-  if (span) {
-    obs_->trace().TaskLocal(ctx)->Span(
-        "grouped_lookup", "lookup", t0, charged,
-        {{"index", std::to_string(index_)},
-         {"mode", local ? "local" : "remote"}});
-  }
-}
-
-CachedResult GroupedLookupStage::LookupSerial(const std::string& ik,
-                                              bool local, bool span,
-                                              TaskContext* ctx,
-                                              OperatorTaskStats* stats) {
-  const double t0 = ctx->sim_time();
-  CachedResult result = site_.Lookup(ik, local, ctx, stats);
-  ObserveLookup(t0, local, span, ctx);
-  return result;
-}
-
-// Per-task state of the batched driver. Mirrors the serial driver's
-// last-key memo in two tiers: `run_*` is a key submitted in the current
-// batch but not yet flushed (later records of the same grouped run ride its
-// ticket), `memo_*` is the last flushed grouped key (a run that straddles a
-// flush boundary keeps reusing). Keyed by `&index_` — `this` keys the
-// serial Memo.
-struct GroupedLookupStage::BatchState {
-  struct Slot {
-    bool resolved = false;   // `result` is final (memo reuse).
-    uint64_t ticket = 0;     // Otherwise: resolve from this ticket at flush.
-    CachedResult result;
-  };
-  struct PendingRecord {
-    Record record;
-    bool grouped = false;    // Arrived via the shuffle (single result slot).
-    std::vector<Slot> slots; // grouped: exactly one; pass-through: per key.
-  };
-  struct Submitted {
-    std::string key;
-    bool grouped = false;    // Charges local in index-locality mode.
-  };
-
-  std::unique_ptr<BatchedLookupHandle> handle;
-  std::vector<PendingRecord> buffered;
-  std::vector<Submitted> submitted;  // Ticket order for the current flush.
-  uint64_t ticket_base = 0;
+// Per-task state: the pending lookups of the batched site and the two memo
+// tiers of the last grouped key. `run_*` is a key submitted to the open
+// batch (later records of the same grouped run ride its ticket); `memo_*`
+// is the last resolved grouped key (a run that straddles a flush keeps
+// reusing it). A serial site resolves at once, so it only uses the memo.
+struct GroupedLookupStage::TaskState {
+  explicit TaskState(const LookupSite* site) : pending({site, 1}) {}
+  PendingLookups pending;
   bool run_pending = false;
   std::string run_key;
   uint64_t run_ticket = 0;
@@ -836,226 +847,99 @@ struct GroupedLookupStage::BatchState {
   CachedResult memo_result;
 };
 
-GroupedLookupStage::BatchState* GroupedLookupStage::BatchFor(TaskContext* ctx) {
-  auto* existing = static_cast<BatchState*>(ctx->FindTaskState(&index_));
-  if (existing != nullptr) return existing;
-  auto state = std::make_shared<BatchState>();
-  BatchState* raw = state.get();
-  ctx->AddTaskState(&index_, std::move(state));
-  return raw;
-}
-
-void GroupedLookupStage::ProcessBatched(Record record, TaskContext* ctx,
-                                        Emitter* out,
-                                        OperatorTaskStats* stats) {
-  BatchState* bs = BatchFor(ctx);
-  const size_t depth = static_cast<size_t>(config_->store_batch_depth);
-  if (!record.attachment || !record.attachment->has_saved_key) {
-    // Shuffle-skipped record: submit its keys (remote charges) and buffer it
-    // so it cannot overtake earlier records still waiting on a flush.
-    BatchState::PendingRecord pr;
-    if (record.attachment &&
-        index_ < static_cast<int>(record.attachment->keys.size()) &&
-        !record.attachment->keys[index_].empty()) {
-      auto attachment = MutableAttachment(&record);
-      const auto& keys = attachment->keys[index_];
-      attachment->results[index_].resize(keys.size());
-      if (!bs->handle) bs->handle = site_.batched->NewBatch();
-      for (const std::string& k : keys) {
-        BatchState::Slot slot;
-        slot.ticket = bs->handle->Submit(k);
-        bs->submitted.push_back({k, /*grouped=*/false});
-        pr.slots.push_back(std::move(slot));
-      }
-      record.attachment = std::move(attachment);
-    }
-    if (pr.slots.empty() && bs->buffered.empty()) {
-      out->Emit(std::move(record));
-    } else {
-      pr.record = std::move(record);
-      bs->buffered.push_back(std::move(pr));
-    }
-    if (bs->handle && bs->handle->pending() >= depth) {
-      FlushBatch(bs, ctx, out, stats);
-    }
-    return;
-  }
-
-  const std::string ik = record.key;
-  auto attachment = MutableAttachment(&record);
-  record.key = attachment->saved_key;
-  attachment->saved_key.clear();
-  attachment->has_saved_key = false;
-  record.attachment = std::move(attachment);
-
-  if (bs->run_pending && bs->run_key == ik) {
-    // Same grouped run as an in-flight submit: ride its ticket.
-    ctx->counters()->Increment(lookup_reuses_);
-    BatchState::PendingRecord pr;
-    pr.grouped = true;
-    pr.slots.emplace_back();
-    pr.slots.back().ticket = bs->run_ticket;
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
-  } else if (!bs->run_pending && bs->memo_valid && bs->memo_key == ik) {
-    // A run straddling the last flush: resolved result, no new lookup.
-    ctx->counters()->Increment(lookup_reuses_);
-    if (bs->buffered.empty()) {
-      auto resolved = MutableAttachment(&record);
-      if (index_ < static_cast<int>(resolved->results.size())) {
-        resolved->results[index_].assign(1, bs->memo_result);
-      }
-      record.attachment = std::move(resolved);
-      out->Emit(std::move(record));
-    } else {
-      BatchState::PendingRecord pr;
-      pr.grouped = true;
-      pr.slots.emplace_back();
-      pr.slots.back().resolved = true;
-      pr.slots.back().result = bs->memo_result;
-      pr.record = std::move(record);
-      bs->buffered.push_back(std::move(pr));
-    }
-  } else {
-    if (!bs->handle) bs->handle = site_.batched->NewBatch();
-    const uint64_t ticket = bs->handle->Submit(ik);
-    bs->submitted.push_back({ik, /*grouped=*/true});
-    bs->run_pending = true;
-    bs->run_key = ik;
-    bs->run_ticket = ticket;
-    BatchState::PendingRecord pr;
-    pr.grouped = true;
-    pr.slots.emplace_back();
-    pr.slots.back().ticket = ticket;
-    pr.record = std::move(record);
-    bs->buffered.push_back(std::move(pr));
-  }
-  if (bs->handle && bs->handle->pending() >= depth) {
-    FlushBatch(bs, ctx, out, stats);
-  }
-}
-
-void GroupedLookupStage::FlushBatch(BatchState* bs, TaskContext* ctx,
-                                    Emitter* out, OperatorTaskStats* stats) {
-  const size_t n = bs->submitted.size();
-  const uint64_t base = bs->ticket_base;
-  std::vector<CachedResult> resolved(n);
-  if (n > 0) {
-    BatchedLookupOutcome outcome = bs->handle->Flush();
-    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
-    for (auto& c : outcome.completions) {
-      const uint64_t i = c.ticket - base;
-      if (i < n) by_ticket[i] = &c;
-    }
-    // Per-lookup charges replay in submit order.
-    for (size_t i = 0; i < n; ++i) {
-      const BatchState::Submitted& sub = bs->submitted[i];
-      const double lk_t0 = ctx->sim_time();
-      CachedResult values;
-      bool error = false;
-      if (by_ticket[i] != nullptr) {
-        error = by_ticket[i]->error;
-        if (!error) values = std::move(by_ticket[i]->values);
-      }
-      const bool local = local_ && sub.grouped;
-      site_.Charge(sub.key, values, error, local, ctx, stats);
-      ObserveLookup(lk_t0, local, /*span=*/true, ctx);
-      if (sub.grouped) {
-        bs->memo_valid = true;
-        bs->memo_key = sub.key;
-        bs->memo_result = values;
-      }
-      resolved[i] = std::move(values);
-    }
-    ChargePageBatch(store_counters_, index_, outcome.distinct_pages,
-                    outcome.uncoalesced_pages, n, config_, ctx, stats, obs_);
-  }
-  // Emit the buffered records in arrival order, results attached.
-  for (auto& pr : bs->buffered) {
-    if (!pr.slots.empty() &&
-        index_ < static_cast<int>(pr.record.attachment->results.size())) {
-      auto attachment = MutableAttachment(&pr.record);
-      if (pr.grouped) {
-        const BatchState::Slot& slot = pr.slots[0];
-        const uint64_t i = slot.ticket - base;
-        if (slot.resolved) {
-          attachment->results[index_].assign(1, slot.result);
-        } else if (i < resolved.size()) {
-          attachment->results[index_].assign(1, resolved[i]);
-        }
-      } else {
-        auto& results = attachment->results[index_];
-        for (size_t k = 0; k < pr.slots.size() && k < results.size(); ++k) {
-          const uint64_t i = pr.slots[k].ticket - base;
-          if (i < resolved.size()) results[k] = resolved[i];
-        }
-      }
-      pr.record.attachment = std::move(attachment);
-    }
-    out->Emit(std::move(pr.record));
-  }
-  bs->buffered.clear();
-  bs->submitted.clear();
-  bs->ticket_base += n;
-  bs->run_pending = false;
-}
-
-void GroupedLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
-  if (site_.batched == nullptr) return;
-  auto* bs = static_cast<BatchState*>(ctx->FindTaskState(&index_));
-  if (bs == nullptr || (bs->buffered.empty() && bs->submitted.empty())) return;
-  FlushBatch(bs, ctx, out,
-             runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
-}
-
 void GroupedLookupStage::Process(Record record, TaskContext* ctx,
                                  Emitter* out) {
   OperatorTaskStats* stats =
       runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  if (site_.batched != nullptr) {
-    ProcessBatched(std::move(record), ctx, out, stats);
-    return;
-  }
-  if (!record.attachment || !record.attachment->has_saved_key) {
-    // Record skipped the shuffle (it extracted zero or several keys for
-    // this index). Resolve its lookups directly (remote) so postProcess
-    // still sees complete results, then pass it through.
-    if (record.attachment &&
-        index_ < static_cast<int>(record.attachment->keys.size()) &&
-        !record.attachment->keys[index_].empty()) {
-      auto attachment = MutableAttachment(&record);
-      const auto& keys = attachment->keys[index_];
-      auto& results = attachment->results[index_];
-      results.resize(keys.size());
-      for (size_t i = 0; i < keys.size(); ++i) {
-        results[i] = LookupSerial(keys[i], /*local=*/false, /*span=*/false,
-                                  ctx, stats);
-      }
-      record.attachment = std::move(attachment);
+  TaskState* ts = TaskStateFor<TaskState>(ctx, this, &site_);
+  auto lookup_now = [&](const std::string& ik, bool local) {
+    const double t0 = ctx->sim_time();
+    CachedResult result = site_.Lookup(ik, local, ctx, stats);
+    site_.Observe(t0, local, ctx);
+    return result;
+  };
+  std::vector<PendingLookups::Ref> refs;
+  if (record.attachment && record.attachment->has_saved_key) {
+    // Grouped record: restore the original key, then serve its lookup key
+    // from a memo tier or one new lookup.
+    auto attachment = MutableAttachment(&record);
+    std::string ik = std::move(record.key);
+    record.key = std::move(attachment->saved_key);
+    attachment->saved_key.clear();
+    attachment->has_saved_key = false;
+    CachedResult* slot = nullptr;
+    if (index_ < static_cast<int>(attachment->results.size())) {
+      attachment->results[index_].resize(1);
+      slot = &attachment->results[index_][0];
     }
-    out->Emit(std::move(record));
-    return;
+    if (ts->run_pending && ts->run_key == ik) {
+      // Same grouped run as the in-flight submit: ride its ticket.
+      ctx->counters()->Increment(lookup_reuses_);
+      refs.push_back({0, 0, ts->run_ticket});
+    } else if (!ts->run_pending && ts->memo_valid && ts->memo_key == ik) {
+      // Same run as the last resolved key: its result, no new lookup.
+      ctx->counters()->Increment(lookup_reuses_);
+      if (slot != nullptr) *slot = ts->memo_result;
+    } else if (site_.batched != nullptr) {
+      ts->run_ticket = ts->pending.Submit(0, ik, local_);
+      ts->run_pending = true;
+      ts->run_key = std::move(ik);
+      refs.push_back({0, 0, ts->run_ticket});
+    } else {
+      ts->memo_result = lookup_now(ik, local_);
+      ts->memo_valid = true;
+      ts->memo_key = std::move(ik);
+      if (slot != nullptr) *slot = ts->memo_result;
+    }
+    record.attachment = std::move(attachment);
+  } else if (record.attachment &&
+             index_ < static_cast<int>(record.attachment->keys.size()) &&
+             !record.attachment->keys[index_].empty()) {
+    // Record skipped the shuffle (it extracted zero or several keys for
+    // this index): resolve its lookups remotely so postProcess still sees
+    // complete results.
+    auto attachment = MutableAttachment(&record);
+    const auto& keys = attachment->keys[index_];
+    auto& results = attachment->results[index_];
+    results.resize(keys.size());
+    for (size_t i = 0; i < keys.size(); ++i) {
+      if (site_.batched != nullptr) {
+        refs.push_back({0, i, ts->pending.Submit(0, keys[i], /*local=*/false)});
+      } else {
+        results[i] = lookup_now(keys[i], /*local=*/false);
+      }
+    }
+    record.attachment = std::move(attachment);
   }
-  const std::string ik = record.key;
-  Memo* memo = MemoFor(ctx);
+  ts->pending.Add(std::move(record), std::move(refs), out);
+  if (ts->pending.pending() >=
+      static_cast<size_t>(config_->store_batch_depth)) {
+    Flush(ts, ctx, out, stats);
+  }
+}
 
-  if (!memo->valid || memo->key != ik) {
-    memo->result = LookupSerial(ik, local_, /*span=*/true, ctx, stats);
-    memo->valid = true;
-    memo->key = ik;
-  } else {
-    ctx->counters()->Increment(lookup_reuses_);
+void GroupedLookupStage::Flush(TaskState* ts, TaskContext* ctx, Emitter* out,
+                               OperatorTaskStats* stats) {
+  // The run's submit is the last grouped one: it becomes the memo.
+  ts->pending.Flush(ctx, stats, out,
+                    [ts](size_t, uint64_t ticket, const std::string&,
+                         const CachedResult& values) {
+                      if (ts->run_pending && ticket == ts->run_ticket) {
+                        ts->memo_result = values;
+                      }
+                    });
+  if (ts->run_pending) {
+    ts->memo_valid = true;
+    ts->memo_key = std::move(ts->run_key);
+    ts->run_pending = false;
   }
+}
 
-  auto attachment = MutableAttachment(&record);
-  record.key = attachment->saved_key;
-  attachment->saved_key.clear();
-  attachment->has_saved_key = false;
-  if (index_ < static_cast<int>(attachment->results.size())) {
-    attachment->results[index_].assign(1, memo->result);
-  }
-  record.attachment = std::move(attachment);
-  out->Emit(std::move(record));
+void GroupedLookupStage::EndTask(TaskContext* ctx, Emitter* out) {
+  auto* ts = static_cast<TaskState*>(ctx->FindTaskState(this));
+  if (ts == nullptr || ts->pending.empty()) return;
+  Flush(ts, ctx, out,
+        runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr);
 }
 
 // -------------------------------------------------------------- map meter --

@@ -11,6 +11,14 @@
 //                    scheme, the next job's tasks placed on index hosts
 //                    (input fetched remotely), and local lookups.
 //
+// Lookups: each lookup stage has one driver, which serves every lookup site
+// (index) by its accessor's capability. A serial site resolves a lookup at
+// once and charges it at `Process` time. A batched site (DESIGN.md §13)
+// submits it to the task's pending-lookup buffer, which both stages share.
+// The buffer's one flush charges the lookups in submit order, charges the
+// device once per site, and emits the records buffered behind them in
+// arrival order.
+//
 // Threading: one stage instance serves every task of a phase and tasks on
 // different simulated nodes run concurrently (see stage.h). Stages therefore
 // keep per-task state in the TaskContext, feed statistics through per-task
@@ -105,9 +113,9 @@ struct ResilienceCounters {
   CounterHandle integrity_detected;
 };
 
-/// Interned run-global counter handles of the packed-store batched lookup
-/// drivers (DESIGN.md §13): distinct device page reads, reads saved by
-/// same-page coalescing, flushes issued, and lookups served through a batch.
+/// Interned run-global counter handles of the packed-store batched lookups
+/// (DESIGN.md §13): distinct device page reads, reads saved by same-page
+/// coalescing, flushes issued, and lookups served through a batch.
 struct StoreCounters {
   StoreCounters()
       : page_reads("efind.store.page_reads"),
@@ -122,12 +130,15 @@ struct StoreCounters {
 };
 
 /// One lookup site — an index served by a lookup stage — with everything
-/// its per-lookup charge needs besides the lookup itself: the accessor and
-/// its batching capability, the interned counters, the circuit breakers,
-/// the latency histograms, and the stage's cost, failover and obs context.
-/// Every lookup driver (serial or batched, inline or grouped) charges each
-/// performed lookup through `Charge`, the one place the paper's per-lookup
-/// cost (Eqs 1-4) is written down.
+/// its lookup charges need besides the lookup itself: the accessor and its
+/// batching capability, the interned counters, the circuit breakers, the
+/// latency histograms and trace span, and the stage's cost, failover and
+/// obs context. Each lookup stage has one driver; it resolves a serial
+/// site's lookups at once and submits a batched site's to the task's shared
+/// pending-lookup buffer, whose one flush serves them. Either way every
+/// performed lookup is charged through `Charge`, the one place the paper's
+/// per-lookup cost (Eqs 1-4) is written down, and observed through
+/// `Observe`.
 struct LookupSite {
   /// `base` is the site's counter prefix ("<operator>.idx<j>"); the latency
   /// histogram is `base + latency_suffix`. A non-null `failover` also
@@ -145,13 +156,16 @@ struct LookupSite {
   /// the lookup and feeds `stats` (may be null).
   void Charge(const std::string& ik, const CachedResult& result, bool error,
               bool local, TaskContext* ctx, OperatorTaskStats* stats) const;
-  /// The serial drivers' lookup: one blocking accessor call, then `Charge`.
+  /// A serial site's lookup: one blocking accessor call, then `Charge`.
   CachedResult Lookup(const std::string& ik, bool local, TaskContext* ctx,
                       OperatorTaskStats* stats) const;
+  /// Observes one lookup charged since `t0` into the latency histogram and,
+  /// when `lookup_span` is set, traces it as one span.
+  void Observe(double t0, bool local, TaskContext* ctx) const;
 
   IndexAccessor* accessor;
   /// The accessor's batching capability (DESIGN.md §13); null for
-  /// accessors the drivers serve one blocking lookup at a time.
+  /// accessors served one blocking lookup at a time.
   const BatchedLookupIndex* batched;
   int index;
   const ClusterConfig* config;
@@ -170,6 +184,10 @@ struct LookupSite {
   /// the fault model) histogram ids; -1 when observability is off.
   int latency_hist = -1;
   int injected_hist = -1;
+  /// Name of the span `Observe` traces per lookup (null: no span).
+  const char* lookup_span = nullptr;
+  /// The page leg of each batched flush.
+  StoreCounters store;
 };
 
 /// Which indices an `InlineLookupStage` serves, and how.
@@ -183,8 +201,9 @@ struct InlineIndexTask {
 /// charged per actual lookup; cache probes charge T_cache.
 ///
 /// One driver serves every task slot. Slots whose accessor implements
-/// `BatchedLookupIndex` submit their keys into a per-task batch and buffer
-/// the record until a flush resolves them (DESIGN.md §13); other slots
+/// `BatchedLookupIndex` probe the cache, ride keys already pending, and
+/// submit the rest to the task's pending-lookup buffer, which holds the
+/// record until its flush resolves them (DESIGN.md §13); other slots
 /// resolve inline. Records leave in arrival order either way.
 class InlineLookupStage : public RecordStage {
  public:
@@ -222,12 +241,11 @@ class InlineLookupStage : public RecordStage {
   CachedResult LookupOne(size_t t, const std::string& ik, TaskContext* ctx,
                          OperatorTaskStats* stats);
 
-  // Per-task buffering state of the batched slots and the flush that
-  // serves every pending lookup in one coalesced sweep per slot.
-  struct BatchState;
-  BatchState* BatchFor(TaskContext* ctx);
-  void FlushBatch(BatchState* bs, TaskContext* ctx, Emitter* out,
-                  OperatorTaskStats* stats);
+  // Per-task state: the pending-lookup buffer and the cached slots' keys
+  // in flight. `Flush` serves it and Put()s the results into the caches.
+  struct TaskState;
+  void Flush(TaskState* ts, TaskContext* ctx, Emitter* out,
+             OperatorTaskStats* stats);
 
   std::shared_ptr<IndexOperator> op_;
   std::vector<InlineIndexTask> tasks_;
@@ -247,7 +265,6 @@ class InlineLookupStage : public RecordStage {
   std::vector<std::vector<int>> cache_miss_gauges_;
   // caches_[t] serves tasks_[t] when tasks_[t].use_cache.
   std::vector<std::unique_ptr<NodeCaches>> caches_;
-  StoreCounters store_counters_;
 };
 
 /// Runs `IndexOperator::PostProcess` on the record plus its attached lookup
@@ -302,6 +319,12 @@ class GroupReducer : public Reducer {
 
 /// Performs one lookup per *run* of equal lookup keys (records arrive
 /// grouped after the shuffle job) and restores the original record keys.
+/// One driver serves both accessor kinds: a run reuses the in-flight
+/// ticket or the last resolved key's result, a new key is looked up at once
+/// on a serial accessor and submitted to the task's pending-lookup buffer
+/// on a batched one (DESIGN.md §13). Records that skipped the shuffle have
+/// their keys resolved remotely, and every performed lookup is traced as one
+/// `grouped_lookup` span.
 ///
 /// `local` selects the index-locality cost model: lookups charge T_j only,
 /// because the task was scheduled on a node hosting the co-partitioned
@@ -322,47 +345,24 @@ class GroupedLookupStage : public RecordStage {
 
   std::string name() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
-  /// Flushes the batched driver's remaining buffered lookups (no-op for
-  /// serial accessors).
+  /// Flushes the remaining buffered lookups (none on a serial accessor).
   void EndTask(TaskContext* ctx, Emitter* out) override;
 
  private:
-  // Per-task memo of the last looked-up key, kept in the TaskContext.
-  struct Memo {
-    bool valid = false;
-    std::string key;
-    CachedResult result;
-  };
-  Memo* MemoFor(TaskContext* ctx) const;
-
-  // The serial driver's lookup of `ik`: charged, its latency observed and,
-  // when `span`, traced as a grouped_lookup span.
-  CachedResult LookupSerial(const std::string& ik, bool local, bool span,
-                            TaskContext* ctx, OperatorTaskStats* stats);
-  // Latency histogram and grouped_lookup span of one lookup charged since
-  // `t0`.
-  void ObserveLookup(double t0, bool local, bool span, TaskContext* ctx);
-
-  // Batched driver (DESIGN.md §13), chosen when the accessor implements
-  // `BatchedLookupIndex`. The task state is keyed by `&index_` — `this`
-  // already keys the serial driver's Memo.
-  struct BatchState;
-  BatchState* BatchFor(TaskContext* ctx);
-  void ProcessBatched(Record record, TaskContext* ctx, Emitter* out,
-                      OperatorTaskStats* stats);
-  void FlushBatch(BatchState* bs, TaskContext* ctx, Emitter* out,
-                  OperatorTaskStats* stats);
+  // Per-task state: the pending-lookup buffer and the memo tiers. `Flush`
+  // serves the buffer and moves the in-flight run into the memo.
+  struct TaskState;
+  void Flush(TaskState* ts, TaskContext* ctx, Emitter* out,
+             OperatorTaskStats* stats);
 
   std::shared_ptr<IndexOperator> op_;
   int index_;
   bool local_;
   OperatorRuntime* runtime_;
   const ClusterConfig* config_;
-  obs::ObsSession* obs_;
   std::string counter_prefix_;
   LookupSite site_;
   CounterHandle lookup_reuses_;
-  StoreCounters store_counters_;
 };
 
 /// Meters the original Map function's output bytes into the head operators'

@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "efind/efind_job_runner.h"
+#include "efind/stages.h"
 #include "tests/test_util.h"
 
 namespace efind {
@@ -154,6 +155,34 @@ TEST_F(AdaptiveTest, TailReplanPreservesOutput) {
   auto dynamic = runner.RunDynamic(conf, input);
   auto base = runner.RunWithStrategy(conf, input, Strategy::kBaseline);
   EXPECT_EQ(Sorted(dynamic.CollectRecords()), Sorted(base.CollectRecords()));
+}
+
+// A pass-through reducer with no tail operator: the re-planned run's reduce
+// writes batch-form splits internally, but outputs leave the engine in
+// record form on every RunDynamic exit, as they do from RunWithStrategy.
+TEST_F(AdaptiveTest, PassThroughReduceOutputsLeaveInRecordForm) {
+  ToyWorld world(100, 300);
+  auto input = world.MakeInput(192, 60, 40);
+  IndexJobConf conf = world.MakeJoinJob(true);
+  conf.SetReducer(std::make_shared<GroupReducer>());
+  EFindJobRunner runner(config_);
+  auto dynamic = runner.RunDynamic(conf, input);
+  auto base = runner.RunWithStrategy(conf, input, Strategy::kBaseline);
+
+  auto record_form = [](const EFindRunResult& r) {
+    std::vector<Record> records;
+    int batch_splits = 0;
+    for (const InputSplit& s : r.outputs) {
+      if (s.batch != nullptr) ++batch_splits;
+      records.insert(records.end(), s.records.begin(), s.records.end());
+    }
+    EXPECT_EQ(batch_splits, 0);
+    return records;
+  };
+  const std::vector<Record> dynamic_records = record_form(dynamic);
+  ASSERT_EQ(dynamic_records.size(), 11520u);
+  EXPECT_EQ(Sorted(dynamic_records), Sorted(record_form(base)));
+  EXPECT_EQ(Sorted(dynamic_records), Sorted(dynamic.CollectRecords()));
 }
 
 }  // namespace

@@ -7,12 +7,14 @@
 
 #include <algorithm>
 #include <cstdio>
+#include <map>
 #include <memory>
 #include <string>
 #include <utility>
 #include <vector>
 
 #include "kvstore/kv_store.h"
+#include "obs/obs.h"
 
 namespace efind {
 namespace {
@@ -493,6 +495,125 @@ TEST(GroupedLookupStageTest, MultiKeyRecordsPassThroughBatched) {
   EXPECT_EQ(accessor->lookups, 0);
   EXPECT_EQ(accessor->submitted, 5);
   EXPECT_EQ(accessor->flushes, 1);
+}
+
+// Drives the grouped stage at batch depth 2 (local mode) through both memo
+// tiers: a run still in flight rides its ticket, and a run straddling a
+// flush reuses the flushed result. Shuffle-skipped records interleave; their
+// keys charge remotely and never join a grouped run, even when equal to it.
+void RunGroupedMemoTiers(std::shared_ptr<FakeAccessor> accessor,
+                         obs::ObsSession* session, StageHarness* h) {
+  h->config.store_batch_depth = 2;
+  h->op = std::make_shared<FakeOperator>();
+  h->op->AddIndex(accessor);
+  GroupedLookupStage grouped(h->op, 0, /*local=*/true, nullptr, &h->config,
+                             "efind.t", nullptr, session);
+  auto grouped_record = [](const std::string& ik, const std::string& orig) {
+    Record rec(ik, "v");
+    auto a = std::make_shared<RecordAttachment>();
+    a->keys = {{ik}};
+    a->results = {{{}}};
+    a->saved_key = orig;
+    a->has_saved_key = true;
+    rec.attachment = a;
+    return rec;
+  };
+  auto skipped_record = [](const std::string& key,
+                           std::vector<std::string> iks) {
+    Record rec(key, "v");
+    auto a = std::make_shared<RecordAttachment>();
+    a->results = {std::vector<CachedResult>(iks.size())};
+    a->keys = {std::move(iks)};
+    rec.attachment = a;
+    return rec;
+  };
+  grouped.BeginTask(&h->ctx);
+  grouped.Process(grouped_record("kA", "r1"), &h->ctx, &h->sink);
+  grouped.Process(skipped_record("m1", {"p"}), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kA", "r2"), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kA", "r3"), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kB", "r4"), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kB", "r5"), &h->ctx, &h->sink);
+  grouped.Process(skipped_record("m2", {"q", "err", "kB"}), &h->ctx,
+                  &h->sink);
+  grouped.Process(skipped_record("m3", {"s"}), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kB", "r6"), &h->ctx, &h->sink);
+  grouped.Process(skipped_record("m4", {}), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kA", "r7"), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kA", "r8"), &h->ctx, &h->sink);
+  grouped.Process(grouped_record("kC", "r9"), &h->ctx, &h->sink);
+  grouped.EndTask(&h->ctx, &h->sink);
+  h->ctx.FinalizeTaskState();
+
+  ASSERT_EQ(h->sink.records.size(), 13u);
+  const std::vector<std::string> keys = {"r1", "m1", "r2", "r3", "r4",
+                                         "r5", "m2", "m3", "r6", "m4",
+                                         "r7", "r8", "r9"};
+  const std::vector<std::string> results = {
+      "V(kA)", "V(p)", "V(kA)", "V(kA)", "V(kB)", "V(kB)", "V(q)",
+      "V(s)",  "V(kB)", "<unsized>", "V(kA)", "V(kA)", "V(kC)"};
+  for (size_t i = 0; i < keys.size(); ++i) {
+    EXPECT_EQ(h->sink.records[i].key, keys[i]) << i;
+    EXPECT_EQ(ResultOf(h->sink.records[i], 0), results[i]) << i;
+    EXPECT_FALSE(h->sink.records[i].attachment->has_saved_key) << i;
+  }
+  EXPECT_EQ(ResultOf(h->sink.records[6], 0, 1), "<empty>");
+  EXPECT_EQ(ResultOf(h->sink.records[6], 0, 2), "V(kB)");
+  EXPECT_DOUBLE_EQ(h->counters.Get("efind.t.idx0.lookups"), 9.0);
+  EXPECT_DOUBLE_EQ(h->counters.Get("efind.t.idx0.lookup_reuses"), 5.0);
+  EXPECT_DOUBLE_EQ(h->counters.Get("efind.t.idx0.lookup_errors"), 1.0);
+}
+
+TEST(GroupedLookupStageTest, MemoTiersAcrossFlushesSerial) {
+  auto accessor = std::make_shared<FakeAccessor>();
+  StageHarness h;
+  RunGroupedMemoTiers(accessor, nullptr, &h);
+  EXPECT_EQ(accessor->lookups, 9);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.batches"), 0.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), "0x1.27bcdd6b8081ap-7");
+}
+
+TEST(GroupedLookupStageTest, MemoTiersAcrossFlushesBatched) {
+  auto accessor = std::make_shared<FakeBatchedAccessor>();
+  StageHarness h;
+  RunGroupedMemoTiers(accessor, nullptr, &h);
+  EXPECT_EQ(accessor->lookups, 0);
+  EXPECT_EQ(accessor->submitted, 9);
+  EXPECT_EQ(accessor->flushes, 4);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.batches"), 4.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.batched_lookups"), 9.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.page_reads"), 8.0);
+  EXPECT_DOUBLE_EQ(h.counters.Get("efind.store.coalesced_page_reads"), 1.0);
+  EXPECT_EQ(Hex(h.ctx.sim_time()), "0x1.34d84ee10ea34p-7");
+}
+
+// Every performed grouped lookup, shuffle-skipped or not, is traced as one
+// grouped_lookup span, whichever driver serves the accessor.
+TEST(GroupedLookupStageTest, OneSpanPerLookupOnEitherAccessor) {
+  auto count_spans = [](std::shared_ptr<FakeAccessor> accessor) {
+    obs::ObsSession session;
+    {
+      StageHarness h;
+      RunGroupedMemoTiers(accessor, &session, &h);
+    }
+    std::map<std::string, int> by_mode;
+    for (const auto& task : session.trace().TakeStaged()) {
+      for (const auto& e : task.events) {
+        if (e.name != "grouped_lookup") continue;
+        for (const auto& arg : e.args) {
+          if (arg.key == "mode") ++by_mode[arg.value];
+        }
+      }
+    }
+    return by_mode;
+  };
+  const std::map<std::string, int> serial =
+      count_spans(std::make_shared<FakeAccessor>());
+  const std::map<std::string, int> batched =
+      count_spans(std::make_shared<FakeBatchedAccessor>());
+  EXPECT_EQ(serial, batched);
+  EXPECT_EQ(serial.at("local"), 4);   // kA, kB, kA, kC.
+  EXPECT_EQ(serial.at("remote"), 5);  // p, q, err, kB, s.
 }
 
 TEST(PostProcessStageTest, StripsAttachmentAndCallsOperator) {
