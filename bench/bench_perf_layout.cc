@@ -9,8 +9,9 @@
 // shuffle — exactly the path the arena-backed batch layout targets. This
 // bench reproduces that leg: it generates the fig11a log trace, re-keys it
 // by IP outside the measured region (the materialization the re-partition
-// planner would have written), and runs the resulting stage-less
-// shuffle+reduce job, checking that
+// planner would have written), and runs the resulting shuffle+reduce job
+// with no map-side stages (the engine's one map task stages its records,
+// then partitions them in the fused sweep), checking that
 //   1. at the default cluster configuration, the output digest
 //      (`reuse::ChecksumSplits`) and the simulated map/reduce/job seconds
 //      equal the pinned values below — pinned while the per-record

@@ -174,25 +174,28 @@ int main(int argc, char** argv) {
   int planted_torn = 0;
   int detected_torn = 0;
 
-  // Observability: lay the recovery spans out sequentially on a local
-  // clock (the scenarios are host actions, not simulated cluster work).
+  // Observability: lay the recovery spans out sequentially on a logical
+  // clock, one millisecond per replayed record (the scenarios are host
+  // actions, not simulated cluster work), and name files relative to the
+  // journal directory, so the trace is the same on every run. Host
+  // milliseconds go only to the JSON wall fields.
   double tclock = 0.0;
   auto replay_span = [&](const char* kind, uint64_t records,
-                         uint64_t recovered, double wall_ms) {
+                         uint64_t recovered) {
     if (opts.obs() == nullptr) return;
+    const double dur = 1e-3 * static_cast<double>(records);
     opts.obs()->trace().Span(
-        "recovery_replay", "recovery", tclock, wall_ms / 1000.0,
-        obs::kClusterTrack, 0,
+        "recovery_replay", "recovery", tclock, dur, obs::kClusterTrack, 0,
         {{"kind", kind},
          {"records", std::to_string(records)},
          {"recovered", std::to_string(recovered)}});
-    tclock += wall_ms / 1000.0;
+    tclock += dur;
   };
-  auto torn_instant = [&](const char* kind, const std::string& path) {
+  auto torn_instant = [&](const char* kind, const std::string& rel_path) {
     if (opts.obs() == nullptr) return;
     opts.obs()->trace().Instant("torn_file_detected", "recovery", tclock,
                                 obs::kClusterTrack,
-                                {{"kind", kind}, {"path", path}});
+                                {{"kind", kind}, {"path", rel_path}});
   };
 
   // --- shared workload: one synthetic join template -----------------------
@@ -239,8 +242,7 @@ int main(int argc, char** argv) {
   ServiceRecovery svc_rec;
   const double service_replay_ms =
       TimedMs([&] { svc_rec = JobService::Recover(crashed_wal); });
-  replay_span("service", svc_rec.records, svc_rec.pending.size(),
-              service_replay_ms);
+  replay_span("service", svc_rec.records, svc_rec.pending.size());
   check("service journal found with an intact (kill-mode) tail",
         svc_rec.found && !svc_rec.torn_tail);
   check("journal identity: submitted == finished + rejected + pending",
@@ -291,11 +293,10 @@ int main(int argc, char** argv) {
       }
     }
   });
-  replay_span("reuse", reuse_rec.records, reuse_rec.metas.size(),
-              reuse_replay_ms);
+  replay_span("reuse", reuse_rec.records, reuse_rec.metas.size());
   if (reuse_rec.torn_tail) {
     ++detected_torn;
-    torn_instant("journal", reuse_wal);
+    torn_instant("journal", "reuse.wal");
   }
   check("torn reuse-journal tail detected", reuse_rec.torn_tail);
   check("every surviving ledger record restores against its checksum",
@@ -326,7 +327,7 @@ int main(int argc, char** argv) {
                          error.find(store_dir) != std::string::npos;
     if (refused) {
       ++detected_torn;
-      torn_instant("manifest", store_dir + "/manifest.txt");
+      torn_instant("manifest", "store/manifest.txt");
     }
     check("torn manifest refuses to open, naming the file", refused);
   }
@@ -343,7 +344,7 @@ int main(int argc, char** argv) {
           reopened != nullptr && reopened->Get("key7", &values).ok() &&
               !values.empty() && values[0].data == "val7");
   }
-  replay_span("store", 1, reopened != nullptr ? 1 : 0, store_reopen_ms);
+  replay_span("store", 1, reopened != nullptr ? 1 : 0);
   harness.Add("store/reopen", 0.0, "", store_reopen_ms);
 
   // --- gate 3: every planted torn file detected; replay under budget -----

@@ -3,8 +3,8 @@
 #   1. configure + build everything,
 #   2. full ctest suite,
 #   3. the fault-injection suite alone (ctest -L faults) — includes the
-#      faults_tsan_smoke / engine_tsan_smoke ThreadSanitizer binaries when
-#      the toolchain supports -fsanitize=thread,
+#      faults_tsan_smoke ThreadSanitizer binary when the toolchain
+#      supports -fsanitize=thread,
 #   4. the failure-aware acceptance bench (exits nonzero unless the
 #      index-locality plan rides out index-host outages within 2x with
 #      byte-identical output),
@@ -38,8 +38,12 @@
 #      batch depth >= 16 delivers >= 2x the simulated lookup throughput
 #      of depth 1 with byte-identical output at every depth and across
 #      thread counts),
-#  11. the shuffle hot-path perf leg (DESIGN.md §11): the arena/batch
-#      suite alone (ctest -L perf), the bench_perf_layout acceptance
+#  11. the engine perf leg (DESIGN.md §6, §11): ctest -L perf runs the
+#      map-task pins (job_runner_test, record_batch_test, perf_smoke's
+#      ASan/TSan binaries), the arena/batch and boundary suites, and the
+#      engine's threads=1 == threads=N contract (determinism_test,
+#      thread_pool_test, engine_tsan_smoke, pool_tsan_smoke) side by
+#      side; then the bench_perf_layout acceptance
 #      bench (exits nonzero unless the fig11a repartition leg matches its
 #      pinned output digest and simulated seconds, keeps >= 10 shuffled
 #      records per heap allocation, and sees no shuffle checksum
@@ -50,7 +54,7 @@
 #  12. the multi-tenant job-service leg (DESIGN.md §14): the service suite
 #      alone (ctest -L service — multi-tenant determinism under the fault
 #      matrix, admission-control units, cross-tenant reuse attribution,
-#      the service trace lint, and the service_tsan_smoke binary) and the
+#      and the service trace lint) and the
 #      bench_service acceptance bench (exits nonzero unless fair-share
 #      holds Jain >= 0.9 over per-tenant mean slowdowns, beats FIFO's p99
 #      slowdown on the same arrival seed, passes a lone job through

@@ -14,6 +14,7 @@
 #include <map>
 
 #include "common/checksum.h"
+#include "common/framing.h"
 
 namespace efind {
 namespace durable {
@@ -31,40 +32,12 @@ DurableStats g_stats;
 constexpr char kFooterMagic[] = "EFDURBL1";
 constexpr uint64_t kFooterMagicBytes = 8;
 
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 8);
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 uint64_t FooterChecksum(std::string_view body, uint64_t generation) {
   Checksum64 c;
   c.Update(body);
   c.UpdateU64(generation);
   c.UpdateU64(body.size());
   return c.Digest();
-}
-
-/// Full write with EINTR/short-write retries; false on a real error.
-bool WriteAll(int fd, const char* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
 }
 
 bool FsyncFd(int fd) {

@@ -27,23 +27,8 @@ void ThreadPool::Submit(std::function<void()> fn) {
     std::unique_lock<std::mutex> lock(mu_);
     queue_.push_back(std::move(fn));
     ++in_flight_;
-    ++total_submitted_;
-    if (queue_.size() > max_queue_depth_) max_queue_depth_ = queue_.size();
   }
   work_cv_.notify_one();
-}
-
-ThreadPool::Stats ThreadPool::Snapshot() const {
-  std::unique_lock<std::mutex> lock(mu_);
-  Stats s;
-  s.queue_depth = queue_.size();
-  s.executing = in_flight_ - queue_.size();
-  s.idle_workers = static_cast<int>(workers_.size()) -
-                   static_cast<int>(s.executing);
-  if (s.idle_workers < 0) s.idle_workers = 0;
-  s.total_submitted = total_submitted_;
-  s.max_queue_depth = max_queue_depth_;
-  return s;
 }
 
 void ThreadPool::Wait() {

@@ -39,31 +39,14 @@ class ThreadPool {
 
   int num_threads() const { return static_cast<int>(workers_.size()); }
 
-  /// One consistent observation of the pool's load, taken under the pool
-  /// lock — safe to call from any thread, concurrently with Submit/Wait
-  /// and the workers (tests/service_tsan_smoke.cc races exactly that).
-  /// The job service reads these so admission logic can see engine
-  /// pressure without poking pool internals; purely observational, the
-  /// snapshot never perturbs scheduling.
-  struct Stats {
-    size_t queue_depth = 0;      ///< Closures submitted but not yet started.
-    size_t executing = 0;        ///< Closures currently running on workers.
-    int idle_workers = 0;        ///< Workers with nothing to run.
-    size_t total_submitted = 0;  ///< Closures ever submitted (cumulative).
-    size_t max_queue_depth = 0;  ///< High-water queue depth (cumulative).
-  };
-  Stats Snapshot() const;
-
  private:
   void WorkerLoop();
 
-  mutable std::mutex mu_;
+  std::mutex mu_;
   std::condition_variable work_cv_;  // Signals workers: queue or stop.
   std::condition_variable idle_cv_;  // Signals Wait(): all work finished.
   std::deque<std::function<void()>> queue_;
   size_t in_flight_ = 0;  // Queued + currently executing closures.
-  size_t total_submitted_ = 0;
-  size_t max_queue_depth_ = 0;
   bool stop_ = false;
   std::vector<std::thread> workers_;
 };

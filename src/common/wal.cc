@@ -12,6 +12,7 @@
 
 #include "common/checksum.h"
 #include "common/durable.h"
+#include "common/framing.h"
 
 namespace efind {
 namespace durable {
@@ -20,51 +21,10 @@ namespace {
 
 constexpr uint64_t kFrameHeaderBytes = 12;  // u32 len + u64 checksum.
 
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 8);
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  for (int i = 0; i < 4; ++i) {
-    v |= static_cast<uint32_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  for (int i = 0; i < 8; ++i) {
-    v |= static_cast<uint64_t>(static_cast<unsigned char>(p[i])) << (8 * i);
-  }
-  return v;
-}
-
 uint64_t FrameChecksum(std::string_view record) {
   Checksum64 c;
   c.UpdateFramed(record);
   return c.Digest();
-}
-
-bool WriteAll(int fd, const char* p, size_t n) {
-  while (n > 0) {
-    const ssize_t w = ::write(fd, p, n);
-    if (w < 0) {
-      if (errno == EINTR) continue;
-      return false;
-    }
-    p += w;
-    n -= static_cast<size_t>(w);
-  }
-  return true;
 }
 
 }  // namespace

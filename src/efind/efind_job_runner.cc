@@ -1029,16 +1029,9 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   for (const auto& t : rest_wave.tasks) result.counters.Merge(t.counters);
 
   if (!final_job.reducer && final_job.reduce_stages.empty()) {
-    // Map-only job: each task's output becomes an output split, first-wave
-    // tasks first.
-    for (auto* wave_tasks : {&first_wave.tasks, &rest_wave.tasks}) {
-      for (MapTaskResult& t : *wave_tasks) {
-        InputSplit split;
-        split.node = t.node;
-        split.records = std::move(t.output);
-        result.outputs.push_back(std::move(split));
-      }
-    }
+    // Map-only job: first-wave tasks' outputs first.
+    first_wave.MoveOutputsTo(&result.outputs);
+    rest_wave.MoveOutputsTo(&result.outputs);
     MaterializeOutputs(&result.outputs);
     result.sim_seconds += elapsed;
     result.stats = ComputeStatsWithConf(*rc, conf, 1.0);

@@ -67,10 +67,6 @@ struct MapTaskResult {
   /// Task-local counters (EFind statistics land here).
   Counters counters;
   int node = 0;
-  uint64_t input_bytes = 0;
-  uint64_t output_bytes = 0;
-  size_t input_records = 0;
-  size_t output_records = 0;
 };
 
 /// Execution record of the whole map phase.
@@ -78,6 +74,17 @@ struct MapPhaseResult {
   std::vector<MapTaskResult> tasks;
   PhaseSchedule schedule;
   double makespan() const { return schedule.makespan; }
+
+  /// Map-only jobs: appends each task's output to `outputs` as one split
+  /// hosted where the task ran, in task order.
+  void MoveOutputsTo(std::vector<InputSplit>* outputs) {
+    for (MapTaskResult& t : tasks) {
+      InputSplit split;
+      split.node = t.node;
+      split.records = std::move(t.output);
+      outputs->push_back(std::move(split));
+    }
+  }
 };
 
 /// Execution record of the reduce phase.
@@ -106,9 +113,6 @@ struct JobResult {
 
   /// Job-wide merged counters.
   Counters counters;
-  /// Per-map-task counters, the raw material for the adaptive optimizer's
-  /// variance gate (paper Eq. 5).
-  std::vector<Counters> map_task_counters;
   std::vector<double> map_task_durations;
   /// Fault-free counterparts of `map_task_durations` (what a speculative
   /// backup of each task would take); parallel to it.
@@ -122,13 +126,6 @@ struct JobResult {
 
   size_t num_map_tasks = 0;
   size_t num_reduce_tasks = 0;
-
-  /// Speculative execution totals across both phases (0 when disabled).
-  size_t speculative_launched = 0;
-  size_t speculative_wins = 0;
-  /// Backups preempted by the backup-slot budget
-  /// (`ClusterConfig::speculation_backup_budget`) across both phases.
-  size_t speculative_preempted = 0;
 
   /// Flattens the outputs into one vector, materializing batch-form splits
   /// (test convenience).

@@ -46,15 +46,15 @@ const CounterHandle kShuffleRecords("mr.shuffle.records");
 const CounterHandle kShuffleBatchBytes("mr.shuffle.batch_bytes");
 const CounterHandle kShuffleChecksumMismatch("mr.shuffle.checksum_mismatch");
 
-// Input-side charge of map record `i`: byte/record accounting plus its CPU
-// share (per-record overhead + per-byte parse), returned for accumulation.
-// A batch-form split's sizes are read off its table.
+// Input-side charge of map record `i`: its logical size is added to
+// `input_bytes`, and its CPU share (per-record overhead + per-byte parse) is
+// returned for accumulation. A batch-form split's sizes are read off its
+// table.
 double ChargeMapInput(const ClusterConfig& config, const InputSplit& split,
-                      size_t i, MapTaskResult* result) {
+                      size_t i, uint64_t* input_bytes) {
   const uint64_t bytes = split.batch ? split.batch->LogicalBytesAt(i)
                                      : split.records[i].size_bytes();
-  result->input_bytes += bytes;
-  ++result->input_records;
+  *input_bytes += bytes;
   return config.cpu_per_record_sec +
          config.cpu_per_byte_sec * static_cast<double>(bytes);
 }
@@ -74,6 +74,81 @@ void ReleaseInput(InputSplit* consumable) {
   if (consumable == nullptr) return;
   std::vector<Record>().swap(consumable->records);
   consumable->batch.reset();
+}
+
+// The shuffled map task's output sweep: partition mapping, per-bucket
+// content digest, and byte accounting in one sequential pass over the
+// staging batch (DESIGN.md §11). Logical sizes were computed once at append
+// time, so no attachment is re-walked. Fills `result`'s per-bucket batches
+// (backed by its arena) and digests, adds each record's output CPU charge to
+// `cpu`, counts the task's allocation telemetry, and returns the output
+// bytes.
+uint64_t PartitionMapOutput(const ClusterConfig& config, const JobConfig& job,
+                            int num_partitions, const RecordBatch& staging,
+                            double* cpu, MapTaskResult* result) {
+  result->partitioned_batches.reserve(num_partitions);
+  for (int p = 0; p < num_partitions; ++p) {
+    result->partitioned_batches.emplace_back(result->arena.get());
+  }
+  if (!staging.empty()) {
+    const size_t est_records = staging.size() / num_partitions + 1;
+    const size_t est_bytes = staging.buffer_bytes() / num_partitions + 64;
+    for (auto& b : result->partitioned_batches) {
+      b.Reserve(est_records, est_bytes);
+    }
+  }
+
+  const Partitioner& part = EffectivePartitioner(job);
+  // With the default hash partitioner, each key is hashed exactly once (at
+  // staging): the hash picks the bucket and stays in the batch entry for the
+  // reduce-side gather. A salting partitioner reuses that same hash for the
+  // bucket choice (salt folded in for hot keys) while the entry keeps the
+  // unsalted hash, so reduce-side grouping still groups by the true key.
+  // Other custom partitioners keep their own mapping.
+  const auto* hash_part = dynamic_cast<const HashPartitioner*>(&part);
+  const auto* salt_part = dynamic_cast<const SaltingPartitioner*>(&part);
+  SaltCycler salt_state;
+  std::vector<Checksum64> digests(num_partitions);
+  uint64_t output_bytes = 0;
+  for (size_t i = 0; i < staging.size(); ++i) {
+    const uint64_t bytes = staging.LogicalBytesAt(i);
+    output_bytes += bytes;
+    *cpu += config.cpu_per_byte_sec * static_cast<double>(bytes);
+    const int p = !job.reducer ? 0
+                  : hash_part  ? HashPartitioner::FromHash(
+                                    staging.KeyHashAt(i), num_partitions)
+                  : salt_part  ? salt_part->PartitionHash(
+                                    staging.KeyHashAt(i), &salt_state,
+                                    num_partitions)
+                               : part.Partition(staging.KeyAt(i),
+                                                num_partitions);
+    result->partitioned_batches[p].AppendFrom(staging, i);
+    ChecksumBatchRecord(&digests[p], staging, i);
+  }
+  result->partition_checksums.reserve(num_partitions);
+  for (const auto& d : digests) {
+    result->partition_checksums.push_back(d.Digest());
+  }
+
+  // Allocation telemetry: the real heap traffic this task's shuffle path
+  // performed. With the arena backing every buffer and table, that is the
+  // arena's block acquisitions plus the batches' rare side-array growths.
+  uint64_t alloc_count =
+      result->arena->heap_allocations() + staging.heap_allocations();
+  uint64_t alloc_bytes = result->arena->bytes_reserved();
+  uint64_t batch_bytes = staging.buffer_bytes();
+  for (const auto& b : result->partitioned_batches) {
+    alloc_count += b.heap_allocations();
+    alloc_bytes += b.buffer_reserved_bytes();
+    batch_bytes += b.buffer_bytes();
+  }
+  result->counters.Increment(kAllocCount, static_cast<double>(alloc_count));
+  result->counters.Increment(kAllocBytes, static_cast<double>(alloc_bytes));
+  result->counters.Increment(kShuffleRecords,
+                             static_cast<double>(staging.size()));
+  result->counters.Increment(kShuffleBatchBytes,
+                             static_cast<double>(batch_bytes));
+  return output_bytes;
 }
 
 // Big-endian value of the key's first eight bytes, zero-padded: comparing
@@ -171,7 +246,7 @@ void TracePhase(obs::ObsSession* session, const char* kind,
            {"speculative_wins", std::to_string(schedule.speculative_wins)}});
 
   // Stage buffers are keyed by the phase-global task index; buffers staged
-  // outside this phase's range (stray direct RunMapTask calls) are dropped.
+  // outside this phase's range are dropped.
   std::map<int, obs::TraceRecorder::StagedTask> staged;
   for (auto& s : tr.TakeStaged()) staged.emplace(s.task_index, std::move(s));
 
@@ -308,203 +383,60 @@ void JobRunner::RunStrands(size_t count,
   pool_->Wait();
 }
 
-MapTaskResult JobRunner::RunMapTaskDeferred(const JobConfig& job,
-                                            const InputSplit& split,
-                                            InputSplit* consumable,
-                                            int task_index,
-                                            TaskStateBag* bag) {
-  if (job.reducer || !job.reduce_stages.empty()) {
-    return RunMapTaskBatched(job, split, consumable, task_index, bag);
-  }
-  // Map-only job: the stage chain's output is already the final
-  // representation (an output split), so it lands in a plain vector — no
-  // partitioner, no shuffle batches. Charges accumulate in the same order
-  // as the shuffled path: every input charge first, then every output one.
+MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
+                                    const InputSplit& split,
+                                    InputSplit* consumable, int task_index,
+                                    TaskStateBag* bag) {
   MapTaskResult result;
   result.node = split.node;
   TaskContext ctx(split.node, task_index, &result.counters);
-  StageChain chain(&job.map_stages, &ctx, &result.output);
+
+  // The chain's sink is the only difference between the two job shapes. A
+  // map-only job's output is already the final representation (an output
+  // split), so it lands in `result.output`. A shuffled job stages it in a
+  // batch backed by the task's arena, which later also backs the
+  // per-bucket batches; the arena moves into the result, so they stay
+  // valid (and strictly read-only) until the reduce phase drops the map
+  // outputs, and are then freed in bulk (DESIGN.md §11).
+  const bool shuffled = job.reducer || !job.reduce_stages.empty();
+  if (shuffled) result.arena = std::make_unique<Arena>();
+  RecordBatch staging(result.arena.get());
+  StageChain chain =
+      shuffled ? StageChain(&job.map_stages, &ctx, &staging)
+               : StageChain(&job.map_stages, &ctx, &result.output);
   chain.Begin();
   double cpu = 0.0;
+  uint64_t input_bytes = 0;
   const size_t n = split.num_records();
   for (size_t i = 0; i < n; ++i) {
-    cpu += ChargeMapInput(config_, split, i, &result);
+    cpu += ChargeMapInput(config_, split, i, &input_bytes);
     chain.Push(TakeInput(split, consumable, i));
   }
   chain.Finish();
   ReleaseInput(consumable);
-  for (const Record& r : result.output) {
-    result.output_bytes += r.size_bytes();
-    ++result.output_records;
-    cpu += config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
-  }
-  FinishMapTask(job, task_index, cpu, &ctx, bag, &result);
-  return result;
-}
 
-void JobRunner::FinishMapTask(const JobConfig& job, int task_index,
-                              double cpu, TaskContext* ctx, TaskStateBag* bag,
-                              MapTaskResult* result) const {
+  // Output charges follow every input charge, in emission order.
+  uint64_t output_bytes = 0;
+  if (shuffled) {
+    const int num_partitions = job.reducer ? ResolveNumReduceTasks(job) : 1;
+    output_bytes = PartitionMapOutput(config_, job, num_partitions, staging,
+                                      &cpu, &result);
+  } else {
+    for (const Record& r : result.output) {
+      output_bytes += r.size_bytes();
+      cpu += config_.cpu_per_byte_sec * static_cast<double>(r.size_bytes());
+    }
+  }
+
   // Time model: startup + input read (local disk, or network when the
   // scheduler sacrificed data locality) + CPU + stage-charged time +
   // output spill to local disk.
-  double io = job.map_input_remote
-                  ? config_.TransferSeconds(result->input_bytes)
-                  : config_.DiskReadSeconds(result->input_bytes);
-  io += static_cast<double>(result->output_bytes) /
-        config_.disk_bw_bytes_per_sec;
-  result->base_duration =
-      config_.task_startup_sec + io + cpu + ctx->sim_time();
-  result->duration = ApplyFaults(result->base_duration, /*kind=*/0, task_index);
-  *bag = ctx->TakeTaskState();
-}
-
-MapTaskResult JobRunner::RunMapTaskBatched(const JobConfig& job,
-                                           const InputSplit& split,
-                                           InputSplit* consumable,
-                                           int task_index, TaskStateBag* bag) {
-  MapTaskResult result;
-  result.node = split.node;
-  const int num_partitions = job.reducer ? ResolveNumReduceTasks(job) : 1;
-
-  // One arena backs everything this task's shuffle produces — staging
-  // buffer, per-bucket payload buffers, and entry tables. It moves into the
-  // result, so the batches stay valid (and strictly read-only) until the
-  // reduce phase drops the map outputs; they are then freed in bulk
-  // (DESIGN.md §11).
-  result.arena = std::make_unique<Arena>();
-  Arena& arena = *result.arena;
-  result.partitioned_batches.reserve(num_partitions);
-  for (int p = 0; p < num_partitions; ++p) {
-    result.partitioned_batches.emplace_back(&arena);
-  }
-
-  TaskContext ctx(split.node, task_index, &result.counters);
-  const Partitioner& part = EffectivePartitioner(job);
-  // With the default hash partitioner, each key is hashed exactly once: the
-  // hash picks the bucket and is stored in the batch entry for the
-  // reduce-side gather. A salting partitioner reuses that same hash for the
-  // bucket choice (salt folded in for hot keys) while the entry keeps the
-  // unsalted hash, so reduce-side grouping still groups by the true key.
-  // Other custom partitioners keep their own mapping.
-  const auto* hash_part = dynamic_cast<const HashPartitioner*>(&part);
-  const auto* salt_part = dynamic_cast<const SaltingPartitioner*>(&part);
-  SaltCycler salt_state;
-  std::vector<Checksum64> digests(num_partitions);
-  double cpu = 0.0;
-  uint64_t staging_bytes = 0;
-  uint64_t staging_allocs = 0;
-
-  if (job.map_stages.empty() && !split.batch) {
-    // Stage-less fast path: re-partition legs are pure data movement, so
-    // input records go straight into the per-bucket batches — no stage
-    // chain, no per-record std::string copies at all. Charges accumulate
-    // as on the staged path: every input charge first, then every output
-    // charge, in the same record order. (A batch-form split takes the
-    // staged path, which materializes its records on this task.)
-    uint64_t payload = 0;
-    for (size_t i = 0; i < split.records.size(); ++i) {
-      cpu += ChargeMapInput(config_, split, i, &result);
-      payload += split.records[i].key.size() + split.records[i].value.size();
-    }
-    if (!split.records.empty()) {
-      const size_t est_records = split.records.size() / num_partitions + 1;
-      const size_t est_bytes = payload / num_partitions + 64;
-      for (auto& b : result.partitioned_batches) {
-        b.Reserve(est_records, est_bytes);
-      }
-    }
-    for (const Record& r : split.records) {
-      const uint64_t bytes = r.size_bytes();
-      result.output_bytes += bytes;
-      ++result.output_records;
-      cpu += config_.cpu_per_byte_sec * static_cast<double>(bytes);
-      const uint64_t h = Hash64(r.key);
-      const int p = !job.reducer ? 0
-                    : hash_part  ? HashPartitioner::FromHash(h, num_partitions)
-                    : salt_part  ? salt_part->PartitionHash(h, &salt_state,
-                                                            num_partitions)
-                                 : part.Partition(r.key, num_partitions);
-      RecordBatch& bucket = result.partitioned_batches[p];
-      bucket.Append(r.key, r.value, r.extra_bytes, r.attachment.get(), h);
-      ChecksumBatchRecord(&digests[p], bucket, bucket.size() - 1);
-    }
-    ReleaseInput(consumable);
-  } else {
-    RecordBatch staging(&arena);
-    StageChain chain(&job.map_stages, &ctx, &staging);
-    chain.Begin();
-
-    const size_t n = split.num_records();
-    for (size_t i = 0; i < n; ++i) {
-      cpu += ChargeMapInput(config_, split, i, &result);
-      chain.Push(TakeInput(split, consumable, i));
-    }
-    chain.Finish();
-    ReleaseInput(consumable);
-
-    // Fused sweep: partition mapping, per-bucket content digest, and byte
-    // accounting in one sequential pass over the staging buffer. Logical
-    // sizes were computed once at append time — no attachment re-walks.
-    if (!staging.empty()) {
-      const size_t est_records = staging.size() / num_partitions + 1;
-      const size_t est_bytes = staging.buffer_bytes() / num_partitions + 64;
-      for (auto& b : result.partitioned_batches) {
-        b.Reserve(est_records, est_bytes);
-      }
-    }
-    for (size_t i = 0; i < staging.size(); ++i) {
-      const uint64_t bytes = staging.LogicalBytesAt(i);
-      result.output_bytes += bytes;
-      ++result.output_records;
-      cpu += config_.cpu_per_byte_sec * static_cast<double>(bytes);
-      const int p = !job.reducer ? 0
-                    : hash_part  ? HashPartitioner::FromHash(
-                                      staging.KeyHashAt(i), num_partitions)
-                    : salt_part  ? salt_part->PartitionHash(
-                                      staging.KeyHashAt(i), &salt_state,
-                                      num_partitions)
-                                 : part.Partition(staging.KeyAt(i),
-                                                  num_partitions);
-      result.partitioned_batches[p].AppendFrom(staging, i);
-      ChecksumBatchRecord(&digests[p], staging, i);
-    }
-    staging_bytes = staging.buffer_bytes();
-    staging_allocs = staging.heap_allocations();
-  }
-  result.partition_checksums.reserve(num_partitions);
-  for (const auto& d : digests) {
-    result.partition_checksums.push_back(d.Digest());
-  }
-
-  // Allocation telemetry: the real heap traffic this task's shuffle path
-  // performed. With the arena backing every buffer and table, that is the
-  // arena's block acquisitions plus the batches' rare side-array growths.
-  uint64_t alloc_count = arena.heap_allocations() + staging_allocs;
-  uint64_t alloc_bytes = arena.bytes_reserved();
-  uint64_t batch_bytes = staging_bytes;
-  for (const auto& b : result.partitioned_batches) {
-    alloc_count += b.heap_allocations();
-    alloc_bytes += b.buffer_reserved_bytes();
-    batch_bytes += b.buffer_bytes();
-  }
-  result.counters.Increment(kAllocCount, static_cast<double>(alloc_count));
-  result.counters.Increment(kAllocBytes, static_cast<double>(alloc_bytes));
-  result.counters.Increment(kShuffleRecords,
-                            static_cast<double>(result.output_records));
-  result.counters.Increment(kShuffleBatchBytes,
-                            static_cast<double>(batch_bytes));
-
-  FinishMapTask(job, task_index, cpu, &ctx, bag, &result);
-  return result;
-}
-
-MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
-                                    const InputSplit& split, int task_index) {
-  TaskStateBag bag;
-  MapTaskResult result =
-      RunMapTaskDeferred(job, split, /*consumable=*/nullptr, task_index, &bag);
-  bag.Merge();
+  double io = job.map_input_remote ? config_.TransferSeconds(input_bytes)
+                                   : config_.DiskReadSeconds(input_bytes);
+  io += static_cast<double>(output_bytes) / config_.disk_bw_bytes_per_sec;
+  result.base_duration = config_.task_startup_sec + io + cpu + ctx.sim_time();
+  result.duration = ApplyFaults(result.base_duration, /*kind=*/0, task_index);
+  *bag = ctx.TakeTaskState();
   return result;
 }
 
@@ -533,7 +465,7 @@ MapPhaseResult JobRunner::RunMapPhase(
       count,
       [&](size_t k) { return input[begin + k]->node; },
       [&](size_t k) {
-        phase.tasks[k] = RunMapTaskDeferred(
+        phase.tasks[k] = RunMapTask(
             job, *input[begin + k],
             owned != nullptr ? &(*owned)[begin + k] : nullptr,
             static_cast<int>(begin + k), &bags[k]);
@@ -826,12 +758,8 @@ JobResult JobRunner::Run(const JobConfig& job,
   MapPhaseResult map_phase = RunMapPhase(job, input, 0, input.size(), owned);
   result.num_map_tasks = map_phase.tasks.size();
   result.map_seconds = map_phase.makespan();
-  result.speculative_launched += map_phase.schedule.speculative_launched;
-  result.speculative_wins += map_phase.schedule.speculative_wins;
-  result.speculative_preempted += map_phase.schedule.speculative_preempted;
   for (auto& t : map_phase.tasks) {
     result.counters.Merge(t.counters);
-    result.map_task_counters.push_back(t.counters);
     result.map_task_durations.push_back(t.duration);
     result.map_task_base_durations.push_back(t.base_duration);
   }
@@ -843,23 +771,12 @@ JobResult JobRunner::Run(const JobConfig& job,
     ReducePhaseResult reduce_phase = RunReducePhase(job, ptrs);
     result.num_reduce_tasks = reduce_phase.outputs.size();
     result.reduce_seconds = reduce_phase.makespan();
-    result.speculative_launched += reduce_phase.schedule.speculative_launched;
-    result.speculative_wins += reduce_phase.schedule.speculative_wins;
-    result.speculative_preempted +=
-        reduce_phase.schedule.speculative_preempted;
     for (const auto& c : reduce_phase.task_counters) result.counters.Merge(c);
     result.reduce_task_durations = reduce_phase.durations;
     result.reduce_task_base_durations = reduce_phase.base_durations;
     result.outputs = std::move(reduce_phase.outputs);
   } else {
-    // Map-only job: each map task's single bucket becomes an output split
-    // hosted where the task ran.
-    for (auto& t : map_phase.tasks) {
-      InputSplit split;
-      split.node = t.node;
-      split.records = std::move(t.output);
-      result.outputs.push_back(std::move(split));
-    }
+    map_phase.MoveOutputsTo(&result.outputs);
   }
 
   result.sim_seconds = result.map_seconds + result.reduce_seconds;

@@ -72,11 +72,6 @@ class JobRunner {
   JobResult Run(const JobConfig& job,
                 const std::vector<const InputSplit*>& input);
 
-  /// Executes one map task over `split` as task `task_index`. The task is
-  /// placed on `split.node` unless the job requests remote input.
-  MapTaskResult RunMapTask(const JobConfig& job, const InputSplit& split,
-                           int task_index);
-
   /// Executes map tasks for splits [begin, end) and schedules them.
   MapPhaseResult RunMapPhase(const JobConfig& job,
                              const std::vector<InputSplit>& input,
@@ -107,14 +102,6 @@ class JobRunner {
   /// Number of reduce tasks the job will use (resolves the <=0 default).
   int ResolveNumReduceTasks(const JobConfig& job) const;
 
-  /// Load snapshot of the worker pool (zeroes before the pool's lazy first
-  /// use). Wall-clock telemetry for operators and the job service's
-  /// admission surface — NOT part of the deterministic result contract:
-  /// queue depths depend on host timing and thread count.
-  ThreadPool::Stats PoolStats() const {
-    return pool_ != nullptr ? pool_->Snapshot() : ThreadPool::Stats{};
-  }
-
   /// Applies the cluster's fault model to a task's base duration:
   /// deterministic per-(kind, index) failures re-execute the task (2x) and
   /// stragglers run `straggler_slowdown` times slower.
@@ -136,32 +123,19 @@ class JobRunner {
                              size_t begin, size_t end,
                              std::vector<InputSplit>* owned);
 
-  /// RunMapTask with the task's deferred state handed back to the caller
-  /// instead of merged immediately (the engine merges bags in task order).
-  /// Map-only jobs collect their output in `MapTaskResult::output`; jobs
-  /// with a reduce phase go through `RunMapTaskBatched`. `consumable` is
-  /// null for a borrowed split, or `&split` when the task may move the
-  /// split's records out (and then frees their storage).
-  MapTaskResult RunMapTaskDeferred(const JobConfig& job,
-                                   const InputSplit& split,
-                                   InputSplit* consumable, int task_index,
-                                   TaskStateBag* bag);
-
-  /// The shuffled map task: stage output lands in an arena-backed
-  /// contiguous batch, then one fused sweep partitions it into per-bucket
-  /// batches while computing content digests and byte accounting
-  /// (DESIGN.md §11).
-  MapTaskResult RunMapTaskBatched(const JobConfig& job,
-                                  const InputSplit& split,
-                                  InputSplit* consumable, int task_index,
-                                  TaskStateBag* bag);
-
-  /// Shared tail of both map-task paths: the task's time model (startup +
-  /// input read + `cpu` + stage-charged time + output spill), the fault
-  /// model, and the hand-off of `ctx`'s deferred state into `bag`.
-  void FinishMapTask(const JobConfig& job, int task_index, double cpu,
-                     TaskContext* ctx, TaskStateBag* bag,
-                     MapTaskResult* result) const;
+  /// Executes one map task over `split` as task `task_index`, placed on
+  /// `split.node` (the job may ask for remote input): the input loop feeds
+  /// the map stage chain, one sweep accounts for (and, in a shuffled job,
+  /// partitions) its output, and the time and fault models give the
+  /// task's durations. Map-only jobs collect the output in
+  /// `MapTaskResult::output`, shuffled jobs in per-bucket batches. The
+  /// task's deferred state is handed back in `bag` instead of merged (the
+  /// engine merges bags in task order). `consumable` is null for a
+  /// borrowed split, or `&split` when the task may move the split's
+  /// records out (and then frees their storage).
+  MapTaskResult RunMapTask(const JobConfig& job, const InputSplit& split,
+                           InputSplit* consumable, int task_index,
+                           TaskStateBag* bag);
 
   /// Executes `body(i)` for every i in [0, count). Tasks sharing a strand
   /// key run serially in ascending i on one thread; distinct strands run

@@ -3,28 +3,12 @@
 #include <bit>
 #include <cstring>
 
+#include "common/framing.h"
+
 namespace efind {
 namespace store {
 
 namespace {
-
-// Little-endian fixed-width integer framing shared with the store sidecars.
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 8);
-}
-
-bool GetU64(const char** data, const char* end, uint64_t* v) {
-  if (end - *data < 8) return false;
-  uint64_t r = 0;
-  for (int i = 0; i < 8; ++i) {
-    r |= static_cast<uint64_t>(static_cast<unsigned char>((*data)[i])) << (8 * i);
-  }
-  *data += 8;
-  *v = r;
-  return true;
-}
 
 // Reads `width` bits starting at bit `pos` of the packed word array.
 uint64_t ReadBits(const std::vector<uint64_t>& words, size_t pos,

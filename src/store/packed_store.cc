@@ -9,7 +9,6 @@
 #include <unistd.h>
 
 #include <algorithm>
-#include <bit>
 #include <cerrno>
 #include <cinttypes>
 #include <cstdio>
@@ -20,67 +19,13 @@
 
 #include "common/checksum.h"
 #include "common/durable.h"
+#include "common/framing.h"
 #include "common/hash.h"
 
 namespace efind {
 namespace store {
 
 namespace {
-
-// --- little-endian framing shared by page payloads and sidecars
-
-void PutU32(std::string* out, uint32_t v) {
-  char buf[4];
-  for (int i = 0; i < 4; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 4);
-}
-
-void PutU64(std::string* out, uint64_t v) {
-  char buf[8];
-  for (int i = 0; i < 8; ++i) buf[i] = static_cast<char>((v >> (8 * i)) & 0xff);
-  out->append(buf, 8);
-}
-
-uint16_t LoadU16(const char* p) {
-  uint16_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap16(v);
-  }
-  return v;
-}
-
-uint32_t LoadU32(const char* p) {
-  uint32_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap32(v);
-  }
-  return v;
-}
-
-uint64_t LoadU64(const char* p) {
-  uint64_t v = 0;
-  std::memcpy(&v, p, sizeof(v));
-  if constexpr (std::endian::native == std::endian::big) {
-    v = __builtin_bswap64(v);
-  }
-  return v;
-}
-
-bool GetU32(const char** p, const char* end, uint32_t* v) {
-  if (end - *p < 4) return false;
-  *v = LoadU32(*p);
-  *p += 4;
-  return true;
-}
-
-bool GetU64(const char** p, const char* end, uint64_t* v) {
-  if (end - *p < 8) return false;
-  *v = LoadU64(*p);
-  *p += 8;
-  return true;
-}
 
 // Object header: [u64 key hash][u32 key len][u32 payload len].
 constexpr uint64_t kObjectHeaderBytes = 16;

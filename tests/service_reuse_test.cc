@@ -19,6 +19,7 @@
 
 #include "efind/efind_job_runner.h"
 #include "mapreduce/job_runner.h"
+#include "obs/obs.h"
 #include "reuse/materialized_store.h"
 #include "service/job_service.h"
 #include "tests/test_util.h"
@@ -237,11 +238,21 @@ TEST(ServiceReuseTest, BackupBudgetNeverChangesJobOutputs) {
   for (int budget : {-1, 0, 2}) {
     ClusterConfig c = config;
     c.speculation_backup_budget = budget;
+    // The speculation totals of both phases, read off the session's
+    // `mr.{map,reduce}.speculative_*` counters.
+    obs::ObsSession session;
     JobRunner runner(c);
+    runner.set_obs(&session);
     JobResult r = runner.Run(job, input);
+    obs::MetricsRegistry& mx = session.metrics();
+    auto total = [&mx](const std::string& what) {
+      return static_cast<size_t>(
+          mx.CounterValue(mx.Counter("mr.map." + what)) +
+          mx.CounterValue(mx.Counter("mr.reduce." + what)));
+    };
     runs.push_back({Sorted(r.CollectRecords()), r.counters.values(),
-                    r.sim_seconds, r.speculative_launched,
-                    r.speculative_preempted});
+                    r.sim_seconds, total("speculative_launched"),
+                    total("speculative_preempted")});
   }
   // The unbudgeted run speculates freely; budget 0 cancels every backup
   // (the makespan can only be >= the unbudgeted run's).

@@ -7,7 +7,6 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
-#include <thread>
 #include <vector>
 
 namespace efind {
@@ -78,70 +77,6 @@ TEST(ThreadPoolTest, DestructorJoinsWithoutWait) {
     // No Wait(): the destructor must drain and join cleanly.
   }
   EXPECT_EQ(count.load(), 20);
-}
-
-TEST(ThreadPoolStatsTest, RestingPoolIsFullyIdle) {
-  ThreadPool pool(3);
-  pool.Wait();  // Let the workers reach their idle park.
-  const ThreadPool::Stats s = pool.Snapshot();
-  EXPECT_EQ(s.queue_depth, 0u);
-  EXPECT_EQ(s.executing, 0u);
-  EXPECT_EQ(s.total_submitted, 0u);
-  EXPECT_EQ(s.max_queue_depth, 0u);
-  EXPECT_LE(s.idle_workers, 3);
-}
-
-TEST(ThreadPoolStatsTest, CountsAreCumulativeAndConsistent) {
-  ThreadPool pool(2);
-  for (int round = 1; round <= 3; ++round) {
-    for (int i = 0; i < 10; ++i) {
-      pool.Submit([] {});
-    }
-    pool.Wait();
-    const ThreadPool::Stats s = pool.Snapshot();
-    EXPECT_EQ(s.total_submitted, static_cast<size_t>(10 * round));
-    EXPECT_EQ(s.queue_depth, 0u);  // Wait() drained everything.
-    EXPECT_EQ(s.executing, 0u);
-  }
-}
-
-TEST(ThreadPoolStatsTest, HighWaterMarkSeesBurstDepth) {
-  // One worker pinned on a gate while 50 closures pile up: the high-water
-  // mark must record a depth the post-drain queue no longer shows.
-  ThreadPool pool(1);
-  std::atomic<bool> release{false};
-  pool.Submit([&release] {
-    while (!release.load()) std::this_thread::yield();
-  });
-  for (int i = 0; i < 50; ++i) {
-    pool.Submit([] {});
-  }
-  const ThreadPool::Stats burst = pool.Snapshot();
-  EXPECT_GE(burst.queue_depth, 1u);
-  release.store(true);
-  pool.Wait();
-  const ThreadPool::Stats after = pool.Snapshot();
-  EXPECT_EQ(after.queue_depth, 0u);
-  EXPECT_EQ(after.total_submitted, 51u);
-  EXPECT_GE(after.max_queue_depth, burst.queue_depth);
-  EXPECT_GE(after.max_queue_depth, 1u);
-}
-
-TEST(ThreadPoolStatsTest, InvariantsHoldUnderLoad) {
-  // Sampled mid-flight from the submitting thread: every snapshot must be
-  // internally consistent even while workers race the sampler.
-  ThreadPool pool(4);
-  for (int i = 0; i < 200; ++i) {
-    pool.Submit([] {});
-    const ThreadPool::Stats s = pool.Snapshot();
-    EXPECT_LE(s.executing, 4u);
-    EXPECT_GE(s.idle_workers, 0);
-    EXPECT_LE(s.idle_workers, 4);
-    EXPECT_LE(s.queue_depth, s.total_submitted);
-    EXPECT_LE(s.queue_depth, s.max_queue_depth);
-  }
-  pool.Wait();
-  EXPECT_EQ(pool.Snapshot().total_submitted, 200u);
 }
 
 TEST(ResolveThreadCountTest, ExplicitRequestWins) {
