@@ -35,7 +35,6 @@
 #include <utility>
 #include <vector>
 
-#include "common/durable.h"
 #include "common/thread_pool.h"
 #include "efind/efind_job_runner.h"
 #include "obs/export.h"
@@ -52,7 +51,6 @@ struct BenchOptions {
   ClusterConfig config;
   size_t cache_capacity = 1024;
   uint64_t reuse_capacity = 64ull << 20;
-  std::string reuse_dir;
   bool no_reuse = false;
   double skew = 0.0;
   int salt_fanout = 8;
@@ -60,8 +58,6 @@ struct BenchOptions {
   size_t store_page_bytes = 4096;
   double store_fill = 1.0;
   std::string journal_dir;
-  std::string crash_point;  // Empty = crash injection disarmed.
-  std::string crash_mode = "kill";
   std::string trace_out;  // Observability output paths; empty = off.
   std::string report_out;
   std::string report_text_out;
@@ -185,10 +181,6 @@ constexpr Knob Field(const char* flag, const char* key,
           EchoField<F>, lo, hi};
 }
 
-/// `--crash-mode` names, in `durable::CrashMode` order.
-inline constexpr std::string_view kCrashModes[] = {"kill", "torn_truncate",
-                                                   "torn_bitflip"};
-
 using BO = BenchOptions;
 using CC = ClusterConfig;
 
@@ -211,27 +203,12 @@ inline constexpr Knob kKnobs[] = {
      [](const BO& o) -> std::string { return o.no_reuse ? "off" : "on"; }},
     Field<&BO::reuse_capacity>("--reuse-capacity", "reuse_capacity",
                                "artifact-store capacity in bytes (>= 1)", 1),
-    Field<&BO::reuse_dir>("--reuse-dir", "reuse_dir",
-                          "write the store manifest to PATH/manifest.json"),
     Field<&BO::store_page_bytes>("--store-page-bytes", "store_page_bytes",
                                  "page size in [64, 65536]", 64, 65536),
     Field<&BO::store_fill>("--store-fill", "store_fill",
                            "fill degree in (0, 1]", kAboveZero, 1),
     Field<&BO::journal_dir>("--journal-dir", "journal_dir",
                             "directory for journals and durable state"),
-    {"--crash-point", "crash_point", "<site>:<n>, crash on the Nth hit", false,
-     [](const Knob& k, BO& o, std::string_view v) {
-       durable::CrashConfig probe;
-       return (v.empty() || durable::ParseCrashSpec(v, &probe)) &&
-              SetField<&BO::crash_point>(k, o, v);
-     },
-     EchoField<&BO::crash_point>},
-    {"--crash-mode", "crash_mode", "kill | torn_truncate | torn_bitflip", false,
-     [](const Knob& k, BO& o, std::string_view v) {
-       return std::ranges::count(kCrashModes, v) == 1 &&
-              SetField<&BO::crash_mode>(k, o, v);
-     },
-     EchoField<&BO::crash_mode>},
     Field<&CC::store_batch_depth>("--store-batch-depth", "store_batch_depth",
                                   "outstanding store lookups per flush"),
     Field<&CC::page_read_sec>(nullptr, "page_read_sec"),
@@ -300,7 +277,7 @@ inline constexpr Knob kKnobs[] = {
 };
 
 /// Parses and strips every `kKnobs` flag, leaving unknown arguments in order
-/// for benchmark's parser; validates the config and arms crash injection.
+/// for benchmark's parser; validates the config.
 inline BenchOptions ParseBenchOptions(int* argc, char** argv) {
   BenchOptions opts;
   int out = 1;
@@ -327,13 +304,6 @@ inline BenchOptions ParseBenchOptions(int* argc, char** argv) {
   if (!ValidateClusterConfig(opts.config, &why)) {
     std::fprintf(stderr, "invalid cluster configuration: %s\n", why);
     std::exit(2);
-  }
-  if (!opts.crash_point.empty()) {
-    durable::CrashConfig crash;
-    durable::ParseCrashSpec(opts.crash_point, &crash);
-    crash.mode = static_cast<durable::CrashMode>(
-        std::ranges::find(kCrashModes, opts.crash_mode) - kCrashModes);
-    durable::SetCrashConfig(crash);
   }
   if (!(opts.trace_out + opts.report_out + opts.report_text_out).empty()) {
     opts.session = std::make_unique<obs::ObsSession>();
@@ -562,24 +532,12 @@ inline bool WriteObsOutputs(const FigureHarness& harness,
 }
 
 /// Standard main body: print the table and JSON report (with config echo),
-/// write any requested observability outputs and the artifact-store
-/// manifest (--reuse-dir, when the bench used the store), then hand over
-/// to benchmark.
+/// write any requested observability outputs, then hand over to benchmark.
 inline int FinishBench(FigureHarness& harness, const BenchOptions& opts,
                        int argc, char** argv) {
   harness.PrintTable();
   harness.PrintJsonReport(&opts);
-  bool obs_ok = WriteObsOutputs(harness, opts);
-  if (!opts.reuse_dir.empty() && opts.reuse_store != nullptr) {
-    const std::string path = opts.reuse_dir + "/manifest.json";
-    std::string error;
-    if (opts.reuse_store->DumpManifest(path, &error)) {
-      std::fprintf(stderr, "wrote %s\n", path.c_str());
-    } else {
-      std::fprintf(stderr, "error: %s\n", error.c_str());
-      obs_ok = false;
-    }
-  }
+  const bool obs_ok = WriteObsOutputs(harness, opts);
   harness.RegisterBenchmarks();
   ::benchmark::Initialize(&argc, argv);
   ::benchmark::RunSpecifiedBenchmarks();

@@ -62,7 +62,8 @@
 #      cross-tenant reuse hits).
 #  13. the crash-safety leg (DESIGN.md §15): the crash suite alone
 #      (ctest -L crash — the durable-layer units and the fork-the-child
-#      crash-injection matrix over every registered commit site × kill /
+#      crash-injection matrix, armed in-process by SetCrashConfig, over
+#      the store.*, reuse.wal and service.wal commit sites × kill /
 #      torn-write mode) and the bench_recovery acceptance bench (exits
 #      nonzero unless a crashed service stream replays with zero lost
 #      admitted jobs, every planted torn file is detected, and the summed

@@ -180,12 +180,6 @@ struct ClusterConfig {
   /// Slowdown multiple relative to the wave median that triggers a backup
   /// task. Must be > 1.
   double speculation_threshold = 1.5;
-  /// Backup copies allowed to run concurrently per wave; the excess is
-  /// preempted before doing any work (a fair-share scheduler reclaiming
-  /// speculative slots first, DESIGN.md §14). Negative = unlimited (the
-  /// classic model), 0 = every backup preempted. Preemption cancels only
-  /// the backup attempt, so outputs are byte-identical at any budget.
-  int speculation_backup_budget = -1;
 
   int total_map_slots() const { return num_nodes * map_slots_per_node; }
   int total_reduce_slots() const { return num_nodes * reduce_slots_per_node; }

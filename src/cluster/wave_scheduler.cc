@@ -43,14 +43,6 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
 PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
                             const std::vector<double>& base_durations,
                             int num_slots, double threshold) {
-  return ScheduleWaves(durations, base_durations, num_slots, threshold,
-                       /*backup_slot_budget=*/-1);
-}
-
-PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
-                            const std::vector<double>& base_durations,
-                            int num_slots, double threshold,
-                            int backup_slot_budget) {
   if (threshold <= 1.0 || durations.empty() ||
       base_durations.size() != durations.size()) {
     return ScheduleWaves(durations, num_slots);
@@ -63,12 +55,10 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
   const size_t slots = static_cast<size_t>(num_slots);
   size_t speculative_launched = 0;
   size_t speculative_wins = 0;
-  size_t speculative_preempted = 0;
   std::vector<double> effective(durations);
   struct BackupInfo {
     bool launched = false;
     bool won = false;
-    bool preempted = false;
     double rel_start = 0.0;
     double rel_finish = 0.0;
   };
@@ -83,19 +73,8 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
     const double median = wave_sorted[wave_sorted.size() / 2];
     if (median <= 0.0) continue;
     const double trigger = threshold * median;
-    // A wave's backups all trigger at the same offset, so they would run
-    // concurrently; the budget caps that concurrency. Candidates are taken
-    // in task-index order and the excess is preempted before doing any
-    // work — only the backup attempt is cancelled, never the primary.
-    int wave_backup_slots = backup_slot_budget;
     for (size_t i = wave_begin; i < wave_end; ++i) {
       if (durations[i] <= trigger) continue;
-      if (wave_backup_slots == 0) {
-        ++speculative_preempted;
-        backups[i].preempted = true;
-        continue;
-      }
-      if (wave_backup_slots > 0) --wave_backup_slots;
       // The backup launches when the primary exceeds the trigger and runs
       // at the task's un-faulted speed (a fresh attempt on a healthy slot).
       ++speculative_launched;
@@ -114,11 +93,9 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
   PhaseSchedule out = ScheduleWaves(effective, num_slots);
   out.speculative_launched = speculative_launched;
   out.speculative_wins = speculative_wins;
-  out.speculative_preempted = speculative_preempted;
   for (size_t i = 0; i < out.tasks.size(); ++i) {
     out.tasks[i].backup_launched = backups[i].launched;
     out.tasks[i].backup_won = backups[i].won;
-    out.tasks[i].backup_preempted = backups[i].preempted;
     out.tasks[i].backup_rel_start = backups[i].rel_start;
     out.tasks[i].backup_rel_finish = backups[i].rel_finish;
     out.tasks[i].primary_duration = durations[i];

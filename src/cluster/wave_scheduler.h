@@ -14,15 +14,11 @@ struct TaskSchedule {
   double start = 0.0;
   double finish = 0.0;
   int slot = 0;
-  /// Speculative backup attempt of this task (three-argument ScheduleWaves
+  /// Speculative backup attempt of this task (speculative ScheduleWaves
   /// overload only). Times are relative to the primary's start; when the
   /// backup wins, `finish - start` already reflects the backup's finish.
   bool backup_launched = false;
   bool backup_won = false;
-  /// The task was a speculation candidate whose backup was preempted (its
-  /// wave exceeded the backup-slot budget) before doing any work; the
-  /// primary's duration stands untouched.
-  bool backup_preempted = false;
   /// Backup launch offset (the speculation trigger) and the offset at which
   /// the backup would finish, both relative to the primary's start.
   double backup_rel_start = 0.0;
@@ -43,16 +39,10 @@ struct PhaseSchedule {
   double first_wave_finish = 0.0;
   /// Number of tasks in the first wave.
   size_t first_wave_size = 0;
-  /// Speculative execution (the three-argument overload): how many backup
+  /// Speculative execution (the speculative overload): how many backup
   /// tasks launched, and how many finished before their primary.
   size_t speculative_launched = 0;
   size_t speculative_wins = 0;
-  /// Backup candidates preempted by the backup-slot budget (the
-  /// budget-aware overload): a higher-priority claim on the slots — in the
-  /// multi-tenant service, another tenant's primary tasks — reclaimed them
-  /// before they ran. Preemption never touches the primary attempt, so
-  /// outputs are unchanged by construction.
-  size_t speculative_preempted = 0;
 };
 
 /// Schedules tasks with the given durations onto `num_slots` identical slots
@@ -75,20 +65,6 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
 PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
                             const std::vector<double>& base_durations,
                             int num_slots, double threshold);
-
-/// As above with preemptible backups: at most `backup_slot_budget` backup
-/// copies may run concurrently (per wave, since a wave's backups all
-/// trigger together); candidates beyond the budget, taken in task-index
-/// order, are preempted before doing any work and counted in
-/// `speculative_preempted`. This models a fair-share scheduler reclaiming
-/// speculative slots first: preemption only cancels the backup attempt, so
-/// the primary's duration — and every byte of output — is unchanged.
-/// A negative budget means unlimited (identical to the overload above);
-/// 0 preempts every backup.
-PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
-                            const std::vector<double>& base_durations,
-                            int num_slots, double threshold,
-                            int backup_slot_budget);
 
 }  // namespace efind
 

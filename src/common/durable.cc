@@ -9,7 +9,6 @@
 
 #include <algorithm>
 #include <cerrno>
-#include <cstdlib>
 #include <cstring>
 #include <map>
 
@@ -22,10 +21,9 @@ namespace durable {
 namespace {
 
 // The durable layer is orchestration-thread-only, like every persistence
-// surface it serves (packed-store builds, manifest dumps, journals); plain
-// statics keep the hit counting deterministic.
+// surface it serves (packed-store builds, journals); plain statics keep
+// the hit counting deterministic.
 CrashConfig g_crash;
-bool g_crash_env_loaded = false;
 std::map<std::string, int> g_hits;
 DurableStats g_stats;
 
@@ -64,65 +62,22 @@ bool FsyncParentDir(const std::string& path) {
 
 }  // namespace
 
-bool ParseCrashSpec(std::string_view spec, CrashConfig* out) {
-  const size_t colon = spec.rfind(':');
-  if (colon == std::string::npos || colon == 0 || colon + 1 >= spec.size()) {
-    return false;
-  }
-  int hit = 0;
-  for (size_t i = colon + 1; i < spec.size(); ++i) {
-    const char c = spec[i];
-    if (c < '0' || c > '9') return false;
-    hit = hit * 10 + (c - '0');
-  }
-  if (hit < 1) return false;
-  out->site.assign(spec.substr(0, colon));
-  out->hit = hit;
-  return true;
-}
-
 void SetCrashConfig(const CrashConfig& config) {
   g_crash = config;
-  g_crash_env_loaded = true;  // Explicit arming outranks the env.
   g_hits.clear();
-}
-
-void LoadCrashConfigFromEnv() {
-  g_crash = CrashConfig();
-  g_hits.clear();
-  g_crash_env_loaded = true;
-  const char* spec = std::getenv("EFIND_CRASH_POINT");
-  if (spec == nullptr || spec[0] == '\0') return;
-  CrashConfig parsed;
-  if (!ParseCrashSpec(spec, &parsed)) return;
-  const char* mode = std::getenv("EFIND_CRASH_MODE");
-  if (mode != nullptr) {
-    if (std::strcmp(mode, "torn_truncate") == 0) {
-      parsed.mode = CrashMode::kTornTruncate;
-    } else if (std::strcmp(mode, "torn_bitflip") == 0) {
-      parsed.mode = CrashMode::kTornBitflip;
-    }
-  }
-  g_crash = parsed;
-}
-
-const CrashConfig& GetCrashConfig() {
-  if (!g_crash_env_loaded) LoadCrashConfigFromEnv();
-  return g_crash;
 }
 
 bool CrashPoint(const char* site) {
-  const CrashConfig& config = GetCrashConfig();
-  if (config.site.empty() || config.site != site) return false;
-  if (++g_hits[config.site] != config.hit) return false;
-  if (config.mode == CrashMode::kKill) CrashNow();
+  if (g_crash.site.empty() || g_crash.site != site) return false;
+  if (++g_hits[g_crash.site] != g_crash.hit) return false;
+  if (g_crash.mode == CrashMode::kKill) CrashNow();
   return true;  // Torn mode: the committing caller tears, renames, dies.
 }
 
 void CrashNow() { ::_exit(kCrashExitCode); }
 
 void TearBytes(std::string* data) {
-  if (GetCrashConfig().mode == CrashMode::kTornBitflip) {
+  if (g_crash.mode == CrashMode::kTornBitflip) {
     if (!data->empty()) (*data)[data->size() - 1] ^= 0x5a;
     if (data->size() >= kFooterBytes) {
       (*data)[data->size() - kFooterBytes / 2] ^= 0x81;

@@ -14,14 +14,13 @@
 //    file" from "sealed but torn" (kDataLoss). The generation lets a
 //    loader prove which build/publish wave a file belongs to.
 //  - Deterministic crash injection: `CrashPoint(site)` counts hits per
-//    named site; when armed (EFIND_CRASH_POINT=<site>:<n>, or
-//    `SetCrashConfig` in-process) the Nth hit kills the process with
-//    `_exit(kCrashExitCode)`. The torn-write modes instead corrupt the
-//    tail of the file being committed at the armed site — truncating it or
-//    flipping bits — *complete* the rename, and then die, simulating a
-//    lying disk across an unclean shutdown. The crash-matrix test
-//    (`ctest -L crash`) forks a child per (site, hit, mode) cell and
-//    asserts recovery from every one of them.
+//    named site; when armed by `SetCrashConfig` (the only arming path) the
+//    Nth hit kills the process with `_exit(kCrashExitCode)`. The torn-write
+//    modes instead corrupt the tail of the file being committed at the
+//    armed site — truncating it or flipping bits — *complete* the rename,
+//    and then die, simulating a lying disk across an unclean shutdown.
+//    The crash-matrix test (`ctest -L crash`) forks a child per (site,
+//    hit, mode) cell and asserts recovery from every one of them.
 //
 // This header lives in efind_common and must stay free of cluster / obs
 // dependencies; callers surface `efind.durable.*` counters from
@@ -59,21 +58,9 @@ struct CrashConfig {
 /// "crashed as planted" from "crashed for real".
 inline constexpr int kCrashExitCode = 86;
 
-/// Parses "<site>:<n>" into `out` (mode untouched). Returns false on a
-/// malformed spec.
-bool ParseCrashSpec(std::string_view spec, CrashConfig* out);
-
 /// Arms (or, with an empty site, disarms) crash injection for this process
 /// and resets all site hit counters.
 void SetCrashConfig(const CrashConfig& config);
-
-/// Arms from EFIND_CRASH_POINT ("<site>:<n>") and EFIND_CRASH_MODE
-/// ("kill" | "torn_truncate" | "torn_bitflip"; default kill). Called once
-/// lazily by the first `CrashPoint`; call explicitly after setenv to
-/// re-read.
-void LoadCrashConfigFromEnv();
-
-const CrashConfig& GetCrashConfig();
 
 /// Registers one hit of `site`. In kKill mode the armed hit calls
 /// `_exit(kCrashExitCode)` and never returns. In the torn modes this

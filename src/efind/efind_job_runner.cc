@@ -283,11 +283,10 @@ class PipelineExecutor {
   /// the follow-up job's remote map input read.
   void AdoptArtifact(std::vector<InputSplit> splits, uint64_t fp,
                      const std::string& op_name,
-                     const reuse::MaterializedStore::ResolveOutcome& outcome,
-                     bool cross_tenant = false, const std::string& owner = {}) {
+                     const reuse::MaterializedStore::ResolveOutcome& outcome) {
     const double refetch_sec = config_.TransferSeconds(outcome.refetch_bytes);
     result_->counters.Increment("efind.reuse.hits");
-    if (cross_tenant) {
+    if (outcome.cross_tenant) {
       result_->counters.Increment("efind.reuse.cross_tenant_hits");
     }
     if (outcome.corrupt_chunks > 0) {
@@ -302,7 +301,7 @@ class PipelineExecutor {
       obs::TraceRecorder& tr = obs_->trace();
       std::vector<obs::TraceArg> hit_args = {{"fingerprint", FpHex(fp)},
                                              {"operator", op_name}};
-      if (cross_tenant) hit_args.push_back({"owner", owner});
+      if (outcome.cross_tenant) hit_args.push_back({"owner", outcome.owner});
       tr.Instant("reuse_hit", "reuse", tr.clock(), obs::kClusterTrack,
                  hit_args);
       if (outcome.corrupt_chunks > 0) {
@@ -318,7 +317,7 @@ class PipelineExecutor {
       }
       tr.AdvanceClock(config_.reuse_resolve_sec + refetch_sec);
       obs_->metrics().Add(obs_->metrics().Counter("efind.reuse.hits"), 1.0);
-      if (cross_tenant) {
+      if (outcome.cross_tenant) {
         obs_->metrics().Add(
             obs_->metrics().Counter("efind.reuse.cross_tenant_hits"), 1.0);
       }
@@ -527,25 +526,17 @@ class PipelineExecutor {
                 ? failover_->availability()
                 : nullptr;
         reuse::MaterializedStore::ResolveOutcome outcome;
-        // Owner read before Resolve (a hit bumps the entry's reuse_count,
-        // never its owner, but the intent is: who published what we adopt).
-        const std::string owner = store_->OwnerOf(artifact_fp);
         const std::vector<InputSplit>* artifact = store_->Resolve(
             artifact_fp, avail,
             failover_ != nullptr ? failover_->faults() : nullptr, &outcome,
             tenant_);
         if (artifact != nullptr) {
-          // Cross-tenant reuse (DESIGN.md §14): fingerprints are tenant-
-          // agnostic, so a hit on another tenant's artifact is an ordinary
-          // hit — only the accounting notes the donor.
-          const bool cross_tenant =
-              !owner.empty() && !tenant_.empty() && owner != tenant_;
           // Hit: the artifact *is* the grouped output of everything the
           // pipeline has accumulated so far plus this shuffle (equal by
           // fingerprint construction), so the accumulated stages are
           // dropped and the stored splits adopted in their place.
           AdoptArtifact(reuse::CopySplits(*artifact), artifact_fp,
-                        op->name(), outcome, cross_tenant, owner);
+                        op->name(), outcome);
           if (idxloc) {
             ResplitForLocality(scheme);
           }

@@ -33,6 +33,12 @@ std::vector<const InputSplit*> ViewOf(const std::vector<InputSplit>& splits) {
   return view;
 }
 
+/// The speculation threshold `ScheduleWaves` takes; 0 (no backups) when
+/// speculation is off.
+double SpeculationThreshold(const ClusterConfig& config) {
+  return config.speculative_execution ? config.speculation_threshold : 0.0;
+}
+
 uint64_t BytesOf(const std::vector<Record>& records) {
   uint64_t n = 0;
   for (const auto& r : records) n += r.size_bytes();
@@ -305,8 +311,6 @@ void TracePhase(obs::ObsSession* session, const char* kind,
          static_cast<double>(schedule.speculative_launched));
   mx.Add(mx.Counter(prefix + ".speculative_wins"),
          static_cast<double>(schedule.speculative_wins));
-  mx.Add(mx.Counter(prefix + ".speculative_preempted"),
-         static_cast<double>(schedule.speculative_preempted));
   if (schedule.makespan > 0.0 && num_slots > 0) {
     mx.Set(mx.Gauge(prefix + ".wave_occupancy"),
            busy / (schedule.makespan * static_cast<double>(num_slots)));
@@ -474,29 +478,19 @@ MapPhaseResult JobRunner::RunMapPhase(
   // task-index order, exactly as serial execution would have.
   for (auto& bag : bags) bag.Merge();
 
-  std::vector<double> durations;
+  std::vector<double> durations, base;
   durations.reserve(count);
-  for (const auto& t : phase.tasks) durations.push_back(t.duration);
-  if (config_.speculative_execution) {
-    std::vector<double> base;
-    base.reserve(count);
-    for (const auto& t : phase.tasks) base.push_back(t.base_duration);
-    phase.schedule = ScheduleWaves(durations, base,
-                                   config_.total_map_slots(),
-                                   config_.speculation_threshold,
-                                   config_.speculation_backup_budget);
-  } else {
-    phase.schedule = ScheduleWaves(durations, config_.total_map_slots());
+  base.reserve(count);
+  for (const auto& t : phase.tasks) {
+    durations.push_back(t.duration);
+    base.push_back(t.base_duration);
   }
+  phase.schedule = ScheduleWaves(durations, base, config_.total_map_slots(),
+                                 SpeculationThreshold(config_));
   if (obs_ != nullptr) {
     std::vector<int> nodes;
-    std::vector<double> base;
     nodes.reserve(count);
-    base.reserve(count);
-    for (const auto& t : phase.tasks) {
-      nodes.push_back(t.node);
-      base.push_back(t.base_duration);
-    }
+    for (const auto& t : phase.tasks) nodes.push_back(t.node);
     TracePhase(obs_, "map", phase.schedule, nodes, durations, base,
                config_.total_map_slots(), static_cast<int>(begin));
   }
@@ -716,16 +710,9 @@ ReducePhaseResult JobRunner::RunReduceRange(
       run_reduce_task);
   for (auto& bag : bags) bag.Merge();
 
-  if (config_.speculative_execution) {
-    phase.schedule =
-        ScheduleWaves(phase.durations, phase.base_durations,
-                      config_.total_reduce_slots(),
-                      config_.speculation_threshold,
-                      config_.speculation_backup_budget);
-  } else {
-    phase.schedule =
-        ScheduleWaves(phase.durations, config_.total_reduce_slots());
-  }
+  phase.schedule = ScheduleWaves(phase.durations, phase.base_durations,
+                                 config_.total_reduce_slots(),
+                                 SpeculationThreshold(config_));
   if (obs_ != nullptr) {
     std::vector<int> nodes;
     nodes.reserve(count);

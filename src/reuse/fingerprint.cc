@@ -91,10 +91,6 @@ uint64_t ChainFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
   return h.Finish();
 }
 
-const char* ToString(ArtifactLayout layout) {
-  return layout == ArtifactLayout::kIndexLocality ? "idxloc" : "repart";
-}
-
 uint64_t ArtifactFingerprint(uint64_t chain_fp, const IndexOperator& op,
                              const std::vector<int>& shuffled_prefix,
                              ArtifactLayout layout, int partition_count) {

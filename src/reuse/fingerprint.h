@@ -99,9 +99,6 @@ enum class ArtifactLayout {
   kIndexLocality,
 };
 
-/// Returns "repart" / "idxloc".
-const char* ToString(ArtifactLayout layout);
-
 /// Fingerprint of one materializable artifact: the upstream chain, the
 /// operator's own token, the *ordered* prefix of already-shuffled index
 /// positions (ending at the index this shuffle groups by), the layout and

@@ -9,7 +9,6 @@
 #include <utility>
 
 #include "common/checksum.h"
-#include "common/durable.h"
 #include "common/hash.h"
 #include "mapreduce/record_batch.h"
 
@@ -321,22 +320,22 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
   }
   ++stats_.hits;
   ++it->second.meta.reuse_count;
+  const std::string& owner = it->second.meta.owner;
+  const bool cross_tenant =
+      !tenant.empty() && !owner.empty() && owner != tenant;
   if (!tenant.empty()) {
     TenantStats& ts = tenant_stats_[tenant];
     ++ts.hits;
-    const std::string& owner = it->second.meta.owner;
-    if (!owner.empty() && owner != tenant) {
+    if (cross_tenant) {
       ++ts.cross_tenant_hits;
       ++tenant_stats_[owner].served_hits;
     }
   }
+  if (outcome != nullptr) {
+    outcome->owner = owner;
+    outcome->cross_tenant = cross_tenant;
+  }
   return &it->second.splits;
-}
-
-const std::string& MaterializedStore::OwnerOf(uint64_t fingerprint) const {
-  static const std::string kEmpty;
-  auto it = entries_.find(fingerprint);
-  return it == entries_.end() ? kEmpty : it->second.meta.owner;
 }
 
 bool MaterializedStore::Contains(uint64_t fingerprint) const {
@@ -383,7 +382,7 @@ std::vector<ArtifactMeta> MaterializedStore::Entries() const {
   std::vector<ArtifactMeta> out;
   out.reserve(entries_.size());
   for (const auto& [fp, entry] : entries_) out.push_back(entry.meta);
-  // Insert order reads better in manifests than fingerprint order.
+  // Insert (publish) order, not the map's fingerprint order.
   for (size_t i = 1; i < out.size(); ++i) {
     ArtifactMeta m = out[i];
     size_t j = i;
@@ -394,121 +393,6 @@ std::vector<ArtifactMeta> MaterializedStore::Entries() const {
     out[j] = m;
   }
   return out;
-}
-
-bool MaterializedStore::DumpManifest(const std::string& path,
-                                     std::string* error) const {
-  std::string body;
-  char buf[1024];
-  std::snprintf(buf, sizeof(buf),
-                "{\"capacity_bytes\":%" PRIu64 ",\"bytes_used\":%" PRIu64
-                ",\"entries\":%" PRIu64 ",\"hits\":%" PRIu64
-                ",\"misses\":%" PRIu64 ",\"publishes\":%" PRIu64
-                ",\"rejects\":%" PRIu64 ",\"evictions\":%" PRIu64 "}\n",
-                capacity_bytes_, stats_.bytes_used, stats_.entries,
-                stats_.hits, stats_.misses, stats_.publishes, stats_.rejects,
-                stats_.evictions);
-  body += buf;
-  for (const ArtifactMeta& m : Entries()) {
-    std::snprintf(buf, sizeof(buf),
-                  "{\"fingerprint\":\"%016" PRIx64 "\",\"label\":\"%s\""
-                  ",\"bytes\":%" PRIu64 ",\"saved_seconds\":%.9g"
-                  ",\"layout\":\"%s\",\"partitions\":%d"
-                  ",\"reuse_count\":%" PRIu64 ",\"insert_seq\":%" PRIu64
-                  ",\"checksum\":\"%016" PRIx64 "\"}\n",
-                  m.fingerprint, m.label.c_str(), m.bytes, m.saved_seconds,
-                  ToString(m.layout), m.partition_count, m.reuse_count,
-                  m.insert_seq, m.checksum);
-    body += buf;
-  }
-  durable::AppendFooter(&body, next_seq_);
-  const Status s = durable::AtomicWriteFile(path, body, "reuse.manifest");
-  if (!s.ok()) {
-    if (error != nullptr) *error = s.message();
-    return false;
-  }
-  return true;
-}
-
-namespace {
-
-/// The line-wise manifest replay shared by the trusted (footer-verified)
-/// and tolerant (torn fallback) paths.
-void ParseManifestText(std::string_view text,
-                       MaterializedStore::ManifestLoad* load) {
-  size_t pos = 0;
-  while (pos < text.size()) {
-    size_t eol = text.find('\n', pos);
-    if (eol == std::string::npos) eol = text.size();
-    const std::string line(text.substr(pos, eol - pos));
-    pos = eol + 1;
-    if (line.empty()) continue;
-    char fp_hex[17] = {0};
-    char label[256] = {0};
-    char layout[32] = {0};
-    char ck_hex[17] = {0};
-    unsigned long long bytes = 0, reuse = 0, seq = 0;
-    double saved = 0.0;
-    int partitions = 0;
-    const int matched = std::sscanf(
-        line.c_str(),
-        "{\"fingerprint\":\"%16[0-9a-fA-F]\",\"label\":\"%255[^\"]\""
-        ",\"bytes\":%llu,\"saved_seconds\":%lg"
-        ",\"layout\":\"%31[^\"]\",\"partitions\":%d"
-        ",\"reuse_count\":%llu,\"insert_seq\":%llu"
-        ",\"checksum\":\"%16[0-9a-fA-F]\"}",
-        fp_hex, label, &bytes, &saved, layout, &partitions, &reuse, &seq,
-        ck_hex);
-    if (matched == 9) {
-      ArtifactMeta m;
-      m.fingerprint = std::strtoull(fp_hex, nullptr, 16);
-      m.label = label;
-      m.bytes = bytes;
-      m.saved_seconds = saved;
-      m.layout = std::strcmp(layout, "idxloc") == 0
-                     ? ArtifactLayout::kIndexLocality
-                     : ArtifactLayout::kRepartition;
-      m.partition_count = partitions;
-      m.reuse_count = reuse;
-      m.insert_seq = seq;
-      m.checksum = std::strtoull(ck_hex, nullptr, 16);
-      load->metas.push_back(std::move(m));
-      ++load->entries;
-      continue;
-    }
-    unsigned long long cap = 0;
-    if (std::sscanf(line.c_str(), "{\"capacity_bytes\":%llu,", &cap) == 1) {
-      continue;  // Stats header line: informational, not an artifact.
-    }
-    // A torn / truncated / garbled line (crashed writer, partial copy):
-    // the artifact it described is simply absent — count and move on.
-    ++load->skipped;
-  }
-}
-
-}  // namespace
-
-MaterializedStore::ManifestLoad MaterializedStore::LoadManifest(
-    const std::string& path) {
-  ManifestLoad load;
-  std::string raw;
-  if (!durable::ReadFileContents(path, &raw)) return load;
-  load.ok = true;
-  uint64_t generation = 0;
-  std::string_view body;
-  if (durable::CheckFooter(raw, &generation, &body).ok()) {
-    // Footer verified: the body is exactly what DumpManifest committed,
-    // so every line must parse (skipped stays 0 by construction).
-    ParseManifestText(body, &load);
-    return load;
-  }
-  // No valid footer — a torn copy, a crashed pre-footer writer, or a
-  // legacy manifest. Fall back to the tolerant replay: parse what can be
-  // parsed, count the rest, never abort. The binary footer tail (when a
-  // partial one survives) lands in `skipped` like any garbled line.
-  load.torn = true;
-  ParseManifestText(raw, &load);
-  return load;
 }
 
 Status MaterializedStore::AttachJournal(const std::string& path) {

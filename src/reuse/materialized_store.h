@@ -53,14 +53,14 @@ std::vector<InputSplit> CopySplits(const std::vector<InputSplit>& splits);
 
 /// End-to-end content checksum of an artifact's splits (every record's key
 /// and value length-framed, plus its virtual byte count). Computed at
-/// publish, carried in the manifest, and re-verified at resolve — a
+/// publish, carried in the journal, and re-verified at resolve — a
 /// mismatch makes the artifact absent (deterministic rebuild), never data.
 uint64_t ChecksumSplits(const std::vector<InputSplit>& splits);
 
-/// Descriptive snapshot of one stored artifact (manifest / test surface).
+/// Descriptive snapshot of one stored artifact (journal / test surface).
 struct ArtifactMeta {
   uint64_t fingerprint = 0;
-  std::string label;       ///< "job:operator" provenance, for manifests.
+  std::string label;       ///< "job:operator" provenance.
   std::string owner;       ///< Tenant that published it; empty = untenanted.
   uint64_t bytes = 0;      ///< Logical artifact size (record size model).
   double saved_seconds = 0.0;  ///< Shuffle cost a reuse hit avoids (Eq. 3).
@@ -105,6 +105,10 @@ class MaterializedStore {
     int corrupt_chunks = 0;        ///< Detected-and-refetched corruptions.
     uint64_t refetch_bytes = 0;    ///< Extra bytes moved by re-fetches.
     bool checksum_failed = false;  ///< End-to-end verify failed → miss.
+    std::string owner;  ///< On a hit: the tenant that published the artifact.
+    /// On a hit: `owner` and the resolving tenant are both non-empty and
+    /// differ (the per-tenant accounting's cross-tenant hit).
+    bool cross_tenant = false;
   };
 
   /// The stored splits for `fingerprint`, or null on a miss. A present
@@ -135,9 +139,6 @@ class MaterializedStore {
 
   /// Drops an artifact if present.
   void Invalidate(uint64_t fingerprint);
-
-  /// The owning tenant of a live artifact ("" when absent or untenanted).
-  const std::string& OwnerOf(uint64_t fingerprint) const;
 
   /// The simulated DFS nodes holding `fingerprint`'s replicas (derived
   /// deterministically from the fingerprint; stable across runs).
@@ -176,33 +177,6 @@ class MaterializedStore {
   /// Metadata of every live artifact, in insert order.
   std::vector<ArtifactMeta> Entries() const;
 
-  /// Writes a JSON-lines manifest of the live entries + stats to `path`,
-  /// sealed with a durable footer and committed atomically (crash site
-  /// "reuse.manifest"): readers see the prior manifest or this one in
-  /// full, never a half-written hybrid.
-  bool DumpManifest(const std::string& path, std::string* error = nullptr)
-      const;
-
-  /// Result of a manifest replay (metadata only — the in-memory store
-  /// cannot serve artifact *data* across runs, so a replayed entry is
-  /// "known but absent": the job deterministically rebuilds and republishes
-  /// under the same fingerprint).
-  struct ManifestLoad {
-    bool ok = false;  ///< The manifest file could be opened.
-    int entries = 0;  ///< Well-formed artifact lines parsed.
-    int skipped = 0;  ///< Truncated / unparseable lines tolerated.
-    bool torn = false;  ///< Durable footer missing or failed verification.
-    std::vector<ArtifactMeta> metas;
-  };
-
-  /// Replays a JSON-lines manifest written by `DumpManifest`. A manifest
-  /// with a valid durable footer is trusted end to end; one without (a
-  /// crashed writer, a torn copy, a pre-footer legacy file) sets `torn`
-  /// and falls back to the tolerant line-wise replay — an unparseable line
-  /// is counted in `skipped` and treated as "artifact absent"; the replay
-  /// never aborts.
-  static ManifestLoad LoadManifest(const std::string& path);
-
   /// Attaches a write-ahead journal at `path` (crash site "reuse.wal").
   /// Once attached, every accepted publish, eviction, invalidation, and
   /// resolve hit is appended — and fdatasync'd — *before* the in-memory
@@ -210,8 +184,8 @@ class MaterializedStore {
   Status AttachJournal(const std::string& path);
   bool journaling() const { return journal_.is_open(); }
 
-  /// Ledger recovered from a journal replay. Metadata only, like
-  /// `ManifestLoad`; artifact data is re-installed via `RestoreEntry`.
+  /// Ledger recovered from a journal replay. Metadata only; artifact data
+  /// is re-installed via `RestoreEntry`.
   struct JournalRecovery {
     bool found = false;      ///< The journal file existed.
     uint64_t records = 0;    ///< Intact frames replayed.
@@ -244,7 +218,7 @@ class MaterializedStore {
   int replication_;
   uint64_t next_seq_ = 0;
   durable::WriteAheadJournal journal_;
-  // Ordered map: iteration (eviction scans, Entries, manifests) is
+  // Ordered map: iteration (eviction scans, Entries) is
   // deterministic without extra bookkeeping.
   std::map<uint64_t, Entry> entries_;
   ReuseStats stats_;

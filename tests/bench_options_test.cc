@@ -71,15 +71,12 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
       "--store-fill=0.75",
       "--store-batch-depth=4",
       "--reuse-capacity=123456",
-      "--reuse-dir=reuse-out",
       "--no-reuse",
       "positional",
       "--skew=0.8",
       "--salt-fanout=4",
       "--hot-key-threshold=0.1",
       "--journal-dir=journal-out",
-      "--crash-point=bench.none:1000000",
-      "--crash-mode=torn_truncate",
       "--trace-out=trace.json",
       "--report=report.json",
       "--report-text=report.txt",
@@ -122,15 +119,12 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
   EXPECT_EQ(opts.store_page_bytes, 512u);
   EXPECT_EQ(opts.store_fill, 0.75);
   EXPECT_EQ(opts.reuse_capacity, 123456u);
-  EXPECT_EQ(opts.reuse_dir, "reuse-out");
   EXPECT_TRUE(opts.no_reuse);
   EXPECT_EQ(opts.reuse(), nullptr);
   EXPECT_EQ(opts.skew, 0.8);
   EXPECT_EQ(opts.salt_fanout, 4);
   EXPECT_EQ(opts.hot_key_threshold, 0.1);
   EXPECT_EQ(opts.journal_dir, "journal-out");
-  EXPECT_EQ(opts.crash_point, "bench.none:1000000");
-  EXPECT_EQ(opts.crash_mode, "torn_truncate");
   EXPECT_EQ(opts.trace_out, "trace.json");
   EXPECT_EQ(opts.report_out, "report.json");
   EXPECT_EQ(opts.report_text_out, "report.txt");
@@ -164,21 +158,14 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
   EXPECT_EQ(c.breaker_failure_threshold, 4);
   EXPECT_EQ(c.breaker_open_lookups, 8);
 
-  const durable::CrashConfig& crash = durable::GetCrashConfig();
-  EXPECT_EQ(crash.site, "bench.none");
-  EXPECT_EQ(crash.hit, 1000000);
-  EXPECT_EQ(crash.mode, durable::CrashMode::kTornTruncate);
-
   EXPECT_EQ(
       ConfigLine(opts),
       "{\"bench\": \"fig/config\", \"threads\": \"3\", "
       "\"num_nodes\": \"12\", \"map_slots_per_node\": \"8\", "
       "\"reduce_slots_per_node\": \"4\", \"cache_capacity\": \"77\", "
       "\"reuse\": \"off\", \"reuse_capacity\": \"123456\", "
-      "\"reuse_dir\": \"reuse-out\", \"store_page_bytes\": \"512\", "
-      "\"store_fill\": \"0.75\", \"journal_dir\": \"journal-out\", "
-      "\"crash_point\": \"bench.none:1000000\", "
-      "\"crash_mode\": \"torn_truncate\", \"store_batch_depth\": \"4\", "
+      "\"store_page_bytes\": \"512\", \"store_fill\": \"0.75\", "
+      "\"journal_dir\": \"journal-out\", \"store_batch_depth\": \"4\", "
       "\"page_read_sec\": \"0.0001\", \"store_io_parallelism\": \"64\", "
       "\"skew\": \"0.8\", \"salt_fanout\": \"4\", "
       "\"hot_key_threshold\": \"0.1\", \"fault_seed\": \"99\", "
@@ -194,7 +181,6 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
       "\"integrity_max_refetches\": \"3\", \"hedged_lookups\": \"true\", "
       "\"hedge_quantile\": \"0.9\", \"breaker_threshold\": \"4\", "
       "\"breaker_open_lookups\": \"8\"}\n");
-  durable::SetCrashConfig({});
 }
 
 TEST(BenchOptionsTest, NoFlagsEchoesTheDefaults) {
@@ -209,9 +195,8 @@ TEST(BenchOptionsTest, NoFlagsEchoesTheDefaults) {
       "\"num_nodes\": \"12\", \"map_slots_per_node\": \"8\", "
       "\"reduce_slots_per_node\": \"4\", \"cache_capacity\": \"1024\", "
       "\"reuse\": \"on\", \"reuse_capacity\": \"67108864\", "
-      "\"reuse_dir\": \"\", \"store_page_bytes\": \"4096\", "
-      "\"store_fill\": \"1\", \"journal_dir\": \"\", \"crash_point\": \"\", "
-      "\"crash_mode\": \"kill\", \"store_batch_depth\": \"16\", "
+      "\"store_page_bytes\": \"4096\", \"store_fill\": \"1\", "
+      "\"journal_dir\": \"\", \"store_batch_depth\": \"16\", "
       "\"page_read_sec\": \"0.0001\", \"store_io_parallelism\": \"64\", "
       "\"skew\": \"0\", \"salt_fanout\": \"8\", "
       "\"hot_key_threshold\": \"0.05\", \"fault_seed\": \"1\", "
@@ -241,8 +226,6 @@ TEST(BenchOptionsDeathTest, OutOfRangeValuesExitWithCode2) {
       "--salt-fanout=1",
       "--hot-key-threshold=0",
       "--hot-key-threshold=1.5",
-      "--crash-mode=explode",
-      "--crash-point=no-hit-count",
       "--fault-straggler-slowdown=0.5",
   };
   for (const std::string& flag : bad) {
@@ -299,9 +282,9 @@ TEST(BenchOptionsTest, KnobTableDeclaresEachFlagAndKeyOnce) {
       keys.insert(k.key);
     }
   }
-  EXPECT_EQ(num_flags, 40u);
+  EXPECT_EQ(num_flags, 37u);
   EXPECT_EQ(flags.size(), num_flags);
-  EXPECT_EQ(num_keys, 42u);
+  EXPECT_EQ(num_keys, 39u);
   EXPECT_EQ(keys.size(), num_keys);
 }
 

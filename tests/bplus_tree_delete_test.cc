@@ -107,7 +107,9 @@ TEST_P(BPlusTreeDeletePropertyTest, MatchesReferenceUnderChurn) {
       const bool present = reference.erase(key) > 0;
       EXPECT_EQ(tree.Delete(key).ok(), present) << key;
     }
-    if (op % 64 == 0) ASSERT_TRUE(tree.CheckInvariants()) << "op " << op;
+    if (op % 64 == 0) {
+      ASSERT_TRUE(tree.CheckInvariants()) << "op " << op;
+    }
     ASSERT_EQ(tree.size(), reference.size());
   }
   ASSERT_TRUE(tree.CheckInvariants());

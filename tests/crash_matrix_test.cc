@@ -4,7 +4,7 @@
 // Deterministic crash-injection matrix (DESIGN.md §15, `ctest -L crash`).
 // For every registered crash site — the packed-store build commits
 // (store.data / store.sidecar / store.manifest and their @tmp / @rename /
-// @done sub-sites), the reuse ledger (reuse.wal, reuse.manifest), and the
+// @done sub-sites), the reuse ledger (reuse.wal), and the
 // service admissions journal (service.wal) — a child process is forked per
 // (site, hit ordinal, mode) cell, armed via `durable::SetCrashConfig`, and
 // killed mid-protocol: kill mode dies at the site, the torn modes commit a
@@ -32,7 +32,6 @@
 
 #include <cstdint>
 #include <cstdio>
-#include <cstdlib>
 #include <functional>
 #include <string>
 #include <vector>
@@ -222,8 +221,8 @@ int SplitCountFor(uint64_t fp) { return fp == kFpD ? 4 : 10; }
 
 /// The scenario every reuse cell crashes somewhere inside: two publishes,
 /// a hit, an eviction-forcing publish, a cross-tenant hit, an
-/// invalidation, one more publish, then the manifest dump.
-void ReuseScenario(const std::string& wal, const std::string& manifest) {
+/// invalidation, then one more publish.
+void ReuseScenario(const std::string& wal) {
   reuse::MaterializedStore store(/*capacity_bytes=*/2600, /*num_nodes=*/6,
                                  /*replication=*/2);
   if (!store.AttachJournal(wal).ok()) ::_exit(7);
@@ -239,8 +238,6 @@ void ReuseScenario(const std::string& wal, const std::string& manifest) {
   store.Resolve(kFpB, nullptr, nullptr, nullptr, "alpha");
   store.Invalidate(kFpB);
   pub(kFpD, 3.0, "job:d", "");
-  std::string error;
-  if (!store.DumpManifest(manifest, &error)) ::_exit(8);
 }
 
 void ExpectMetasEqual(const std::vector<reuse::ArtifactMeta>& got,
@@ -281,14 +278,10 @@ std::vector<reuse::ArtifactMeta> GoldenPrefixState(
 TEST(CrashMatrixTest, ReuseLedgerSurvivesEveryCrashSite) {
   // Golden uninterrupted run (this parent process is never armed).
   const std::string golden_wal = TempPath("reuse_golden.wal");
-  const std::string golden_manifest = TempPath("reuse_golden.manifest");
   ::unlink(golden_wal.c_str());
-  ::unlink(golden_manifest.c_str());
-  ReuseScenario(golden_wal, golden_manifest);
-  std::string golden_wal_bytes, golden_manifest_bytes;
+  ReuseScenario(golden_wal);
+  std::string golden_wal_bytes;
   ASSERT_TRUE(durable::ReadFileContents(golden_wal, &golden_wal_bytes));
-  ASSERT_TRUE(
-      durable::ReadFileContents(golden_manifest, &golden_manifest_bytes));
   const auto golden = reuse::MaterializedStore::RecoverJournal(golden_wal);
   ASSERT_FALSE(golden.torn_tail);
   ASSERT_EQ(golden.metas.size(), 2u);  // kFpC and kFpD survive.
@@ -298,12 +291,6 @@ TEST(CrashMatrixTest, ReuseLedgerSurvivesEveryCrashSite) {
       {"reuse.wal@synced", CrashMode::kKill},
       {"reuse.wal", CrashMode::kTornTruncate},
       {"reuse.wal", CrashMode::kTornBitflip},
-      {"reuse.manifest", CrashMode::kKill},
-      {"reuse.manifest@tmp", CrashMode::kKill},
-      {"reuse.manifest@rename", CrashMode::kKill},
-      {"reuse.manifest@done", CrashMode::kKill},
-      {"reuse.manifest", CrashMode::kTornTruncate},
-      {"reuse.manifest", CrashMode::kTornBitflip},
   };
 
   int seq = 0;
@@ -312,11 +299,8 @@ TEST(CrashMatrixTest, ReuseLedgerSurvivesEveryCrashSite) {
     for (int hit = 1; hit <= 16; ++hit) {
       const std::string tag = std::to_string(seq++);
       const std::string wal = TempPath("reuse_" + tag + ".wal");
-      const std::string manifest = TempPath("reuse_" + tag + ".manifest");
       ::unlink(wal.c_str());
-      ::unlink(manifest.c_str());
-      const int code =
-          RunArmed(cell, hit, [&] { ReuseScenario(wal, manifest); });
+      const int code = RunArmed(cell, hit, [&] { ReuseScenario(wal); });
       ASSERT_TRUE(code == 0 || code == durable::kCrashExitCode)
           << CellName(cell, hit) << " child exited " << code;
 
@@ -353,27 +337,6 @@ TEST(CrashMatrixTest, ReuseLedgerSurvivesEveryCrashSite) {
       ExpectMetasEqual(restored.Entries(), rec.metas,
                        CellName(cell, hit) + " restored");
 
-      // Manifest: absent (crash before its commit), byte-identical to the
-      // golden one (committed), or detected-torn — in which case every
-      // entry the tolerant fallback yields must match a golden entry.
-      const auto load = reuse::MaterializedStore::LoadManifest(manifest);
-      if (load.ok && !load.torn) {
-        std::string bytes;
-        ASSERT_TRUE(durable::ReadFileContents(manifest, &bytes));
-        EXPECT_EQ(bytes, golden_manifest_bytes) << CellName(cell, hit);
-      } else if (load.ok && load.torn) {
-        EXPECT_NE(cell.mode, CrashMode::kKill) << CellName(cell, hit);
-        for (const auto& meta : load.metas) {
-          bool matched = false;
-          for (const auto& g : golden.metas) {
-            matched = matched || (g.fingerprint == meta.fingerprint &&
-                                  g.checksum == meta.checksum);
-          }
-          EXPECT_TRUE(matched)
-              << CellName(cell, hit) << ": garbage manifest entry fp "
-              << meta.fingerprint;
-        }
-      }
       if (code == 0) {
         EXPECT_GT(hit, 1) << CellName(cell, hit) << " never fired";
         swept_to_completion = true;
@@ -517,33 +480,6 @@ TEST(CrashMatrixTest, ServiceBacklogSurvivesEveryCrashSite) {
         << cell.site << " (" << ModeName(cell.mode)
         << "): 24 hits never exhausted the site";
   }
-}
-
-// --- environment-variable arming (the EFIND_CRASH_POINT knob) --------------
-
-TEST(CrashMatrixTest, EnvVariableArmsTheRegistry) {
-  const std::string dir = TempPath("env_armed");
-  ASSERT_GT(BuildDataset(dir, 'A'), 0u);
-
-  std::fflush(nullptr);
-  const pid_t pid = ::fork();
-  if (pid == 0) {
-    ::setenv("EFIND_CRASH_POINT", "store.manifest:1", 1);
-    ::setenv("EFIND_CRASH_MODE", "kill", 1);
-    durable::LoadCrashConfigFromEnv();
-    BuildDataset(dir, 'B');
-    ::_exit(0);
-  }
-  int status = 0;
-  ::waitpid(pid, &status, 0);
-  ASSERT_TRUE(WIFEXITED(status));
-  EXPECT_EQ(WEXITSTATUS(status), durable::kCrashExitCode);
-
-  // The kill fired before the manifest commit: dataset A is still live.
-  std::string error;
-  auto reopened = store::PackedObjectStore::Open(dir, &error);
-  ASSERT_NE(reopened, nullptr) << error;
-  EXPECT_TRUE(ServesDataset(*reopened, 'A'));
 }
 
 }  // namespace

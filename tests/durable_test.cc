@@ -4,9 +4,9 @@
 // Unit tests of the crash-safe persistence layer (DESIGN.md §15): the
 // checksummed generation-stamped footer and every way it detects a torn
 // file, the atomic commit protocol, write-ahead journal framing and torn
-// tail handling, crash-spec parsing, and the hit counting of the
-// deterministic crash-point registry (the injected deaths themselves are
-// exercised by crash_matrix_test, which can afford to lose a child).
+// tail handling, and the hit counting of the deterministic crash-point
+// registry (the injected deaths themselves are exercised by
+// crash_matrix_test, which can afford to lose a child).
 
 #include <gtest/gtest.h>
 
@@ -159,29 +159,7 @@ TEST(AtomicWriteFileTest, FailureNamesThePath) {
   EXPECT_NE(s.message().find("/nonexistent_dir_zz/f.txt"), std::string::npos);
 }
 
-// --- crash-spec parsing and the hit registry -------------------------------
-
-TEST(CrashSpecTest, ParsesSiteAndHit) {
-  CrashConfig c;
-  ASSERT_TRUE(ParseCrashSpec("store.manifest:3", &c));
-  EXPECT_EQ(c.site, "store.manifest");
-  EXPECT_EQ(c.hit, 3);
-}
-
-TEST(CrashSpecTest, LastColonSplitsSoSitesMayContainColons) {
-  CrashConfig c;
-  ASSERT_TRUE(ParseCrashSpec("ns:sub.site:12", &c));
-  EXPECT_EQ(c.site, "ns:sub.site");
-  EXPECT_EQ(c.hit, 12);
-}
-
-TEST(CrashSpecTest, RejectsMalformedSpecs) {
-  CrashConfig c;
-  for (const char* bad :
-       {"", "nosite", ":3", "x:", "x:abc", "x:1x", "x:0", "x:-1"}) {
-    EXPECT_FALSE(ParseCrashSpec(bad, &c)) << "'" << bad << "'";
-  }
-}
+// --- the crash-point hit registry ------------------------------------------
 
 TEST(CrashPointTest, DisarmedNeverFires) {
   SetCrashConfig(CrashConfig{});

@@ -4,7 +4,7 @@
 // Unit tests of the cross-job artifact store (DESIGN.md §9): publish /
 // resolve round trips, the cost-benefit eviction order and its two-phase
 // reject guarantee, DFS-replica availability under whole-run host outages,
-// and the manifest dump.
+// and the tenant attribution of a resolve.
 
 #include <gtest/gtest.h>
 
@@ -12,7 +12,6 @@
 #include <string>
 #include <vector>
 
-#include "common/durable.h"
 #include "reuse/materialized_store.h"
 
 namespace efind {
@@ -199,7 +198,7 @@ TEST(MaterializedStoreTest, InvalidateDropsEntry) {
   store.Invalidate(1);  // Idempotent.
 }
 
-TEST(MaterializedStoreTest, ManifestListsEntriesInInsertOrder) {
+TEST(MaterializedStoreTest, EntriesListInInsertOrder) {
   MaterializedStore store(1 << 20);
   store.Publish(0xB, MakeSplits(2, 10), 1.0, ArtifactLayout::kRepartition,
                 48, "first");
@@ -210,23 +209,50 @@ TEST(MaterializedStoreTest, ManifestListsEntriesInInsertOrder) {
   EXPECT_EQ(entries[0].label, "first");
   EXPECT_EQ(entries[1].label, "second");
   EXPECT_EQ(entries[1].layout, ArtifactLayout::kIndexLocality);
+}
 
-  const std::string path =
-      ::testing::TempDir() + "/reuse_store_manifest.json";
-  ASSERT_TRUE(store.DumpManifest(path));
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string content(4096, '\0');
-  content.resize(std::fread(content.data(), 1, content.size(), f));
-  std::fclose(f);
-  std::remove(path.c_str());
-  EXPECT_NE(content.find("\"label\":\"first\""), std::string::npos);
-  EXPECT_NE(content.find("\"layout\":\"idxloc\""), std::string::npos);
-  EXPECT_NE(content.find("000000000000000a"), std::string::npos);
+TEST(MaterializedStoreTest, ResolveOutcomeNamesOwnerAndCrossTenant) {
+  MaterializedStore store(1 << 20);
+  store.Publish(0xA, MakeSplits(2, 10), 1.0, ArtifactLayout::kRepartition,
+                48, "a", "alice");
+  store.Publish(0xB, MakeSplits(2, 10), 1.0, ArtifactLayout::kRepartition,
+                48, "b");
+
+  // Another tenant's artifact: a cross-tenant hit naming the donor.
+  MaterializedStore::ResolveOutcome bob;
+  ASSERT_NE(store.Resolve(0xA, nullptr, nullptr, &bob, "bob"), nullptr);
+  EXPECT_EQ(bob.owner, "alice");
+  EXPECT_TRUE(bob.cross_tenant);
+
+  // The owner's own artifact: a hit, not cross-tenant.
+  MaterializedStore::ResolveOutcome alice;
+  ASSERT_NE(store.Resolve(0xA, nullptr, nullptr, &alice, "alice"), nullptr);
+  EXPECT_EQ(alice.owner, "alice");
+  EXPECT_FALSE(alice.cross_tenant);
+
+  // An untenanted resolve, and a hit on an untenanted artifact, are never
+  // cross-tenant.
+  MaterializedStore::ResolveOutcome anon;
+  ASSERT_NE(store.Resolve(0xA, nullptr, nullptr, &anon), nullptr);
+  EXPECT_EQ(anon.owner, "alice");
+  EXPECT_FALSE(anon.cross_tenant);
+  MaterializedStore::ResolveOutcome unowned;
+  ASSERT_NE(store.Resolve(0xB, nullptr, nullptr, &unowned, "bob"), nullptr);
+  EXPECT_EQ(unowned.owner, "");
+  EXPECT_FALSE(unowned.cross_tenant);
+
+  // A miss names no owner.
+  MaterializedStore::ResolveOutcome miss;
+  EXPECT_EQ(store.Resolve(0xC, nullptr, nullptr, &miss, "bob"), nullptr);
+  EXPECT_EQ(miss.owner, "");
+  EXPECT_FALSE(miss.cross_tenant);
+
+  EXPECT_EQ(store.tenant_stats().at("bob").cross_tenant_hits, 1u);
+  EXPECT_EQ(store.tenant_stats().at("alice").served_hits, 1u);
 }
 
 // ------------------------------------------------------------------------
-// End-to-end integrity + manifest replay (DESIGN.md §10).
+// End-to-end integrity (DESIGN.md §10).
 
 TEST(MaterializedStoreTest, ChecksumStableAcrossCopies) {
   auto splits = MakeSplits(10, 100);
@@ -301,121 +327,7 @@ TEST(MaterializedStoreTest, InjectedChunkCorruptionDetectedAndCharged) {
   EXPECT_EQ(again.refetch_bytes, outcome.refetch_bytes);
 }
 
-TEST(MaterializedStoreTest, ManifestRoundTripsThroughLoad) {
-  MaterializedStore store(1 << 20);
-  store.Publish(0xB, MakeSplits(2, 10), 1.5, ArtifactLayout::kRepartition,
-                48, "first");
-  store.Publish(0xA, MakeSplits(3, 20), 2.5, ArtifactLayout::kIndexLocality,
-                12, "second");
-  const std::string path =
-      ::testing::TempDir() + "/reuse_store_roundtrip.json";
-  ASSERT_TRUE(store.DumpManifest(path));
-
-  const auto load = MaterializedStore::LoadManifest(path);
-  std::remove(path.c_str());
-  EXPECT_TRUE(load.ok);
-  EXPECT_EQ(load.skipped, 0);
-  ASSERT_EQ(load.entries, 2);
-  EXPECT_EQ(load.metas[0].fingerprint, 0xBu);
-  EXPECT_EQ(load.metas[0].label, "first");
-  EXPECT_DOUBLE_EQ(load.metas[0].saved_seconds, 1.5);
-  EXPECT_EQ(load.metas[0].layout, ArtifactLayout::kRepartition);
-  EXPECT_EQ(load.metas[1].fingerprint, 0xAu);
-  EXPECT_EQ(load.metas[1].layout, ArtifactLayout::kIndexLocality);
-  EXPECT_EQ(load.metas[1].partition_count, 12);
-  EXPECT_EQ(load.metas[1].checksum, store.Entries()[1].checksum);
-  EXPECT_NE(load.metas[1].checksum, 0u);
-}
-
-TEST(MaterializedStoreTest, TruncatedManifestLinesSkippedNotFatal) {
-  MaterializedStore store(1 << 20);
-  store.Publish(0xB, MakeSplits(2, 10), 1.5, ArtifactLayout::kRepartition,
-                48, "first");
-  store.Publish(0xA, MakeSplits(3, 20), 2.5, ArtifactLayout::kIndexLocality,
-                12, "second");
-  const std::string path =
-      ::testing::TempDir() + "/reuse_store_truncated.json";
-  ASSERT_TRUE(store.DumpManifest(path));
-
-  // Byte-truncate the file mid-way through the last entry line — the shape
-  // a crashed writer or a torn copy leaves behind.
-  std::FILE* f = std::fopen(path.c_str(), "rb");
-  ASSERT_NE(f, nullptr);
-  std::string content(8192, '\0');
-  content.resize(std::fread(content.data(), 1, content.size(), f));
-  std::fclose(f);
-  const size_t cut = content.rfind("\"layout\"");
-  ASSERT_NE(cut, std::string::npos);
-  f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fwrite(content.data(), 1, cut, f);
-  std::fclose(f);
-
-  const auto load = MaterializedStore::LoadManifest(path);
-  std::remove(path.c_str());
-  EXPECT_TRUE(load.ok);
-  // The intact entry replays; the torn line counts as skipped ("artifact
-  // absent" -> deterministic rebuild), and the replay never aborts.
-  ASSERT_EQ(load.entries, 1);
-  EXPECT_EQ(load.metas[0].label, "first");
-  EXPECT_EQ(load.skipped, 1);
-}
-
-TEST(MaterializedStoreTest, GarbageManifestNeverAborts) {
-  const std::string path = ::testing::TempDir() + "/reuse_store_garbage.json";
-  std::FILE* f = std::fopen(path.c_str(), "wb");
-  ASSERT_NE(f, nullptr);
-  std::fprintf(f, "not json at all\n{\"fingerprint\":\"zz\n\n{}\n");
-  std::fclose(f);
-  const auto load = MaterializedStore::LoadManifest(path);
-  std::remove(path.c_str());
-  EXPECT_TRUE(load.ok);
-  EXPECT_EQ(load.entries, 0);
-  EXPECT_GT(load.skipped, 0);
-
-  const auto missing =
-      MaterializedStore::LoadManifest(path + ".does_not_exist");
-  EXPECT_FALSE(missing.ok);
-  EXPECT_EQ(missing.entries, 0);
-}
-
-// --- durable footer and write-ahead journal (DESIGN.md §15) ----------------
-
-TEST(MaterializedStoreTest, ManifestFooterDistinguishesIntactFromTorn) {
-  MaterializedStore store(1 << 20);
-  store.Publish(0xB, MakeSplits(2, 10), 1.5, ArtifactLayout::kRepartition,
-                48, "first");
-  store.Publish(0xA, MakeSplits(3, 20), 2.5, ArtifactLayout::kIndexLocality,
-                12, "second");
-  const std::string path =
-      ::testing::TempDir() + "/reuse_store_footer.json";
-  ASSERT_TRUE(store.DumpManifest(path));
-
-  // A committed manifest carries a verifying footer: trusted end to end.
-  const auto intact = MaterializedStore::LoadManifest(path);
-  EXPECT_TRUE(intact.ok);
-  EXPECT_FALSE(intact.torn);
-  EXPECT_EQ(intact.entries, 2);
-
-  // Chop into the footer (a torn copy / crashed writer): the load flags it
-  // and falls back to the tolerant line-wise replay — the body lines are
-  // still whole, so both entries survive.
-  std::string raw;
-  ASSERT_TRUE(durable::ReadFileContents(path, &raw));
-  {
-    std::FILE* f = std::fopen(path.c_str(), "wb");
-    ASSERT_NE(f, nullptr);
-    std::fwrite(raw.data(), 1, raw.size() - 10, f);
-    std::fclose(f);
-  }
-  const auto torn = MaterializedStore::LoadManifest(path);
-  std::remove(path.c_str());
-  EXPECT_TRUE(torn.ok);
-  EXPECT_TRUE(torn.torn);
-  EXPECT_EQ(torn.entries, 2);
-  EXPECT_EQ(torn.metas[0].fingerprint, 0xBu);
-  EXPECT_EQ(torn.metas[1].fingerprint, 0xAu);
-}
+// --- write-ahead journal (DESIGN.md §15) ------------------------------------
 
 TEST(MaterializedStoreTest, JournalReplayReconstructsExactLedger) {
   const std::string wal = ::testing::TempDir() + "/reuse_store_journal.wal";

@@ -224,8 +224,12 @@ TEST(GenerateArrivalsTest, SortedWithValidFields) {
     ASSERT_GE(a.tenant, 0);
     ASSERT_LT(a.tenant, 3);
     ++per_tenant[a.tenant];
-    if (a.tenant == 1) EXPECT_EQ(a.job_template, 1);
-    if (a.tenant == 2) EXPECT_EQ(a.job_template, 0);  // Empty list => 0.
+    if (a.tenant == 1) {
+      EXPECT_EQ(a.job_template, 1);
+    }
+    if (a.tenant == 2) {
+      EXPECT_EQ(a.job_template, 0);  // Empty list => 0.
+    }
   }
   EXPECT_EQ(per_tenant[0], 20);
   EXPECT_EQ(per_tenant[1], 15);
