@@ -63,46 +63,9 @@ uint64_t PackedStoreAccessor::ConfigFingerprint() const {
   return fp;
 }
 
-namespace {
-
-/// Adapts the store-layer queue to the accessor-layer batch interface.
-class PackedStoreBatchHandle : public BatchedLookupHandle {
- public:
-  explicit PackedStoreBatchHandle(const store::PackedObjectStore* s)
-      : queue_(s) {}
-
-  uint64_t Submit(const std::string& ik) override {
-    return queue_.Submit(ik);
-  }
-  size_t pending() const override { return queue_.pending(); }
-  BatchedLookupOutcome Flush() override {
-    store::FlushOutcome raw = queue_.Flush();
-    BatchedLookupOutcome out;
-    out.distinct_pages = raw.distinct_pages;
-    out.uncoalesced_pages = raw.uncoalesced_pages;
-    out.completions.reserve(raw.completions.size());
-    for (store::LookupCompletion& c : raw.completions) {
-      BatchedLookupCompletion bc;
-      bc.ticket = c.ticket;
-      bc.found = c.found;
-      bc.error = c.error;
-      bc.values = std::move(c.values);
-      bc.pages = c.pages;
-      bc.partition = c.partition;
-      bc.first_block = c.first_block;
-      out.completions.push_back(std::move(bc));
-    }
-    return out;
-  }
-
- private:
-  store::BatchedLookupQueue queue_;
-};
-
-}  // namespace
-
-std::unique_ptr<BatchedLookupHandle> PackedStoreAccessor::NewBatch() const {
-  return std::make_unique<PackedStoreBatchHandle>(store_);
+std::unique_ptr<store::BatchedLookupHandle> PackedStoreAccessor::NewBatch()
+    const {
+  return std::make_unique<store::BatchedLookupQueue>(store_);
 }
 
 Status InvertedIndexAccessor::Lookup(const std::string& ik,

@@ -168,7 +168,7 @@ class PackedStoreAccessor : public IndexAccessor, public BatchedLookupIndex {
   /// reuse artifacts by construction.
   uint64_t VersionFingerprint() const override { return store_->version(); }
 
-  std::unique_ptr<BatchedLookupHandle> NewBatch() const override;
+  std::unique_ptr<store::BatchedLookupHandle> NewBatch() const override;
 
   const store::PackedObjectStore* store() const { return store_; }
 

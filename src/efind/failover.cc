@@ -154,6 +154,11 @@ LookupCharge LookupFailover::Resilient(const IndexAccessor& accessor,
                                        double service_sec, int task_node,
                                        bool local, double task_clock,
                                        BreakerBank* breakers) const {
+  if (!active()) {
+    return local ? Local(accessor, ik, result_bytes, service_sec, task_node,
+                         task_clock)
+                 : Remote(accessor, ik, result_bytes, service_sec, task_clock);
+  }
   const PartitionScheme* scheme = accessor.partition_scheme();
   const bool svc = faults_ != nullptr && faults_->service_faults();
   const double healthy =

@@ -16,6 +16,10 @@
 
 namespace efind {
 
+namespace store {
+class BatchedLookupHandle;
+}  // namespace store
+
 /// EFind's per-index-type access interface (paper Fig. 2).
 ///
 /// An `IndexAccessor` is "implemented once for each type of index and can be
@@ -73,54 +77,16 @@ class IndexAccessor {
   virtual uint64_t VersionFingerprint() const { return 0; }
 };
 
-/// One completed lookup from a batched index (DESIGN.md §13). Tickets are
-/// submit indices on the owning handle; (partition, first_block, ticket) is
-/// the fixed out-of-order completion order.
-struct BatchedLookupCompletion {
-  uint64_t ticket = 0;
-  bool found = false;
-  /// Non-NotFound failure; `values` is empty.
-  bool error = false;
-  std::vector<IndexValue> values;
-  /// Pages this lookup touches when served alone.
-  uint64_t pages = 0;
-  int partition = -1;
-  uint64_t first_block = 0;
-};
-
-/// Aggregate result of one flush. `distinct_pages` (what the batch read
-/// after same-page coalescing) vs `uncoalesced_pages` (the serial cost of
-/// the same lookups) feeds the page-read cost term and the
-/// `efind.store.*` counters.
-struct BatchedLookupOutcome {
-  /// Sorted by (partition, first_block, ticket) — deterministic.
-  std::vector<BatchedLookupCompletion> completions;
-  uint64_t distinct_pages = 0;
-  uint64_t uncoalesced_pages = 0;
-};
-
-/// A batch of outstanding lookups against one index. Obtained from
-/// `BatchedLookupIndex::NewBatch`; task-confined (not thread-safe).
-class BatchedLookupHandle {
- public:
-  virtual ~BatchedLookupHandle() = default;
-  /// Enqueues a lookup of `ik`; returns its ticket.
-  virtual uint64_t Submit(const std::string& ik) = 0;
-  virtual size_t pending() const = 0;
-  /// Serves everything pending in one coalesced sweep and clears the
-  /// batch. The outcome is a pure function of the submitted key multiset.
-  virtual BatchedLookupOutcome Flush() = 0;
-};
-
 /// Capability interface: accessors whose backend can serve many
 /// outstanding lookups per handle (page-packed stores). The lookup stages
 /// detect it with dynamic_cast and submit such a site's lookups to the
 /// task's pending-lookup buffer; accessors without it are looked up one
-/// blocking call at a time.
+/// blocking call at a time. The handle protocol, with its completion and
+/// outcome types, is the store's (store/lookup_queue.h, DESIGN.md §13).
 class BatchedLookupIndex {
  public:
   virtual ~BatchedLookupIndex() = default;
-  virtual std::unique_ptr<BatchedLookupHandle> NewBatch() const = 0;
+  virtual std::unique_ptr<store::BatchedLookupHandle> NewBatch() const = 0;
 };
 
 }  // namespace efind

@@ -6,6 +6,7 @@
 #include <utility>
 
 #include "obs/obs.h"
+#include "store/lookup_queue.h"
 
 namespace efind {
 
@@ -42,10 +43,11 @@ std::shared_ptr<RecordAttachment> MutableAttachment(Record* record) {
   return std::make_shared<RecordAttachment>();
 }
 
-// Post-charge bookkeeping shared by every failure-aware lookup site:
-// failover/resilience counters, the fault-clean statistics channel, obs
-// instants (lookup_failover, lookup_hedge, integrity_retry,
-// breaker_transition), and the injected-latency histogram (DESIGN.md §10).
+// Post-charge bookkeeping of every lookup charge: failover/resilience
+// counters, the fault-clean statistics channel, obs instants
+// (lookup_failover, lookup_hedge, integrity_retry, breaker_transition), and
+// the injected-latency histogram (DESIGN.md §10). A healthy charge records
+// nothing but zero excess.
 void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
                          TaskContext* ctx, OperatorTaskStats* stats) {
   const int j = site.index;
@@ -77,7 +79,9 @@ void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
                             charge.flaky_errors, charge.corrupt_detected,
                             charge.breaker_short_circuit);
   }
-  if (site.obs != nullptr) {
+  if (site.obs == nullptr) return;
+  if (charge.failed_over || charge.hedges > 0 || charge.corrupt_detected > 0 ||
+      charge.breaker_transition_to != 0) {
     obs::TaskTrace* tt = site.obs->trace().TaskLocal(ctx);
     if (charge.failed_over) {
       tt->Instant("lookup_failover", "fault", ctx->sim_time(),
@@ -103,10 +107,10 @@ void RecordChargeOutcome(const LookupCharge& charge, const LookupSite& site,
                    {"to", BreakerBank::ToString(static_cast<BreakerBank::State>(
                               charge.breaker_transition_to - 1))}});
     }
-    if (charge.injected_latency_sec > 0.0 && site.injected_hist >= 0) {
-      site.obs->metrics().TaskLocal(ctx)->Observe(site.injected_hist,
-                                                  charge.injected_latency_sec);
-    }
+  }
+  if (charge.injected_latency_sec > 0.0 && site.injected_hist >= 0) {
+    site.obs->metrics().TaskLocal(ctx)->Observe(site.injected_hist,
+                                                charge.injected_latency_sec);
   }
 }
 
@@ -237,7 +241,8 @@ LookupSite::LookupSite(IndexAccessor* accessor, int index,
       batched(dynamic_cast<const BatchedLookupIndex*>(accessor)),
       index(index),
       config(config),
-      failover(failover),
+      failover(failover != nullptr ? *failover
+                                   : LookupFailover(config, nullptr)),
       obs(session),
       lookups(base + ".lookups"),
       lookup_errors(base + ".lookup_errors"),
@@ -259,22 +264,11 @@ void LookupSite::Charge(const std::string& ik, const CachedResult& result,
   if (error) ctx->counters()->Increment(lookup_errors);
   const uint64_t result_bytes = ResultBytes(result);
   const double service = accessor->ServiceSeconds(result_bytes);
-  if (failover != nullptr && failover->active()) {
-    const LookupCharge charge =
-        failover->Resilient(*accessor, ik, result_bytes, service,
-                            ctx->node_id(), local, ctx->sim_time(),
-                            breakers.get());
-    ctx->AddSimTime(charge.seconds);
-    RecordChargeOutcome(charge, *this, ctx, stats);
-  } else if (local) {
-    // Index locality: the task runs on a node hosting this partition, so
-    // the lookup is a local call (paper Eq. 4).
-    ctx->AddSimTime(service);
-  } else {
-    // Remote lookup: index service time plus the network round trip.
-    ctx->AddSimTime(service + accessor->RemoteOverheadSeconds() +
-                    config->RemoteLookupSeconds(ik.size() + result_bytes));
-  }
+  const LookupCharge charge =
+      failover.Resilient(*accessor, ik, result_bytes, service, ctx->node_id(),
+                         local, ctx->sim_time(), breakers.get());
+  ctx->AddSimTime(charge.seconds);
+  RecordChargeOutcome(charge, *this, ctx, stats);
   ctx->counters()->Increment(lookups);
   if (stats != nullptr) {
     stats->LookupPerformed(index, result_bytes, service);
@@ -367,7 +361,7 @@ class PendingLookups {
     bool local = false;
   };
   struct SiteBatch {
-    std::unique_ptr<BatchedLookupHandle> handle;
+    std::unique_ptr<store::BatchedLookupHandle> handle;
     // Keys in ticket (= submit) order for the current flush.
     std::vector<Submitted> submitted;
     // Ticket of submitted[0]; tickets grow monotonically across flushes.
@@ -396,8 +390,8 @@ void PendingLookups::Flush(TaskContext* ctx, OperatorTaskStats* stats,
     const size_t n = sb.submitted.size();
     if (n == 0) continue;
     const LookupSite& site = sites_[s];
-    BatchedLookupOutcome outcome = sb.handle->Flush();
-    std::vector<BatchedLookupCompletion*> by_ticket(n, nullptr);
+    store::FlushOutcome outcome = sb.handle->Flush();
+    std::vector<store::LookupCompletion*> by_ticket(n, nullptr);
     for (auto& c : outcome.completions) {
       const uint64_t i = c.ticket - sb.ticket_base;
       if (i < n) by_ticket[i] = &c;
@@ -535,46 +529,6 @@ struct InlineLookupStage::TaskState {
   std::vector<std::unordered_map<std::string, uint64_t>> pending_keys;
 };
 
-void InlineLookupStage::CountCacheHit(size_t t, TaskContext* ctx,
-                                      OperatorTaskStats* stats) {
-  if (stats != nullptr) stats->CacheProbe(tasks_[t].index, /*miss=*/false);
-  ctx->counters()->Increment(cache_hits_[t]);
-}
-
-bool InlineLookupStage::ProbeCache(size_t t,
-                                   LruCache<std::string, CachedResult>* cache,
-                                   const std::string& ik, TaskContext* ctx,
-                                   OperatorTaskStats* stats,
-                                   CachedResult* out) {
-  ctx->AddSimTime(config_->cache_probe_sec);
-  if (!cache->Get(ik, out)) return false;
-  CountCacheHit(t, ctx, stats);
-  return true;
-}
-
-CachedResult InlineLookupStage::LookupOne(size_t t, const std::string& ik,
-                                          TaskContext* ctx,
-                                          OperatorTaskStats* stats) {
-  const int j = tasks_[t].index;
-  // This task slot's cache for the node the task runs on (if caching).
-  // Safe as a member: a node's tasks are serialized on one strand.
-  LruCache<std::string, CachedResult>* cache =
-      caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
-
-  if (cache != nullptr) {
-    CachedResult cached;
-    if (ProbeCache(t, cache, ik, ctx, stats, &cached)) return cached;
-    if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
-  } else if (stats != nullptr) {
-    // No real cache: feed the shadow cache so R can be estimated for
-    // re-optimization (paper §4.2).
-    stats->ShadowProbe(j, ctx->node_id(), ik);
-  }
-  CachedResult result = sites_[t].Lookup(ik, /*local=*/false, ctx, stats);
-  if (cache != nullptr) cache->Put(ik, result);
-  return result;
-}
-
 void InlineLookupStage::Process(Record record, TaskContext* ctx,
                                 Emitter* out) {
   TaskState* ts = TaskStateFor<TaskState>(ctx, this, sites_);
@@ -599,44 +553,49 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
     results.resize(keys.size());
     batch_keys += keys.size();
     const LookupSite& site = sites_[t];
-    // Keys resolved here observe their latency at once; keys submitted to a
-    // batch are observed at the flush.
-    if (site.batched == nullptr) {
-      // Serial slot: resolve inline.
-      for (size_t i = 0; i < keys.size(); ++i) {
-        const double lk_t0 = ctx->sim_time();
-        results[i] = LookupOne(t, keys[i], ctx, stats);
-        site.Observe(lk_t0, /*local=*/false, ctx);
-      }
-      continue;
-    }
+    const bool batched = site.batched != nullptr;
     auto& pending_keys = ts->pending_keys[t];
+    // This slot's cache for the node the task runs on (if caching). Safe
+    // as a member: a node's tasks are serialized on one strand.
     LruCache<std::string, CachedResult>* cache =
         caches_[t] ? &caches_[t]->ForNode(ctx->node_id()) : nullptr;
     for (size_t i = 0; i < keys.size(); ++i) {
       const std::string& ik = keys[i];
       const double lk_t0 = ctx->sim_time();
       if (cache != nullptr) {
-        CachedResult cached;
-        if (ProbeCache(t, cache, ik, ctx, stats, &cached)) {
-          results[i] = std::move(cached);
+        // Probe the cache (T_cache); on a batched slot, a miss on a key
+        // already submitted rides its ticket as a hit. Then count the probe.
+        ctx->AddSimTime(config_->cache_probe_sec);
+        bool hit = cache->Get(ik, &results[i]);
+        if (!hit && batched) {
+          auto it = pending_keys.find(ik);
+          if (it != pending_keys.end()) {
+            hit = true;
+            refs.push_back({t, i, it->second});
+          }
+        }
+        if (stats != nullptr) stats->CacheProbe(j, /*miss=*/!hit);
+        if (hit) {
+          ctx->counters()->Increment(cache_hits_[t]);
           site.Observe(lk_t0, /*local=*/false, ctx);
           continue;
         }
-        auto it = pending_keys.find(ik);
-        if (it != pending_keys.end()) {
-          CountCacheHit(t, ctx, stats);
-          refs.push_back({t, i, it->second});
-          site.Observe(lk_t0, /*local=*/false, ctx);
-          continue;
-        }
-        if (stats != nullptr) stats->CacheProbe(j, /*miss=*/true);
       } else if (stats != nullptr) {
+        // No real cache: feed the shadow cache so R can be estimated for
+        // re-optimization (paper §4.2).
         stats->ShadowProbe(j, ctx->node_id(), ik);
       }
-      const uint64_t ticket = ts->pending.Submit(t, ik, /*local=*/false);
-      if (cache != nullptr) pending_keys.emplace(ik, ticket);
-      refs.push_back({t, i, ticket});
+      // Resolve: a serial slot looks up now; a batched slot submits, and
+      // the flush charges and observes the lookup.
+      if (batched) {
+        const uint64_t ticket = ts->pending.Submit(t, ik, /*local=*/false);
+        if (cache != nullptr) pending_keys.emplace(ik, ticket);
+        refs.push_back({t, i, ticket});
+        continue;
+      }
+      results[i] = site.Lookup(ik, /*local=*/false, ctx, stats);
+      if (cache != nullptr) cache->Put(ik, results[i]);
+      site.Observe(lk_t0, /*local=*/false, ctx);
     }
   }
   record.attachment = std::move(attachment);

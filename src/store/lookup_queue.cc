@@ -85,9 +85,9 @@ class CachingPageReader : public PackedObjectStore::PageReader {
 
 }  // namespace
 
-uint64_t BatchedLookupQueue::Submit(std::string key) {
+uint64_t BatchedLookupQueue::Submit(const std::string& key) {
   const uint64_t ticket = next_ticket_++;
-  pending_.emplace_back(ticket, std::move(key));
+  pending_.emplace_back(ticket, key);
   return ticket;
 }
 
