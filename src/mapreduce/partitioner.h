@@ -48,8 +48,7 @@ class HashPartitioner : public Partitioner {
 /// instance lives on each map task's stack and cycles a hot key's
 /// occurrences through salts 0..fanout-1 in record order. Record order
 /// within a task is fixed (split order), so the salt sequence — and with it
-/// every bucket's contents — is bit-identical at any thread count and in
-/// both the batched and the legacy shuffle path.
+/// every bucket's contents — is bit-identical at any thread count.
 class SaltCycler {
  public:
   uint32_t NextSalt(uint64_t key_hash, int fanout) {

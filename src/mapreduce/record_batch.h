@@ -134,7 +134,7 @@ class RecordBatch {
   /// Rebuilds record `i` as an owning `Record`, decoding its attachment
   /// into a fresh one that the caller solely owns.
   Record MaterializeRecord(size_t i) const;
-  /// Materializes the whole batch (conversion boundary to the legacy path).
+  /// Materializes the whole batch as owning `Record`s.
   std::vector<Record> ToRecords() const;
   static RecordBatch FromRecords(const std::vector<Record>& records,
                                  Arena* arena = nullptr);
