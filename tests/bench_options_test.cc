@@ -9,7 +9,6 @@
 
 #include <cstdlib>
 #include <fstream>
-#include <regex>
 #include <set>
 #include <string>
 #include <utility>
@@ -293,14 +292,26 @@ TEST(BenchOptionsTest, KnobTableDeclaresEachFlagAndKeyOnce) {
 TEST(BenchOptionsTest, ReadmeFlagRowsMatchTheKnobTable) {
   std::ifstream readme(EFIND_README_PATH);
   ASSERT_TRUE(readme.good()) << EFIND_README_PATH;
-  const std::regex flag_re("`(--[a-z][a-z-]*)");
+  // Each "`--" followed by a lowercase letter starts a spelling, which
+  // runs over lowercase letters and dashes.
+  auto lower = [](char c) { return c >= 'a' && c <= 'z'; };
   std::set<std::string> documented;
   std::string line;
   while (std::getline(readme, line)) {
     if (line.rfind("|", 0) != 0) continue;
-    for (std::sregex_iterator it(line.begin(), line.end(), flag_re), end;
-         it != end; ++it) {
-      documented.insert((*it)[1]);
+    for (size_t tick = line.find('`'); tick != std::string::npos;
+         tick = line.find('`', tick + 1)) {
+      const size_t begin = tick + 1;
+      if (line.compare(begin, 2, "--") != 0 || begin + 2 >= line.size() ||
+          !lower(line[begin + 2])) {
+        continue;
+      }
+      size_t end = begin + 3;
+      while (end < line.size() && (lower(line[end]) || line[end] == '-')) {
+        ++end;
+      }
+      documented.insert(line.substr(begin, end - begin));
+      tick = end - 1;
     }
   }
   std::set<std::string> declared;
