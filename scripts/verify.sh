@@ -83,10 +83,12 @@
 #      statistic and the plan chosen from it, as hex floats, for small
 #      tweets / LOG / Synthetic / fault-matrix / packed-store runs at
 #      threads 1 and 4).
-#  17. the lookup-driver leg: the lookup suite alone (ctest -L lookup —
-#      stages_test, which pins both lookup stages' drivers and their
-#      shared flush as hex simulated times, store_accessor_test, and
-#      strategy_property_test).
+#  17. the lookup leg: the lookup suite alone (ctest -L lookup, 85 tests
+#      with the TSan smokes — stages_test, which pins both lookup stages'
+#      drivers, their shared flush and the one lookup charger as hex
+#      simulated times; the store-side batch contract in packed_store_test,
+#      store_accessor_test and store_tsan_smoke; the failover charger in
+#      fault_model_test; and strategy_property_test).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
