@@ -170,6 +170,37 @@ class PipelineExecutor {
   /// The current intermediate data as a borrowed view.
   const std::vector<const InputSplit*>& view() const { return view_; }
 
+  /// Charges the DFS boundary into the job `into_job` about to run over
+  /// `view()`, and returns its simulated seconds. Unless that job is the
+  /// pipeline's first or reads an adopted artifact, the previous job stored
+  /// its output in the DFS (replicated write, parallel across nodes); the
+  /// job's map tasks charge the retrieval as their input read, so only the
+  /// store side is charged here. An adopted artifact is already
+  /// DFS-resident — no job wrote it this run, so only its retrieval (the
+  /// map input read) is charged. The charge is traced as a `dfs_boundary`
+  /// span that advances the trace clock, and its bytes are counted under
+  /// `efind.dfs_bytes.<label>`.
+  double ChargeBoundary(const std::string& into_job, const char* label) {
+    const bool boundary = !first_job_ && !artifact_adopted_;
+    artifact_adopted_ = false;
+    if (!boundary) return 0.0;
+    const uint64_t bytes = BytesOfView(view_);
+    const double seconds = config_.DfsStoreSeconds(bytes) / config_.num_nodes;
+    if (obs_ != nullptr && seconds > 0.0) {
+      obs::TraceRecorder& tr = obs_->trace();
+      tr.Span("dfs_boundary", "boundary", tr.clock(), seconds,
+              obs::kClusterTrack, 0,
+              {{"bytes", std::to_string(bytes)}, {"into_job", into_job}});
+      tr.AdvanceClock(seconds);
+      obs_->metrics().Add(obs_->metrics().Counter("efind.dfs_boundary_bytes"),
+                          static_cast<double>(bytes));
+      obs_->metrics().Add(
+          obs_->metrics().Counter(std::string("efind.dfs_bytes.") + label),
+          static_cast<double>(bytes));
+    }
+    return seconds;
+  }
+
  private:
   const OperatorPlan* PlanAt(OperatorPosition pos, size_t i) const {
     const std::vector<OperatorPlan>& group = plan_.at(pos);
@@ -191,35 +222,9 @@ class PipelineExecutor {
     cur_.name += std::string(":") + label;
     JobStageSummary summary;
     summary.name = cur_.name;
-    const bool boundary = !first_job_ && !artifact_adopted_;
-    const uint64_t boundary_bytes = boundary ? BytesOfView(view_) : 0;
-    if (boundary) {
-      // The previous job stored its output in the DFS (replicated write,
-      // parallel across nodes); this job's map tasks charge the retrieval
-      // as their input read, so only the store side is added here. An
-      // adopted artifact is already DFS-resident — no job wrote it this
-      // run, so only its retrieval (the map input read) is charged.
-      summary.boundary_seconds =
-          config_.DfsStoreSeconds(boundary_bytes) / config_.num_nodes;
-    }
-    artifact_adopted_ = false;
+    summary.boundary_seconds = ChargeBoundary(cur_.name, label);
     double job_t0 = 0.0;
-    if (obs_ != nullptr) {
-      obs::TraceRecorder& tr = obs_->trace();
-      if (summary.boundary_seconds > 0.0) {
-        tr.Span("dfs_boundary", "boundary", tr.clock(),
-                summary.boundary_seconds, obs::kClusterTrack, 0,
-                {{"bytes", std::to_string(boundary_bytes)},
-                 {"into_job", cur_.name}});
-        tr.AdvanceClock(summary.boundary_seconds);
-        obs_->metrics().Add(obs_->metrics().Counter("efind.dfs_boundary_bytes"),
-                            static_cast<double>(boundary_bytes));
-        obs_->metrics().Add(
-            obs_->metrics().Counter(std::string("efind.dfs_bytes.") + label),
-            static_cast<double>(boundary_bytes));
-      }
-      job_t0 = tr.clock();
-    }
+    if (obs_ != nullptr) job_t0 = obs_->trace().clock();
     // The pipeline's own intermediate data is handed over by ownership
     // (its records move into the map tasks); the caller's input is only
     // ever borrowed.
@@ -1013,6 +1018,10 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
     elapsed += sub.sim_seconds;
     for (auto& j : sub.jobs) result.jobs.push_back(j);
     result.counters.Merge(sub.counters);
+    // A new plan with a shuffle job left its output in the DFS, which the
+    // final job's map tasks read, as `FinishJob("final")` charges it in a
+    // fixed-plan run.
+    elapsed += px2.ChargeBoundary(final_job.name, "final");
     rest_wave =
         job_runner_.RunMapPhase(final_job, px2.view(), 0, px2.view().size());
   }

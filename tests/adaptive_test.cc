@@ -6,7 +6,9 @@
 
 #include "efind/efind_job_runner.h"
 #include "efind/stages.h"
+#include "obs/obs.h"
 #include "tests/test_util.h"
+#include "workloads/log_trace.h"
 
 namespace efind {
 namespace {
@@ -183,6 +185,50 @@ TEST_F(AdaptiveTest, PassThroughReduceOutputsLeaveInRecordForm) {
   ASSERT_EQ(dynamic_records.size(), 11520u);
   EXPECT_EQ(Sorted(dynamic_records), Sorted(record_form(base)));
   EXPECT_EQ(Sorted(dynamic_records), Sorted(dynamic.CollectRecords()));
+}
+
+// A re-planned LOG run whose new plan re-partitions: the shuffle job of the
+// new plan stores its output in the DFS, and the final job's map tasks read
+// it back, so the run charges that boundary into the final job, as a
+// fixed-plan run charges it into its final job.
+TEST_F(AdaptiveTest, ReplanIntoShuffleChargesDfsBoundary) {
+  LogTraceOptions log;
+  log.num_events = 20000;
+  log.num_ips = 5000;
+  log.num_urls = 1000;
+  log.num_splits = 384;
+  CloudServiceOptions service;
+  service.base_latency_sec = 800e-6;
+  service.extra_latency_sec = 1e-3;
+  const auto splits = GenerateLogTrace(log, config_.num_nodes);
+  CloudService geo = MakeGeoIpService(20, service);
+  const IndexJobConf conf = MakeLogTopUrlsJob(&geo, 5);
+  obs::ObsSession session;
+  EFindJobRunner runner(config_);
+  runner.set_obs(&session);
+  const EFindRunResult run = runner.RunDynamic(conf, splits);
+  ASSERT_TRUE(run.replanned);
+  ASSERT_EQ(run.plan.head[0].order[0].strategy, Strategy::kRepartition);
+
+  double final_bytes = 0.0;
+  for (const auto& [name, value] : session.metrics().CounterValues()) {
+    if (name == "efind.dfs_bytes.final") final_bytes = value;
+  }
+  EXPECT_GT(final_bytes, 0.0);
+  int into_final = 0;
+  for (const obs::TraceEvent& e : session.trace().events()) {
+    if (e.name != "dfs_boundary") continue;
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key != "into_job" || arg.value != conf.name() + ":main") {
+        continue;
+      }
+      ++into_final;
+      EXPECT_EQ(e.duration_sec,
+                config_.DfsStoreSeconds(static_cast<uint64_t>(final_bytes)) /
+                    config_.num_nodes);
+    }
+  }
+  EXPECT_EQ(into_final, 1);
 }
 
 }  // namespace

@@ -148,7 +148,7 @@ class BatchBoundaryTest : public ::testing::TestWithParam<int> {
 
 TEST_P(BatchBoundaryTest, LogReplanToRepartition) {
   RunLog(1, 1.8e-3, 0.9, Strategy::kRepartition,
-         {0xe2f4ce4961d06f39ULL, "0x1.638120848d765p-2",
+         {0xe2f4ce4961d06f39ULL, "0x1.63fba46794d07p-2",
           0x1f0dc416241e346cULL});
 }
 
