@@ -60,7 +60,6 @@ struct BenchOptions {
   std::string journal_dir;
   std::string trace_out;  // Observability output paths; empty = off.
   std::string report_out;
-  std::string report_text_out;
 
   /// Non-null iff any output path was given; shared by every runner.
   std::unique_ptr<obs::ObsSession> session;
@@ -272,8 +271,6 @@ inline constexpr Knob kKnobs[] = {
     Field<&BO::trace_out>("--trace-out", nullptr,
                           "write the Chrome trace-event JSON"),
     Field<&BO::report_out>("--report", nullptr, "write the JSON run report"),
-    Field<&BO::report_text_out>("--report-text", nullptr,
-                                "write the text run report"),
 };
 
 /// Parses and strips every `kKnobs` flag, leaving unknown arguments in order
@@ -305,7 +302,7 @@ inline BenchOptions ParseBenchOptions(int* argc, char** argv) {
     std::fprintf(stderr, "invalid cluster configuration: %s\n", why);
     std::exit(2);
   }
-  if (!(opts.trace_out + opts.report_out + opts.report_text_out).empty()) {
+  if (!(opts.trace_out + opts.report_out).empty()) {
     opts.session = std::make_unique<obs::ObsSession>();
   }
   return opts;
@@ -516,7 +513,7 @@ inline bool WriteObsOutputs(const FigureHarness& harness,
   };
   write(opts.trace_out,
         obs::ChromeTraceJson(opts.obs()->trace(), opts.config.num_nodes));
-  if (!opts.report_out.empty() || !opts.report_text_out.empty()) {
+  if (!opts.report_out.empty()) {
     obs::RunReportInput in;
     in.name = harness.figure();
     for (const auto& m : harness.measurements()) {
@@ -526,7 +523,6 @@ inline bool WriteObsOutputs(const FigureHarness& harness,
     in.trace = &opts.obs()->trace();
     in.config = ConfigPairs(opts);
     write(opts.report_out, obs::RunReportJson(in));
-    write(opts.report_text_out, obs::RunReportText(in));
   }
   return ok;
 }

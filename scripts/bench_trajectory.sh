@@ -23,10 +23,9 @@
 #   --check           enforce the per-area wall-clock budget: exit nonzero
 #                     if an area's summed wall_ms exceeds its budget.
 #                     Budgets are pinned below with generous headroom for
-#                     noisy CI hosts; override with
-#                     EFIND_BENCH_BUDGET_MS_<AREA> (or the whole table
-#                     with EFIND_BENCH_BUDGET_MS). A bench exiting nonzero
-#                     (failed acceptance check) always fails the run.
+#                     noisy CI hosts, and have no overrides. A bench
+#                     exiting nonzero (failed acceptance check) always
+#                     fails the run.
 # With no area arguments, all areas run.
 
 set -euo pipefail
@@ -91,9 +90,7 @@ for area in "${AREAS[@]}"; do
     echo "bench_trajectory: $area: $bin exited $rc (acceptance failure)" >&2
     FAIL=1
   fi
-  budget="${EFIND_BENCH_BUDGET_MS:-$(budget_for "$area")}"
-  budget_var="EFIND_BENCH_BUDGET_MS_$(echo "$area" | tr '[:lower:]' '[:upper:]')"
-  budget="${!budget_var:-$budget}"
+  budget="$(budget_for "$area")"
   AREA="$area" RAW="$raw" OUT="$out" BUDGET="$budget" CHECK="$CHECK" \
     python3 - <<'EOF' || FAIL=1
 import json, os, sys

@@ -32,19 +32,6 @@ struct EFindJobRunner::RunContext {
 
 namespace {
 
-uint64_t BytesOfView(const std::vector<const InputSplit*>& splits) {
-  uint64_t n = 0;
-  for (const InputSplit* s : splits) n += s->size_bytes();
-  return n;
-}
-
-std::vector<const InputSplit*> MakeView(const std::vector<InputSplit>& splits) {
-  std::vector<const InputSplit*> view;
-  view.reserve(splits.size());
-  for (const auto& s : splits) view.push_back(&s);
-  return view;
-}
-
 /// Outputs leave the engine in record form: converts batch-form splits (a
 /// pass-through reduce's output) in place.
 void MaterializeOutputs(std::vector<InputSplit>* outputs) {
@@ -114,7 +101,7 @@ class PipelineExecutor {
   /// needs a shuffle (holds for baseline tail plans, which is what the
   /// adaptive runtime uses this for).
   JobConfig Prepare(const std::vector<InputSplit>& input) {
-    return Prepare(MakeView(input));
+    return Prepare(ViewOf(input));
   }
 
   /// As above over a borrowed view of splits; the pointed-to splits must
@@ -156,7 +143,7 @@ class PipelineExecutor {
   /// (dynamic plan change in the middle of the reduce phase, Fig. 10b:
   /// the remaining reduce tasks' outputs flow through the new tail plan).
   void RunTailPipeline(const std::vector<InputSplit>& input) {
-    view_ = MakeView(input);
+    view_ = ViewOf(input);
     view_is_data_ = false;
     reduce_side_ = false;
     first_job_ = false;  // Input comes from a prior job: boundary applies.
@@ -184,7 +171,7 @@ class PipelineExecutor {
     const bool boundary = !first_job_ && !artifact_adopted_;
     artifact_adopted_ = false;
     if (!boundary) return 0.0;
-    const uint64_t bytes = BytesOfView(view_);
+    const uint64_t bytes = TotalSizeBytes(view_);
     const double seconds = config_.DfsStoreSeconds(bytes) / config_.num_nodes;
     if (obs_ != nullptr && seconds > 0.0) {
       obs::TraceRecorder& tr = obs_->trace();
@@ -260,7 +247,7 @@ class PipelineExecutor {
   /// points the view at it.
   void AdoptData(std::vector<InputSplit> splits) {
     data_ = std::move(splits);
-    view_ = MakeView(data_);
+    view_ = ViewOf(data_);
     view_is_data_ = true;
   }
 
@@ -349,7 +336,7 @@ class PipelineExecutor {
     std::vector<InputSplit> copy;
     copy.reserve(view_.size());
     for (const InputSplit* s : view_) copy.push_back(*s);
-    const uint64_t bytes = BytesOfView(view_);
+    const uint64_t bytes = TotalSizeBytes(view_);
     // Benefit estimate for eviction (Eq. 3's shuffle + extra-job terms,
     // from the artifact's actual bytes): what a future hit saves. Derived
     // without statistics so plain RunWithStrategy runs can publish too.

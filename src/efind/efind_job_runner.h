@@ -89,7 +89,7 @@ struct JobStageSummary {
   /// speculative-backup counterparts), parallel per phase. The multi-tenant
   /// job service replays these at task granularity to interleave waves from
   /// many live jobs (DESIGN.md §14). Empty for pure-boundary summaries
-  /// (reuse adoptions) and for runs predating the service.
+  /// (reuse adoptions).
   std::vector<double> map_task_durations;
   std::vector<double> map_task_base_durations;
   std::vector<double> reduce_task_durations;

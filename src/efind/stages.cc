@@ -455,19 +455,6 @@ void PendingLookups::Flush(TaskContext* ctx, OperatorTaskStats* stats,
   pending_ = 0;
 }
 
-// The task state `owner` keeps in `ctx`, constructed from `args` on first
-// use.
-template <typename T, typename... Args>
-T* TaskStateFor(TaskContext* ctx, const void* owner, Args&&... args) {
-  if (auto* existing = static_cast<T*>(ctx->FindTaskState(owner))) {
-    return existing;
-  }
-  auto state = std::make_shared<T>(std::forward<Args>(args)...);
-  T* raw = state.get();
-  ctx->AddTaskState(owner, std::move(state));
-  return raw;
-}
-
 }  // namespace
 
 // --------------------------------------------------------- inline lookup --
@@ -531,7 +518,7 @@ struct InlineLookupStage::TaskState {
 
 void InlineLookupStage::Process(Record record, TaskContext* ctx,
                                 Emitter* out) {
-  TaskState* ts = TaskStateFor<TaskState>(ctx, this, sites_);
+  TaskState* ts = ctx->TaskStateFor<TaskState>(this, nullptr, sites_);
   if (!record.attachment) {
     // Nothing to look up — but it may not overtake buffered records.
     ts->pending.Add(std::move(record), {}, out);
@@ -810,7 +797,7 @@ void GroupedLookupStage::Process(Record record, TaskContext* ctx,
                                  Emitter* out) {
   OperatorTaskStats* stats =
       runtime_ != nullptr ? runtime_->TaskLocal(ctx) : nullptr;
-  TaskState* ts = TaskStateFor<TaskState>(ctx, this, &site_);
+  TaskState* ts = ctx->TaskStateFor<TaskState>(this, nullptr, &site_);
   auto lookup_now = [&](const std::string& ik, bool local) {
     const double t0 = ctx->sim_time();
     CachedResult result = site_.Lookup(ik, local, ctx, stats);

@@ -139,13 +139,9 @@ OperatorRuntime::OperatorRuntime(int num_indices, int num_nodes,
 }
 
 OperatorTaskStats* OperatorRuntime::TaskLocal(TaskContext* ctx) {
-  auto* existing = static_cast<OperatorTaskStats*>(ctx->FindTaskState(this));
-  if (existing != nullptr) return existing;
-  auto state = std::make_shared<OperatorTaskStats>(this);
-  OperatorTaskStats* raw = state.get();
-  ctx->AddTaskState(this, std::move(state),
-                    [this, raw] { AbsorbTask(*raw); });
-  return raw;
+  return ctx->TaskStateFor<OperatorTaskStats>(
+      this, [this](const OperatorTaskStats& task) { AbsorbTask(task); },
+      this);
 }
 
 void OperatorRuntime::AbsorbTask(const OperatorTaskStats& task) {

@@ -26,13 +26,6 @@ const Partitioner& EffectivePartitioner(const JobConfig& job) {
   return kDefaultPartitioner;
 }
 
-std::vector<const InputSplit*> ViewOf(const std::vector<InputSplit>& splits) {
-  std::vector<const InputSplit*> view;
-  view.reserve(splits.size());
-  for (const auto& s : splits) view.push_back(&s);
-  return view;
-}
-
 /// The speculation threshold `ScheduleWaves` takes; 0 (no backups) when
 /// speculation is off.
 double SpeculationThreshold(const ClusterConfig& config) {

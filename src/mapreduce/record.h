@@ -7,6 +7,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <vector>
 
 namespace efind {
@@ -127,13 +128,31 @@ struct InputSplit {
   void AppendRecordsTo(std::vector<Record>* out) const;
 };
 
-/// Summed logical size of a whole input — what a job's DFS read/write of
-/// these splits costs in the time model, and what a materialized artifact
-/// of them occupies in the reuse store.
-inline uint64_t TotalSizeBytes(const std::vector<InputSplit>& splits) {
+/// Summed logical size of a whole input, given as splits or as a view of
+/// them — what a job's DFS read/write of these splits costs in the time
+/// model, and what a materialized artifact of them occupies in the reuse
+/// store.
+template <typename Split>
+uint64_t TotalSizeBytes(const std::vector<Split>& splits) {
   uint64_t n = 0;
-  for (const auto& s : splits) n += s.size_bytes();
+  for (const Split& s : splits) {
+    if constexpr (std::is_pointer_v<Split>) {
+      n += s->size_bytes();
+    } else {
+      n += s.size_bytes();
+    }
+  }
   return n;
+}
+
+/// A read-only view of `splits`, one pointer per split in order — the form
+/// the engine runs a job over.
+inline std::vector<const InputSplit*> ViewOf(
+    const std::vector<InputSplit>& splits) {
+  std::vector<const InputSplit*> view;
+  view.reserve(splits.size());
+  for (const auto& s : splits) view.push_back(&s);
+  return view;
 }
 
 }  // namespace efind

@@ -7,6 +7,7 @@
 #include <functional>
 #include <memory>
 #include <string>
+#include <type_traits>
 #include <utility>
 #include <vector>
 
@@ -99,6 +100,22 @@ class TaskContext {
   void AddTaskState(const void* owner, std::shared_ptr<void> state,
                     std::function<void()> merge = nullptr) {
     state_.Add({owner, std::move(state), std::move(merge)});
+  }
+
+  /// The task-local `T` registered under `owner`, constructed from `args`
+  /// and registered on first use. `merge` (or nullptr for none) becomes its
+  /// deferred merge closure, called with the state; see `AddTaskState`.
+  template <typename T, typename Merge, typename... Args>
+  T* TaskStateFor(const void* owner, Merge merge, Args&&... args) {
+    if (void* existing = FindTaskState(owner)) return static_cast<T*>(existing);
+    auto state = std::make_shared<T>(std::forward<Args>(args)...);
+    T* raw = state.get();
+    if constexpr (std::is_null_pointer_v<Merge>) {
+      AddTaskState(owner, std::move(state));
+    } else {
+      AddTaskState(owner, std::move(state), [merge, raw] { merge(*raw); });
+    }
+    return raw;
   }
 
   /// Moves out the accumulated task state (engine use; afterwards the

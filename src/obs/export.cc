@@ -1,6 +1,5 @@
 #include "obs/export.h"
 
-#include <cinttypes>
 #include <cstdio>
 #include <utility>
 
@@ -37,18 +36,20 @@ void AppendArgs(const std::vector<TraceArg>& args, std::string* out) {
   out->push_back('}');
 }
 
-/// The `efind.reuse.*` counters from the artifact store (DESIGN.md §9),
-/// short-named, in registry order. Empty when no store was attached.
-std::vector<std::pair<std::string, double>> ReuseCounters(
-    const MetricsRegistry& metrics) {
-  static constexpr char kPrefix[] = "efind.reuse.";
-  std::vector<std::pair<std::string, double>> out;
-  for (const auto& [name, v] : metrics.CounterValues()) {
-    if (name.rfind(kPrefix, 0) == 0) {
-      out.emplace_back(name.substr(sizeof(kPrefix) - 1), v);
-    }
+/// Appends `{"name":value,...}` for a sequence of (name, number) pairs.
+template <typename Pairs>
+void AppendNumbers(const Pairs& pairs, std::string* out) {
+  out->push_back('{');
+  bool first = true;
+  for (const auto& [name, v] : pairs) {
+    if (!first) out->push_back(',');
+    first = false;
+    out->push_back('"');
+    out->append(JsonEscape(name));
+    out->append("\":");
+    out->append(Num(v));
   }
-  return out;
+  out->push_back('}');
 }
 
 }  // namespace
@@ -195,42 +196,17 @@ std::string RunReportJson(const RunReportInput& in) {
   }
 
   if (in.counters != nullptr) {
-    out.append(",\"counters\":{");
-    bool first = true;
-    for (const auto& [name, v] : in.counters->values()) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.push_back('"');
-      out.append(JsonEscape(name));
-      out.append("\":");
-      out.append(Num(v));
-    }
-    out.push_back('}');
+    out.append(",\"counters\":");
+    AppendNumbers(in.counters->values(), &out);
   }
 
   if (in.metrics != nullptr) {
-    out.append(",\"metrics\":{\"counters\":{");
+    out.append(",\"metrics\":{\"counters\":");
+    AppendNumbers(in.metrics->CounterValues(), &out);
+    out.append(",\"gauges\":");
+    AppendNumbers(in.metrics->GaugeValues(), &out);
+    out.append(",\"histograms\":{");
     bool first = true;
-    for (const auto& [name, v] : in.metrics->CounterValues()) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.push_back('"');
-      out.append(JsonEscape(name));
-      out.append("\":");
-      out.append(Num(v));
-    }
-    out.append("},\"gauges\":{");
-    first = true;
-    for (const auto& [name, v] : in.metrics->GaugeValues()) {
-      if (!first) out.push_back(',');
-      first = false;
-      out.push_back('"');
-      out.append(JsonEscape(name));
-      out.append("\":");
-      out.append(Num(v));
-    }
-    out.append("},\"histograms\":{");
-    first = true;
     for (const auto& [name, h] : in.metrics->HistogramValues()) {
       if (!first) out.push_back(',');
       first = false;
@@ -240,20 +216,6 @@ std::string RunReportJson(const RunReportInput& in) {
       AppendHistogramJson(h, &out);
     }
     out.append("}}");
-    const auto reuse = ReuseCounters(*in.metrics);
-    if (!reuse.empty()) {
-      out.append(",\"reuse\":{");
-      bool first_r = true;
-      for (const auto& [name, v] : reuse) {
-        if (!first_r) out.push_back(',');
-        first_r = false;
-        out.push_back('"');
-        out.append(JsonEscape(name));
-        out.append("\":");
-        out.append(Num(v));
-      }
-      out.push_back('}');
-    }
   }
 
   if (in.trace != nullptr) {
@@ -275,68 +237,6 @@ std::string RunReportJson(const RunReportInput& in) {
   }
 
   out.append("}\n");
-  return out;
-}
-
-std::string RunReportText(const RunReportInput& in) {
-  std::string out;
-  char buf[256];
-  out.append("=== run report: ").append(in.name).append(" ===\n");
-  std::snprintf(buf, sizeof(buf), "sim_seconds: %.6f\n", in.sim_seconds);
-  out.append(buf);
-  out.append("plan: ").append(in.plan.empty() ? "-" : in.plan);
-  out.append(in.replanned ? "  [replanned]\n" : "\n");
-
-  if (!in.config.empty()) {
-    out.append("-- config --\n");
-    for (const auto& [k, v] : in.config) {
-      out.append("  ").append(k).append(" = ").append(v).push_back('\n');
-    }
-  }
-  if (in.metrics != nullptr && !in.metrics->empty()) {
-    out.append("-- metrics --\n");
-    for (const auto& [name, v] : in.metrics->CounterValues()) {
-      std::snprintf(buf, sizeof(buf), "  counter %-44s %.6g\n", name.c_str(),
-                    v);
-      out.append(buf);
-    }
-    for (const auto& [name, v] : in.metrics->GaugeValues()) {
-      std::snprintf(buf, sizeof(buf), "  gauge   %-44s %.6g\n", name.c_str(),
-                    v);
-      out.append(buf);
-    }
-    for (const auto& [name, h] : in.metrics->HistogramValues()) {
-      std::snprintf(buf, sizeof(buf),
-                    "  hist    %-44s n=%" PRIu64 " mean=%.3gs min=%.3gs "
-                    "max=%.3gs\n",
-                    name.c_str(), h.count, h.mean(),
-                    h.count > 0 ? h.min : 0.0, h.count > 0 ? h.max : 0.0);
-      out.append(buf);
-    }
-  }
-  if (in.metrics != nullptr) {
-    const auto reuse = ReuseCounters(*in.metrics);
-    if (!reuse.empty()) {
-      out.append("-- reuse --\n");
-      for (const auto& [name, v] : reuse) {
-        std::snprintf(buf, sizeof(buf), "  %-52s %.6g\n", name.c_str(), v);
-        out.append(buf);
-      }
-    }
-  }
-  if (in.counters != nullptr && !in.counters->empty()) {
-    out.append("-- counters --\n");
-    for (const auto& [name, v] : in.counters->values()) {
-      std::snprintf(buf, sizeof(buf), "  %-52s %.6g\n", name.c_str(), v);
-      out.append(buf);
-    }
-  }
-  if (in.trace != nullptr) {
-    std::snprintf(buf, sizeof(buf),
-                  "-- trace -- %zu events (%zu dropped)\n",
-                  in.trace->events().size(), in.trace->dropped_events());
-    out.append(buf);
-  }
   return out;
 }
 

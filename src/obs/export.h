@@ -7,9 +7,10 @@
 //    One track (pid) per simulated node plus a "cluster" track for
 //    orchestration events; timestamps in simulated microseconds. The
 //    format is validated by scripts/trace_lint.py (ctest -L obs).
-//  - Per-job run report: a JSON document (machine-readable) and a
-//    human-readable text rendering of the same content — run identity,
-//    simulated times, plan, counters, metric snapshots, trace summary.
+//  - Per-job run report: one JSON document — run identity, simulated
+//    time, plan, config echo, counters, metric snapshots, trace summary.
+//    Reuse-store traffic is the `efind.reuse.*` entries of the metric
+//    counters; the report keeps no second copy of it.
 //
 // Export is pure serialization of deterministic state: identical sessions
 // produce byte-identical output.
@@ -45,16 +46,13 @@ struct RunReportInput {
   const MetricsRegistry* metrics = nullptr;
   /// Trace summary — event counts only, not the events (null to omit).
   const TraceRecorder* trace = nullptr;
-  /// Free-form configuration echo lines ("key = value") for the text
-  /// report; also emitted as a JSON object.
+  /// Free-form configuration echo ("key", "value"), emitted as a JSON
+  /// object.
   std::vector<std::pair<std::string, std::string>> config;
 };
 
 /// The run report as a JSON document.
 std::string RunReportJson(const RunReportInput& in);
-
-/// The run report as human-readable text.
-std::string RunReportText(const RunReportInput& in);
 
 /// Writes `content` to `path`. Returns false (filling `*error` when
 /// non-null) on I/O failure.

@@ -38,11 +38,6 @@ void HistogramData::Merge(const HistogramData& other) {
   for (size_t b = 0; b < buckets.size(); ++b) buckets[b] += other.buckets[b];
 }
 
-void TaskMetrics::Add(MetricId counter, double delta) {
-  if (counter < 0) return;
-  counter_deltas_[counter] += delta;
-}
-
 void TaskMetrics::Set(MetricId gauge, double value) {
   if (gauge < 0) return;
   gauge_values_[gauge] = value;
@@ -111,17 +106,11 @@ void MetricsRegistry::Observe(MetricId histogram, double value_sec) {
 }
 
 TaskMetrics* MetricsRegistry::TaskLocal(TaskContext* ctx) {
-  auto* existing = static_cast<TaskMetrics*>(ctx->FindTaskState(this));
-  if (existing != nullptr) return existing;
-  auto state = std::make_shared<TaskMetrics>();
-  TaskMetrics* raw = state.get();
-  ctx->AddTaskState(this, std::move(state),
-                    [this, raw] { AbsorbTask(*raw); });
-  return raw;
+  return ctx->TaskStateFor<TaskMetrics>(
+      this, [this](const TaskMetrics& task) { AbsorbTask(task); });
 }
 
 void MetricsRegistry::AbsorbTask(const TaskMetrics& task) {
-  for (const auto& [id, delta] : task.counter_deltas_) Add(id, delta);
   for (const auto& [id, value] : task.gauge_values_) Set(id, value);
   for (const auto& [id, h] : task.histograms_) {
     if (id >= 0 && id < static_cast<MetricId>(histograms_.size())) {

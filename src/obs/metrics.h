@@ -8,11 +8,13 @@
 // mapreduce/counters.h, but with O(1) integer indexing instead of a map.
 //
 // Sharding follows the execution engine's determinism recipe: stages feed a
-// per-task `TaskMetrics` shard (via `TaskLocal`), and the engine's
-// state-bag merges absorb shards into the registry serially, in ascending
-// task-index order. Counter sums, gauge last-writes, and histogram
-// bucket/sum accumulation therefore happen in exactly the serial order, and
-// every snapshot is bit-identical at any worker-thread count.
+// per-task `TaskMetrics` shard (via `TaskLocal`) with gauges and
+// histograms, and the engine's state-bag merges absorb shards into the
+// registry serially, in ascending task-index order. Gauge last-writes and
+// histogram bucket/sum accumulation therefore happen in exactly the serial
+// order, and every snapshot is bit-identical at any worker-thread count.
+// Counters are written only by orchestration code, through
+// `MetricsRegistry::Add`.
 
 #ifndef EFIND_OBS_METRICS_H_
 #define EFIND_OBS_METRICS_H_
@@ -63,7 +65,6 @@ class MetricsRegistry;
 /// order.
 class TaskMetrics {
  public:
-  void Add(MetricId counter, double delta);
   void Set(MetricId gauge, double value);
   void Observe(MetricId histogram, double value_sec);
 
@@ -71,7 +72,6 @@ class TaskMetrics {
   friend class MetricsRegistry;
 
   // Sparse (ordered for deterministic absorb iteration).
-  std::map<MetricId, double> counter_deltas_;
   std::map<MetricId, double> gauge_values_;
   std::map<MetricId, HistogramData> histograms_;
 };

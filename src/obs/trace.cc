@@ -42,13 +42,9 @@ void TaskTrace::Instant(std::string name, std::string category,
 }
 
 TaskTrace* TraceRecorder::TaskLocal(TaskContext* ctx) {
-  auto* existing = static_cast<TaskTrace*>(ctx->FindTaskState(this));
-  if (existing != nullptr) return existing;
-  auto state = std::make_shared<TaskTrace>(ctx->task_index(), ctx->node_id());
-  TaskTrace* raw = state.get();
-  ctx->AddTaskState(this, std::move(state),
-                    [this, raw] { AbsorbTask(*raw); });
-  return raw;
+  return ctx->TaskStateFor<TaskTrace>(
+      this, [this](const TaskTrace& task) { AbsorbTask(task); },
+      ctx->task_index(), ctx->node_id());
 }
 
 void TraceRecorder::AbsorbTask(const TaskTrace& task) {

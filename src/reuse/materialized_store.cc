@@ -112,10 +112,6 @@ MaterializedStore::MaterializedStore(uint64_t capacity_bytes, int num_nodes,
   if (replication_ > num_nodes_) replication_ = num_nodes_;
 }
 
-uint64_t MaterializedStore::SplitsBytes(const std::vector<InputSplit>& splits) {
-  return TotalSizeBytes(splits);
-}
-
 double MaterializedStore::Density(const Entry& e) const {
   if (e.meta.bytes == 0) return 0.0;
   return e.meta.saved_seconds *
@@ -146,7 +142,7 @@ MaterializedStore::PublishResult MaterializedStore::Publish(
     return result;
   }
 
-  const uint64_t bytes = SplitsBytes(splits);
+  const uint64_t bytes = TotalSizeBytes(splits);
   if (bytes > capacity_bytes_) {
     ++stats_.rejects;
     return result;
@@ -233,11 +229,6 @@ MaterializedStore::PublishResult MaterializedStore::Publish(
   entries_.emplace(fingerprint, std::move(entry));
   ++stats_.publishes;
   stats_.entries = entries_.size();
-  if (!owner.empty()) {
-    TenantStats& ts = tenant_stats_[owner];
-    ++ts.publishes;
-    ts.published_bytes += bytes;
-  }
   result.stored = true;
   return result;
 }
@@ -246,13 +237,9 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
     uint64_t fingerprint, const HostAvailability* avail,
     const FaultModel* faults, ResolveOutcome* outcome,
     const std::string& tenant) {
-  const auto miss = [&] {
-    ++stats_.misses;
-    if (!tenant.empty()) ++tenant_stats_[tenant].misses;
-  };
   auto it = entries_.find(fingerprint);
   if (it == entries_.end()) {
-    miss();
+    ++stats_.misses;
     return nullptr;
   }
   if (avail != nullptr && avail->any_faults()) {
@@ -267,7 +254,7 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
       // Every DFS replica is gone for this run: the artifact exists but is
       // unreachable, so the caller rebuilds. The entry stays — the hosts
       // may be back next run.
-      miss();
+      ++stats_.misses;
       return nullptr;
     }
   }
@@ -277,7 +264,7 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
   // Detected and charged, never surfaced as data.
   if (it->second.meta.checksum != ChecksumSplits(it->second.splits)) {
     ++stats_.integrity_failures;
-    miss();
+    ++stats_.misses;
     if (outcome != nullptr) outcome->checksum_failed = true;
     return nullptr;
   }
@@ -320,20 +307,11 @@ const std::vector<InputSplit>* MaterializedStore::Resolve(
   }
   ++stats_.hits;
   ++it->second.meta.reuse_count;
-  const std::string& owner = it->second.meta.owner;
-  const bool cross_tenant =
-      !tenant.empty() && !owner.empty() && owner != tenant;
-  if (!tenant.empty()) {
-    TenantStats& ts = tenant_stats_[tenant];
-    ++ts.hits;
-    if (cross_tenant) {
-      ++ts.cross_tenant_hits;
-      ++tenant_stats_[owner].served_hits;
-    }
-  }
   if (outcome != nullptr) {
+    const std::string& owner = it->second.meta.owner;
     outcome->owner = owner;
-    outcome->cross_tenant = cross_tenant;
+    outcome->cross_tenant =
+        !tenant.empty() && !owner.empty() && owner != tenant;
   }
   return &it->second.splits;
 }
@@ -437,7 +415,7 @@ bool MaterializedStore::RestoreEntry(const ArtifactMeta& meta,
                                      std::vector<InputSplit> splits) {
   if (entries_.find(meta.fingerprint) != entries_.end()) return false;
   if (ChecksumSplits(splits) != meta.checksum) return false;
-  const uint64_t bytes = SplitsBytes(splits);
+  const uint64_t bytes = TotalSizeBytes(splits);
   if (bytes != meta.bytes) return false;
   if (stats_.bytes_used + bytes > capacity_bytes_) return false;
   Entry entry;

@@ -87,11 +87,11 @@ class MaterializedStore {
 
   /// Offers an artifact. Publishing an already-present fingerprint only
   /// refreshes `saved_seconds` (the data is identical by construction).
-  /// `owner` names the publishing tenant for the per-tenant accounting
-  /// (DESIGN.md §14); empty keeps the artifact untenanted. Fingerprints are
-  /// tenant-agnostic on purpose — the same logical artifact is one entry
-  /// however many tenants produce or consume it, which is what makes
-  /// cross-tenant reuse free.
+  /// `owner` names the publishing tenant, which a later cross-tenant hit
+  /// reports (DESIGN.md §14); empty keeps the artifact untenanted.
+  /// Fingerprints are tenant-agnostic on purpose — the same logical
+  /// artifact is one entry however many tenants produce or consume it,
+  /// which is what makes cross-tenant reuse free.
   PublishResult Publish(uint64_t fingerprint, std::vector<InputSplit> splits,
                         double saved_seconds, ArtifactLayout layout,
                         int partition_count, std::string label,
@@ -107,7 +107,7 @@ class MaterializedStore {
     bool checksum_failed = false;  ///< End-to-end verify failed → miss.
     std::string owner;  ///< On a hit: the tenant that published the artifact.
     /// On a hit: `owner` and the resolving tenant are both non-empty and
-    /// differ (the per-tenant accounting's cross-tenant hit).
+    /// differ (a cross-tenant hit).
     bool cross_tenant = false;
   };
 
@@ -118,11 +118,10 @@ class MaterializedStore {
   /// rebuilds). `faults` (may be null) injects deterministic per-chunk
   /// corruption whose detection and re-fetch cost land in `outcome`.
   /// A hit bumps `reuse_count`.
-  /// `tenant`, when non-empty, attributes the resolve to that tenant in
-  /// the per-tenant accounting; a hit on an artifact owned by a *different*
-  /// (non-empty) tenant counts as a cross-tenant hit — same fingerprint ⇒
-  /// hit regardless of tenant, the accounting only records who benefited
-  /// from whom.
+  /// `tenant` names the resolving tenant; a hit on an artifact owned by a
+  /// *different* (non-empty) tenant sets `outcome->cross_tenant` — same
+  /// fingerprint ⇒ hit regardless of tenant, the outcome only records who
+  /// benefited from whom.
   const std::vector<InputSplit>* Resolve(uint64_t fingerprint,
                                          const HostAvailability* avail,
                                          const FaultModel* faults = nullptr,
@@ -158,21 +157,6 @@ class MaterializedStore {
     uint64_t corrupt_refetches = 0;
   };
   const ReuseStats& stats() const { return stats_; }
-
-  /// Per-tenant accounting (DESIGN.md §14). Keyed by tenant name; an entry
-  /// appears on a tenant's first attributed publish or resolve.
-  struct TenantStats {
-    uint64_t publishes = 0;         ///< Accepted publishes owned by tenant.
-    uint64_t published_bytes = 0;   ///< Cumulative bytes accepted at publish.
-    uint64_t hits = 0;              ///< Resolve hits this tenant made.
-    uint64_t misses = 0;            ///< Resolve misses this tenant made.
-    uint64_t cross_tenant_hits = 0; ///< Hits on another tenant's artifact.
-    uint64_t served_hits = 0;       ///< Hits *on* this tenant's artifacts
-                                    ///  made by other tenants.
-  };
-  const std::map<std::string, TenantStats>& tenant_stats() const {
-    return tenant_stats_;
-  }
 
   /// Metadata of every live artifact, in insert order.
   std::vector<ArtifactMeta> Entries() const;
@@ -210,7 +194,6 @@ class MaterializedStore {
     std::vector<InputSplit> splits;
   };
 
-  static uint64_t SplitsBytes(const std::vector<InputSplit>& splits);
   double Density(const Entry& e) const;
 
   uint64_t capacity_bytes_;
@@ -222,7 +205,6 @@ class MaterializedStore {
   // deterministic without extra bookkeeping.
   std::map<uint64_t, Entry> entries_;
   ReuseStats stats_;
-  std::map<std::string, TenantStats> tenant_stats_;
 };
 
 }  // namespace reuse

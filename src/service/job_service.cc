@@ -21,7 +21,7 @@ namespace service {
 namespace {
 
 /// One serial step of a job's demand profile: either a pure delay (DFS
-/// boundary, reuse resolve, legacy seconds-only summaries) or a task wave
+/// boundary, reuse resolve) or a task wave
 /// competing for one slot pool — never both.
 struct StageDemand {
   double delay = 0.0;
@@ -36,8 +36,8 @@ std::vector<StageDemand> FlattenDemand(const EFindRunResult& result) {
   std::vector<StageDemand> stages;
   for (const JobStageSummary& s : result.jobs) {
     if (s.map_task_durations.empty() && s.reduce_task_durations.empty()) {
-      // Pure-boundary summary (reuse adoption) or a summary without task
-      // vectors: replay it as a serial delay of its total seconds.
+      // Pure-boundary summary (reuse adoption): replay it as a serial delay
+      // of its total seconds.
       StageDemand d;
       d.delay = s.boundary_seconds + s.map_seconds + s.reduce_seconds;
       if (d.delay > 0.0) stages.push_back(std::move(d));
@@ -52,14 +52,12 @@ std::vector<StageDemand> FlattenDemand(const EFindRunResult& result) {
       StageDemand d;
       d.dur = s.map_task_durations;
       d.base = s.map_task_base_durations;
-      if (d.base.size() != d.dur.size()) d.base = d.dur;
       stages.push_back(std::move(d));
     }
     if (!s.reduce_task_durations.empty()) {
       StageDemand d;
       d.dur = s.reduce_task_durations;
       d.base = s.reduce_task_base_durations;
-      if (d.base.size() != d.dur.size()) d.base = d.dur;
       d.is_reduce = true;
       stages.push_back(std::move(d));
     }
@@ -437,7 +435,6 @@ class ServiceSim {
     fair_.Charge(job.tenant, dur);
     Push(r.finish, kTaskFinish, id, j, task, job.cur);
     if (is_backup) {
-      ++result_.backups_launched;
       ++result_.tenants[job.tenant].backups_launched;
       return;
     }
@@ -479,7 +476,6 @@ class ServiceSim {
     job.backup[r.task] = 0;
     fair_.Refund(r.tenant, r.finish - now);  // Unconsumed charge.
     result_.tenants[r.tenant].slot_seconds += now - r.start;
-    ++result_.backups_preempted;
     ++result_.tenants[r.tenant].backups_preempted;
     ServiceInstant("backup_preempted", now,
                    {{"tenant", tenant_names_[r.tenant]},
@@ -512,10 +508,7 @@ class ServiceSim {
     if (job.completed[r.task] == 0) {
       job.completed[r.task] = 1;
       ++job.done;
-      if (r.is_backup) {
-        ++result_.backup_wins;
-        ++result_.tenants[r.tenant].backup_wins;
-      }
+      if (r.is_backup) ++result_.tenants[r.tenant].backup_wins;
       // Kill the slower copy: its slot frees now, not at its own finish.
       const uint64_t other =
           r.is_backup ? job.primary[r.task] : job.backup[r.task];
@@ -547,15 +540,6 @@ class ServiceSim {
     ++ts.finished;
     ts.total_latency += out.latency();
     ts.total_slowdown += out.slowdown();
-    // Shared lookup-cache + reuse-store accounting, from the run counters.
-    for (const auto& [name, v] : out.counters.values()) {
-      if (EndsWith(name, ".lookups")) ts.cache_lookups += v;
-      if (EndsWith(name, ".cache_hits")) ts.cache_hits += v;
-    }
-    ts.reuse_hits += out.counters.Get("efind.reuse.hits");
-    ts.reuse_misses += out.counters.Get("efind.reuse.misses");
-    ts.reuse_cross_tenant_hits +=
-        out.counters.Get("efind.reuse.cross_tenant_hits");
     result_.counters.Merge(out.counters);
     if (now > result_.makespan) result_.makespan = now;
     if (obs_ != nullptr) {
@@ -578,35 +562,26 @@ class ServiceSim {
     }
   }
 
-  static bool EndsWith(const std::string& s, const char* suffix) {
-    const size_t n = std::char_traits<char>::length(suffix);
-    return s.size() >= n && s.compare(s.size() - n, n, suffix) == 0;
-  }
-
   void Finalize() {
     for (size_t t = 0; t < result_.tenants.size(); ++t) {
-      TenantServiceStats& ts = result_.tenants[t];
-      const auto& adm = admission_.stats(static_cast<int>(t));
-      ts.admitted = adm.admitted;
-      ts.deferred = adm.deferred;
-      ts.rejected = adm.rejected;
-      ts.submitted = adm.admitted + adm.deferred + adm.rejected;
+      result_.tenants[t].deferred =
+          admission_.stats(static_cast<int>(t)).deferred;
     }
     if (obs_ != nullptr) {
       obs::MetricsRegistry& mx = obs_->metrics();
-      double finished = 0.0;
+      double finished = 0.0, launched = 0.0, preempted = 0.0, wins = 0.0;
       for (const auto& ts : result_.tenants) {
         finished += static_cast<double>(ts.finished);
+        launched += static_cast<double>(ts.backups_launched);
+        preempted += static_cast<double>(ts.backups_preempted);
+        wins += static_cast<double>(ts.backup_wins);
         mx.Set(mx.Gauge("service.tenant." + ts.name + ".slot_seconds"),
                ts.slot_seconds);
       }
       mx.Add(mx.Counter("service.jobs_finished"), finished);
-      mx.Add(mx.Counter("service.backups_launched"),
-             static_cast<double>(result_.backups_launched));
-      mx.Add(mx.Counter("service.backups_preempted"),
-             static_cast<double>(result_.backups_preempted));
-      mx.Add(mx.Counter("service.backup_wins"),
-             static_cast<double>(result_.backup_wins));
+      mx.Add(mx.Counter("service.backups_launched"), launched);
+      mx.Add(mx.Counter("service.backups_preempted"), preempted);
+      mx.Add(mx.Counter("service.backup_wins"), wins);
     }
   }
 

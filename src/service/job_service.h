@@ -103,27 +103,19 @@ struct JobOutcome {
   }
 };
 
-/// Per-tenant aggregate accounting.
+/// Per-tenant accounting of the service sim. Lookup-cache and reuse traffic
+/// live in each job's `JobOutcome::counters`, and admission outcomes in
+/// `AdmissionController::stats`.
 struct TenantServiceStats {
   std::string name;
-  uint64_t submitted = 0;
-  uint64_t admitted = 0;  ///< Directly admitted (no backlog wait).
+  /// Submissions that waited in the backlog (the admission stats' count).
   uint64_t deferred = 0;
-  uint64_t rejected = 0;
   uint64_t finished = 0;
   /// Slot-seconds actually served (primaries + backup copies, including
   /// the truncated occupancy of preempted/cancelled backups).
   double slot_seconds = 0.0;
   double total_latency = 0.0;
   double total_slowdown = 0.0;
-  /// Shared per-node lookup-cache accounting, aggregated from the tenant's
-  /// run counters (`*.lookups` / `*.cache_hits`).
-  double cache_lookups = 0.0;
-  double cache_hits = 0.0;
-  /// Reuse-store accounting from run counters (`efind.reuse.*`).
-  double reuse_hits = 0.0;
-  double reuse_misses = 0.0;
-  double reuse_cross_tenant_hits = 0.0;
   /// Service-level speculation on this tenant's tasks.
   uint64_t backups_launched = 0;
   uint64_t backup_wins = 0;
@@ -136,9 +128,6 @@ struct ServiceResult {
   double makespan = 0.0;  ///< Last finish instant on the service clock.
   /// Counters merged across every finished job's run.
   Counters counters;
-  uint64_t backups_launched = 0;
-  uint64_t backup_wins = 0;
-  uint64_t backups_preempted = 0;
 
   /// Finished-job latencies of one tenant (or all tenants, tenant < 0),
   /// in submission order.

@@ -78,7 +78,6 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
       "--journal-dir=journal-out",
       "--trace-out=trace.json",
       "--report=report.json",
-      "--report-text=report.txt",
       "--fault-task-failure-rate=0.05",
       "--fault-straggler-rate=0.1",
       "--fault-straggler-slowdown=2.5",
@@ -126,7 +125,6 @@ TEST(BenchOptionsTest, EveryFlagParsesToItsField) {
   EXPECT_EQ(opts.journal_dir, "journal-out");
   EXPECT_EQ(opts.trace_out, "trace.json");
   EXPECT_EQ(opts.report_out, "report.json");
-  EXPECT_EQ(opts.report_text_out, "report.txt");
   EXPECT_NE(opts.obs(), nullptr);
 
   const ClusterConfig& c = opts.config;
@@ -233,12 +231,12 @@ TEST(BenchOptionsDeathTest, OutOfRangeValuesExitWithCode2) {
 }
 
 TEST(BenchOptionsTest, LookalikeArgumentsPassThrough) {
-  Argv args({"--hedge=1", "--threadsx=3", "--report-textx=a", "--no-reuse-x",
+  Argv args({"--hedge=1", "--threadsx=3", "--reportx=a", "--no-reuse-x",
              "--skew", "--fault-speculation=true"});
   const BenchOptions opts = Parse(&args);
   EXPECT_EQ(args.Remaining(),
             (std::vector<std::string>{"--hedge=1", "--threadsx=3",
-                                      "--report-textx=a", "--no-reuse-x",
+                                      "--reportx=a", "--no-reuse-x",
                                       "--skew", "--fault-speculation=true"}));
   EXPECT_FALSE(opts.config.hedged_lookups);
   EXPECT_FALSE(opts.config.speculative_execution);
@@ -281,7 +279,7 @@ TEST(BenchOptionsTest, KnobTableDeclaresEachFlagAndKeyOnce) {
       keys.insert(k.key);
     }
   }
-  EXPECT_EQ(num_flags, 37u);
+  EXPECT_EQ(num_flags, 36u);
   EXPECT_EQ(flags.size(), num_flags);
   EXPECT_EQ(num_keys, 39u);
   EXPECT_EQ(keys.size(), num_keys);

@@ -95,9 +95,6 @@ void ExpectResultsIdentical(const ServiceResult& a, const ServiceResult& b) {
   }
   EXPECT_EQ(a.makespan, b.makespan);
   EXPECT_EQ(a.counters.values(), b.counters.values());
-  EXPECT_EQ(a.backups_launched, b.backups_launched);
-  EXPECT_EQ(a.backup_wins, b.backup_wins);
-  EXPECT_EQ(a.backups_preempted, b.backups_preempted);
   ASSERT_EQ(a.tenants.size(), b.tenants.size());
   for (size_t t = 0; t < a.tenants.size(); ++t) {
     EXPECT_EQ(a.tenants[t].finished, b.tenants[t].finished) << "tenant " << t;
@@ -105,11 +102,11 @@ void ExpectResultsIdentical(const ServiceResult& a, const ServiceResult& b) {
         << "tenant " << t;
     EXPECT_EQ(a.tenants[t].total_latency, b.tenants[t].total_latency)
         << "tenant " << t;
-    EXPECT_EQ(a.tenants[t].cache_lookups, b.tenants[t].cache_lookups)
-        << "tenant " << t;
-    EXPECT_EQ(a.tenants[t].cache_hits, b.tenants[t].cache_hits)
-        << "tenant " << t;
     EXPECT_EQ(a.tenants[t].backups_launched, b.tenants[t].backups_launched)
+        << "tenant " << t;
+    EXPECT_EQ(a.tenants[t].backup_wins, b.tenants[t].backup_wins)
+        << "tenant " << t;
+    EXPECT_EQ(a.tenants[t].backups_preempted, b.tenants[t].backups_preempted)
         << "tenant " << t;
   }
 }
@@ -290,7 +287,6 @@ TEST(ServiceDeterminismTest, BacklogOverflowRejects) {
   EXPECT_FALSE(r.jobs[1].rejected);
   EXPECT_TRUE(r.jobs[2].rejected);
   EXPECT_LT(r.jobs[2].finish, 0.0);  // Never ran.
-  EXPECT_EQ(r.tenants[0].rejected, 1u);
   EXPECT_EQ(r.tenants[0].finished, 2u);
   // Rejected submissions contribute no latency samples.
   EXPECT_EQ(r.Latencies(0).size(), 2u);

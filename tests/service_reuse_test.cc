@@ -3,9 +3,10 @@
 //
 // Cross-tenant artifact reuse through the job service (DESIGN.md §14):
 // artifact fingerprints are tenant-agnostic, so one tenant's published
-// shuffle serves another tenant's identical job — surfaced per tenant in
-// `efind.reuse.cross_tenant_hits` (consumer side) and the store's
-// `served_hits` (producer side). Also covers the tenant plumbing on
+// shuffle serves another tenant's identical job — surfaced in the consumer's
+// `efind.reuse.cross_tenant_hits` counter and, naming the producer, in
+// `ResolveOutcome::owner` and the `reuse_hit` instant's `owner` arg. Also
+// covers the tenant plumbing on
 // MaterializedStore/EFindJobRunner directly, and the engine-level
 // regression that speculative backups never change job outputs.
 
@@ -52,18 +53,20 @@ TEST(ServiceReuseTest, StoreAttributesTrafficToTenants) {
   EXPECT_EQ(warm.counters.Get("efind.reuse.hits"), 1.0);
   EXPECT_EQ(warm.counters.Get("efind.reuse.cross_tenant_hits"), 1.0);
 
-  // Store-side attribution: the artifact is alice's; bob's hit is cross-
-  // tenant on his ledger and a served hit on hers.
+  EXPECT_EQ(warm.counters.Get("efind.reuse.misses"), 0.0);
+
+  // Store-side attribution: alice published the one artifact, bob's hit on
+  // it was served, and a resolve by bob names alice as its owner.
+  EXPECT_EQ(store.stats().publishes, 1u);
   ASSERT_EQ(store.Entries().size(), 1u);
   EXPECT_EQ(store.Entries()[0].owner, "alice");
-  const auto& ledgers = store.tenant_stats();
-  ASSERT_TRUE(ledgers.count("alice"));
-  ASSERT_TRUE(ledgers.count("bob"));
-  EXPECT_EQ(ledgers.at("alice").publishes, 1u);
-  EXPECT_EQ(ledgers.at("alice").served_hits, 1u);
-  EXPECT_EQ(ledgers.at("bob").hits, 1u);
-  EXPECT_EQ(ledgers.at("bob").cross_tenant_hits, 1u);
-  EXPECT_EQ(ledgers.at("bob").misses, 0u);
+  EXPECT_EQ(store.Entries()[0].reuse_count, 1u);
+  reuse::MaterializedStore::ResolveOutcome outcome;
+  ASSERT_NE(store.Resolve(store.Entries()[0].fingerprint, nullptr, nullptr,
+                          &outcome, "bob"),
+            nullptr);
+  EXPECT_EQ(outcome.owner, "alice");
+  EXPECT_TRUE(outcome.cross_tenant);
 }
 
 TEST(ServiceReuseTest, SameTenantHitIsNotCrossTenant) {
@@ -81,13 +84,53 @@ TEST(ServiceReuseTest, SameTenantHitIsNotCrossTenant) {
 
   EXPECT_EQ(warm.counters.Get("efind.reuse.hits"), 1.0);
   EXPECT_EQ(warm.counters.Get("efind.reuse.cross_tenant_hits"), 0.0);
-  EXPECT_EQ(store.tenant_stats().at("alice").cross_tenant_hits, 0u);
-  EXPECT_EQ(store.tenant_stats().at("alice").served_hits, 0u);
+  ASSERT_EQ(store.Entries().size(), 1u);
+  reuse::MaterializedStore::ResolveOutcome outcome;
+  ASSERT_NE(store.Resolve(store.Entries()[0].fingerprint, nullptr, nullptr,
+                          &outcome, "alice"),
+            nullptr);
+  EXPECT_EQ(outcome.owner, "alice");
+  EXPECT_FALSE(outcome.cross_tenant);
+}
+
+TEST(ServiceReuseTest, ReuseHitInstantNamesCrossTenantOwner) {
+  // The producer side of a cross-tenant hit is named only by the hit
+  // itself: the `reuse_hit` instant carries `owner` exactly when the
+  // artifact belongs to another tenant.
+  ToyWorld world(150);
+  auto input = world.MakeInput(24, 40, 150);
+  IndexJobConf first = world.MakeJoinJob(false);
+  IndexJobConf followup = world.MakeJoinJob(true);
+  ClusterConfig config;
+  reuse::MaterializedStore store(64ull << 20, config.num_nodes);
+  obs::ObsSession session;
+  EFindJobRunner runner(config);
+  runner.set_reuse(&store);
+  runner.set_obs(&session);
+
+  runner.set_tenant("alice");
+  runner.RunWithStrategy(first, input, Strategy::kRepartition);
+  runner.RunWithStrategy(followup, input, Strategy::kRepartition);
+  runner.set_tenant("bob");
+  runner.RunWithStrategy(followup, input, Strategy::kRepartition);
+
+  std::vector<std::map<std::string, std::string>> hits;
+  for (const obs::TraceEvent& e : session.trace().events()) {
+    if (e.name != "reuse_hit") continue;
+    EXPECT_TRUE(e.instant);
+    std::map<std::string, std::string>& args = hits.emplace_back();
+    for (const obs::TraceArg& a : e.args) args[a.key] = a.value;
+  }
+  ASSERT_EQ(hits.size(), 2u);
+  EXPECT_EQ(hits[0].count("owner"), 0u);  // alice's own artifact.
+  ASSERT_EQ(hits[1].count("owner"), 1u);  // bob's hit on alice's.
+  EXPECT_EQ(hits[1].at("owner"), "alice");
+  EXPECT_EQ(hits[0].at("fingerprint"), hits[1].at("fingerprint"));
 }
 
 TEST(ServiceReuseTest, UntenantedRunsKeepLegacyBehavior) {
-  // No tenant set: aggregate stats move, the per-tenant ledger stays empty
-  // and results are identical to the pre-tenancy code path.
+  // No tenant set: aggregate stats move, the artifact stays unowned, and
+  // no hit on it is ever cross-tenant.
   ToyWorld world(150);
   auto input = world.MakeInput(24, 40, 150);
   IndexJobConf conf = world.MakeJoinJob(true);
@@ -99,9 +142,14 @@ TEST(ServiceReuseTest, UntenantedRunsKeepLegacyBehavior) {
   auto warm = runner.RunWithStrategy(conf, input, Strategy::kRepartition);
 
   EXPECT_EQ(store.stats().hits, 1u);
-  EXPECT_TRUE(store.tenant_stats().empty());
   EXPECT_EQ(store.Entries()[0].owner, "");
   EXPECT_EQ(warm.counters.Get("efind.reuse.cross_tenant_hits"), 0.0);
+  reuse::MaterializedStore::ResolveOutcome outcome;
+  ASSERT_NE(store.Resolve(store.Entries()[0].fingerprint, nullptr, nullptr,
+                          &outcome, "bob"),
+            nullptr);
+  EXPECT_EQ(outcome.owner, "");
+  EXPECT_FALSE(outcome.cross_tenant);
 }
 
 TEST(ServiceReuseTest, ServiceSurfacesCrossTenantHits) {
@@ -139,12 +187,19 @@ TEST(ServiceReuseTest, ServiceSurfacesCrossTenantHits) {
   EXPECT_EQ(r.jobs[2].counters.Get("efind.reuse.cross_tenant_hits"), 1.0);
   EXPECT_EQ(r.counters.Get("efind.reuse.cross_tenant_hits"), 2.0);
 
-  // Per-tenant rollups: bob consumed twice, alice served twice.
-  EXPECT_EQ(r.tenants[1].reuse_hits, 2.0);
-  EXPECT_EQ(r.tenants[1].reuse_cross_tenant_hits, 2.0);
-  EXPECT_EQ(r.tenants[0].reuse_cross_tenant_hits, 0.0);
-  EXPECT_EQ(store.tenant_stats().at("alice").served_hits, 2u);
-  EXPECT_EQ(store.tenant_stats().at("bob").cross_tenant_hits, 2u);
+  // Per tenant, from each job's counters: bob hit twice, both cross-
+  // tenant; alice made no cross-tenant hit. Her artifact served both.
+  double hits[2] = {0.0, 0.0}, cross[2] = {0.0, 0.0};
+  for (const JobOutcome& job : r.jobs) {
+    hits[job.tenant] += job.counters.Get("efind.reuse.hits");
+    cross[job.tenant] += job.counters.Get("efind.reuse.cross_tenant_hits");
+  }
+  EXPECT_EQ(hits[1], 2.0);
+  EXPECT_EQ(cross[1], 2.0);
+  EXPECT_EQ(cross[0], 0.0);
+  ASSERT_EQ(store.Entries().size(), 1u);
+  EXPECT_EQ(store.Entries()[0].owner, "alice");
+  EXPECT_EQ(store.Entries()[0].reuse_count, 2u);
 
   // Reuse changed bob's cost, not his answer: his jobs still checksum
   // identically to a store-less direct run.

@@ -67,19 +67,18 @@ int main(int argc, char** argv) {
   }
   const ServiceResult r = svc.Run(arrivals);
 
-  size_t finished = 0, deferred = 0, rejected = 0;
+  size_t finished = 0, deferred = 0, rejected = 0, preempted = 0;
   for (const auto& t : r.tenants) {
     finished += t.finished;
     deferred += t.deferred;
-    rejected += t.rejected;
+    preempted += t.backups_preempted;
   }
-  if (finished == 0 || deferred == 0 || rejected == 0 ||
-      r.backups_preempted == 0) {
+  for (const auto& job : r.jobs) rejected += job.rejected ? 1 : 0;
+  if (finished == 0 || deferred == 0 || rejected == 0 || preempted == 0) {
     std::fprintf(stderr,
                  "service_trace_demo: expected finishes, deferrals, a "
-                 "rejection and a backup preemption (got %zu/%zu/%zu/%llu)\n",
-                 finished, deferred, rejected,
-                 static_cast<unsigned long long>(r.backups_preempted));
+                 "rejection and a backup preemption (got %zu/%zu/%zu/%zu)\n",
+                 finished, deferred, rejected, preempted);
     return 1;
   }
 
