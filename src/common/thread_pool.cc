@@ -1,6 +1,8 @@
 #include "common/thread_pool.h"
 
+#include <charconv>
 #include <cstdlib>
+#include <cstring>
 #include <utility>
 
 namespace efind {
@@ -57,8 +59,11 @@ void ThreadPool::WorkerLoop() {
 int ResolveThreadCount(int requested) {
   if (requested > 0) return requested;
   if (const char* env = std::getenv("EFIND_THREADS")) {
-    const int n = std::atoi(env);
-    if (n > 0) return n;
+    // The whole value must be a positive decimal ("4x" and "1e3" are not).
+    const char* end = env + std::strlen(env);
+    int n = 0;
+    const auto [ptr, ec] = std::from_chars(env, end, n);
+    if (ec == std::errc() && ptr == end && n > 0) return n;
   }
   const unsigned hw = std::thread::hardware_concurrency();
   return hw > 0 ? static_cast<int>(hw) : 1;

@@ -52,8 +52,9 @@ class ThreadPool {
 };
 
 /// Resolves a requested worker-thread count: values > 0 pass through;
-/// otherwise the `EFIND_THREADS` environment variable applies when set to a
-/// positive integer, else the hardware concurrency. Never returns < 1.
+/// otherwise the `EFIND_THREADS` environment variable applies when its whole
+/// value is a positive decimal integer, else (unset, or any other value) the
+/// hardware concurrency. Never returns < 1.
 int ResolveThreadCount(int requested);
 
 }  // namespace efind

@@ -19,13 +19,16 @@
 // device once per site, and emits the records buffered behind them in
 // arrival order.
 //
-// Threading: one stage instance serves every task of a phase and tasks on
-// different simulated nodes run concurrently (see stage.h). Stages therefore
-// keep per-task state in the TaskContext, feed statistics through per-task
+// Threading: one stage instance serves every task of a phase and the
+// phase's tasks run concurrently (see stage.h). Stages therefore keep
+// per-task state in the TaskContext, feed statistics through per-task
 // collectors (`OperatorRuntime::TaskLocal`), and only keep per-node
-// structures (lookup caches) in members — safe because a node's tasks are
-// serialized on one strand. Counter names are interned once at construction
-// (`CounterHandle`) so per-record increments build no strings.
+// structures in members: lookup caches, the shadow caches they feed, and
+// live circuit breakers. A lookup stage that touches one of them declares
+// `holds_node_state`, so the engine serializes each node's tasks on one
+// strand; every other stage runs task by task. Counter names are interned
+// once at construction (`CounterHandle`) so per-record increments build no
+// strings.
 
 #ifndef EFIND_EFIND_STAGES_H_
 #define EFIND_EFIND_STAGES_H_
@@ -179,9 +182,11 @@ struct LookupSite {
   CounterHandle lookup_failovers;
   ResilienceCounters resilience;
   /// Circuit-breaker cells (null when the breaker is off or the accessor
-  /// has no partition scheme). Safe as stage state for the same reason the
-  /// node caches are: a node's tasks serialize on one strand, and a
-  /// breaker cell is (node, partition)-local.
+  /// has no partition scheme). They are live, i.e. read and written by
+  /// `Charge`, only while `failover.active()`; a stage with live breakers
+  /// declares `holds_node_state`, so a node's tasks serialize on one strand
+  /// and a breaker cell, being (node, partition)-local, sees them in task
+  /// order.
   std::unique_ptr<BreakerBank> breakers;
   /// Interned lookup-latency and injected-latency (latency spikes added by
   /// the fault model) histogram ids; -1 when observability is off.
@@ -227,6 +232,9 @@ class InlineLookupStage : public RecordStage {
                     obs::ObsSession* session = nullptr);
 
   std::string name() const override;
+  /// True when a slot has node caches, feeds the runtime's shadow caches
+  /// (an uncached slot with a statistics runtime), or has live breakers.
+  bool holds_node_state() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
   /// Flushes the batched slots' remaining buffered lookups, then takes the
   /// per-task cache snapshot.
@@ -336,6 +344,9 @@ class GroupedLookupStage : public RecordStage {
                      obs::ObsSession* session = nullptr);
 
   std::string name() const override;
+  /// True only when the site's breakers are live: the grouped stage has no
+  /// cache and feeds no shadow cache.
+  bool holds_node_state() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
   /// Flushes the remaining buffered lookups (none on a serial accessor).
   void EndTask(TaskContext* ctx, Emitter* out) override;

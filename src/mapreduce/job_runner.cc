@@ -32,6 +32,13 @@ double SpeculationThreshold(const ClusterConfig& config) {
   return config.speculative_execution ? config.speculation_threshold : 0.0;
 }
 
+/// Whether a phase running `stages` must serialize each node's tasks on one
+/// strand (see `RecordStage::holds_node_state`).
+bool HoldsNodeState(const std::vector<std::shared_ptr<RecordStage>>& stages) {
+  return std::any_of(stages.begin(), stages.end(),
+                     [](const auto& s) { return s->holds_node_state(); });
+}
+
 uint64_t BytesOf(const std::vector<Record>& records) {
   uint64_t n = 0;
   for (const auto& r : records) n += r.size_bytes();
@@ -360,9 +367,12 @@ void JobRunner::RunStrands(size_t count,
   }
   // Bucket task indices by strand key; each bucket preserves ascending
   // index order, so per-node stateful structures (lookup caches, shadow
-  // caches) see exactly the serial probe sequence.
+  // caches, breakers) see exactly the serial probe sequence. Without a key
+  // every task is its own strand.
   std::map<int, std::vector<size_t>> strands;
-  for (size_t i = 0; i < count; ++i) strands[strand_of(i)].push_back(i);
+  for (size_t i = 0; i < count; ++i) {
+    strands[strand_of ? strand_of(i) : static_cast<int>(i)].push_back(i);
+  }
   if (strands.size() <= 1) {
     for (size_t i = 0; i < count; ++i) body(i);
     return;
@@ -458,9 +468,12 @@ MapPhaseResult JobRunner::RunMapPhase(
   const size_t count = end - begin;
   phase.tasks.resize(count);
   std::vector<TaskStateBag> bags(count);
+  std::function<int(size_t)> node_of;
+  if (HoldsNodeState(job.map_stages)) {
+    node_of = [&](size_t k) { return input[begin + k]->node; };
+  }
   RunStrands(
-      count,
-      [&](size_t k) { return input[begin + k]->node; },
+      count, node_of,
       [&](size_t k) {
         phase.tasks[k] = RunMapTask(
             job, *input[begin + k],
@@ -695,12 +708,13 @@ ReducePhaseResult JobRunner::RunReduceRange(
     bags[slot] = ctx.TakeTaskState();
   };
 
-  RunStrands(
-      count,
-      [&](size_t slot) {
-        return ReduceTaskNode(job, begin + static_cast<int>(slot));
-      },
-      run_reduce_task);
+  std::function<int(size_t)> node_of;
+  if (HoldsNodeState(job.reduce_stages)) {
+    node_of = [&](size_t slot) {
+      return ReduceTaskNode(job, begin + static_cast<int>(slot));
+    };
+  }
+  RunStrands(count, node_of, run_reduce_task);
   for (auto& bag : bags) bag.Merge();
 
   phase.schedule = ScheduleWaves(phase.durations, phase.base_durations,

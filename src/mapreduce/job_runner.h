@@ -26,12 +26,14 @@ class ObsSession;
 /// elapsed time is modeled per task from byte counts, CPU charges, and any
 /// time stages charged through `TaskContext::AddSimTime` (index lookups).
 ///
-/// Independent tasks execute concurrently on a fixed-size thread pool,
-/// grouped into per-node strands (one simulated node's tasks run serially in
-/// ascending task index on one thread), and all cross-task merges happen in
-/// task-index order after the phase — so outputs, counters, and simulated
-/// times are bit-identical for every thread count (DESIGN.md "Execution
-/// engine"). The wave scheduler then converts per-task durations into a
+/// Independent tasks execute concurrently on a fixed-size thread pool, and
+/// all cross-task merges happen in task-index order after the phase — so
+/// outputs, counters, and simulated times are bit-identical for every thread
+/// count (DESIGN.md "Execution engine"). A phase whose stages hold per-node
+/// state (`RecordStage::holds_node_state`: lookup caches, shadow caches,
+/// live breakers) runs on per-node strands, one simulated node's tasks
+/// serially in ascending task index on one thread; any other phase runs
+/// task by task. The wave scheduler then converts per-task durations into a
 /// phase makespan over the cluster's slots.
 ///
 /// The low-level phase methods exist so EFind's adaptive runtime can execute
@@ -139,7 +141,10 @@ class JobRunner {
 
   /// Executes `body(i)` for every i in [0, count). Tasks sharing a strand
   /// key run serially in ascending i on one thread; distinct strands run
-  /// concurrently on the pool (serially when the pool has one thread).
+  /// concurrently on the pool, in submit (strand key) order, and all of
+  /// them serially in ascending i when the pool has one thread. An empty
+  /// `strand_of` makes every task its own strand. The phases key strands by
+  /// simulated node only when a stage holds per-node state.
   void RunStrands(size_t count, const std::function<int(size_t)>& strand_of,
                   const std::function<void(size_t)>& body);
 

@@ -57,12 +57,13 @@ class TaskStateBag {
 
 /// Per-task execution context handed to stages and reducers.
 ///
-/// Tasks of one simulated node execute serially, in ascending task index, on
-/// a single OS thread ("strand"); tasks of different nodes may run
-/// concurrently. Stages are therefore shared across threads and must keep
-/// per-task state in this context (`FindTaskState` / `AddTaskState`), not in
-/// stage members. Per-*node* state on a stage (e.g. a node's lookup cache)
-/// is safe without locks because a node's tasks never run concurrently.
+/// Tasks of a phase may run concurrently, in any order. Stages are
+/// therefore shared across threads and must keep per-task state in this
+/// context (`FindTaskState` / `AddTaskState`), not in stage members. Only
+/// when a phase has a stage that declares `RecordStage::holds_node_state`
+/// are one simulated node's tasks serialized, in ascending task index, on
+/// one OS thread ("strand"); that stage's per-*node* state (e.g. a node's
+/// lookup cache) is then safe without locks.
 class TaskContext {
  public:
   TaskContext(int node_id, int task_index, Counters* counters)
@@ -148,16 +149,25 @@ class Emitter {
 /// Reduce functions (Fig. 6); this interface is the equivalent here. The
 /// user's Map function itself is just another stage.
 ///
-/// One stage instance serves every task of a phase, and tasks on different
-/// simulated nodes run on different threads: implementations must keep
-/// per-task state in the `TaskContext` (see above) and may only keep
-/// immutable or per-node state in members.
+/// One stage instance serves every task of a phase, and the phase's tasks
+/// run concurrently on different threads: implementations must keep
+/// per-task state in the `TaskContext` (see above) and may keep only
+/// immutable state in members, or per-node state they declare through
+/// `holds_node_state`.
 class RecordStage {
  public:
   virtual ~RecordStage() = default;
 
   /// Human-readable stage name for plan dumps.
   virtual std::string name() const = 0;
+
+  /// True when this stage keeps state that one simulated node's tasks share
+  /// and that must see them in serial task order: EFind's per-node lookup
+  /// caches and shadow caches, and live circuit breakers. The engine then
+  /// runs the phase's tasks on per-node strands (each node's tasks serially,
+  /// in ascending task index); otherwise every task is its own strand and
+  /// the pool balances them. Must not change while a phase runs.
+  virtual bool holds_node_state() const { return false; }
 
   /// Called once before a task streams records through this stage.
   virtual void BeginTask(TaskContext* ctx) { (void)ctx; }
@@ -172,7 +182,9 @@ class RecordStage {
 
 /// The user's Reduce function: receives one key and all records grouped
 /// under it (values arrive in deterministic map-task order). The same
-/// threading contract as `RecordStage` applies.
+/// threading contract as `RecordStage` applies, except that a reducer may
+/// hold no per-node state: the reduce phase's strands are chosen by its
+/// reduce-side stages alone.
 class Reducer {
  public:
   virtual ~Reducer() = default;

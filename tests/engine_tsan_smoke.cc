@@ -5,8 +5,10 @@
 // standalone binary (no gtest) compiled together with the engine sources
 // and -fsanitize=thread by tests/CMakeLists.txt, so every engine access is
 // instrumented regardless of how the main libraries were built. It drives a
-// multi-strand map+reduce job with per-task state, counters, and stage sim
-// time at 8 worker threads, twice, and checks the runs agree bit for bit.
+// map+reduce job with per-task state, counters, and stage sim time at 1 and
+// 8 worker threads and checks the runs agree bit for bit: once with splits
+// on every node, and once with 36 splits on 2 nodes, a node-stateless phase
+// with more tasks than nodes that runs task by task on all 8 threads.
 // TSan reports (data races) fail the test via its nonzero exit code.
 
 #include <cstdio>
@@ -61,7 +63,7 @@ class CountReducer : public Reducer {
   }
 };
 
-JobResult RunOnce(int threads) {
+JobResult RunOnce(int threads, int split_nodes) {
   ClusterConfig config;
   JobRunner runner(config);
   runner.set_num_threads(threads);
@@ -74,7 +76,7 @@ JobResult RunOnce(int threads) {
   std::vector<InputSplit> input(36);
   int v = 0;
   for (size_t s = 0; s < input.size(); ++s) {
-    input[s].node = static_cast<int>(s) % config.num_nodes;
+    input[s].node = static_cast<int>(s) % split_nodes;
     for (int r = 0; r < 50; ++r) {
       input[s].records.push_back(
           Record("key" + std::to_string(v % 40), "v" + std::to_string(v)));
@@ -88,27 +90,28 @@ JobResult RunOnce(int threads) {
 }  // namespace efind
 
 int main() {
-  const efind::JobResult serial = efind::RunOnce(1);
-  const efind::JobResult parallel = efind::RunOnce(8);
-
   int failures = 0;
-  if (serial.sim_seconds != parallel.sim_seconds) {
-    std::fprintf(stderr, "sim_seconds mismatch: %.17g vs %.17g\n",
-                 serial.sim_seconds, parallel.sim_seconds);
-    ++failures;
-  }
-  if (serial.counters.values() != parallel.counters.values()) {
-    std::fprintf(stderr, "counters mismatch\n");
-    ++failures;
-  }
-  if (serial.outputs.size() != parallel.outputs.size()) {
-    std::fprintf(stderr, "output split count mismatch\n");
-    ++failures;
-  } else {
-    for (size_t i = 0; i < serial.outputs.size(); ++i) {
-      if (serial.outputs[i].records != parallel.outputs[i].records) {
-        std::fprintf(stderr, "output mismatch in split %zu\n", i);
-        ++failures;
+  for (int split_nodes : {12, 2}) {
+    const efind::JobResult serial = efind::RunOnce(1, split_nodes);
+    const efind::JobResult parallel = efind::RunOnce(8, split_nodes);
+    if (serial.sim_seconds != parallel.sim_seconds) {
+      std::fprintf(stderr, "sim_seconds mismatch: %.17g vs %.17g\n",
+                   serial.sim_seconds, parallel.sim_seconds);
+      ++failures;
+    }
+    if (serial.counters.values() != parallel.counters.values()) {
+      std::fprintf(stderr, "counters mismatch\n");
+      ++failures;
+    }
+    if (serial.outputs.size() != parallel.outputs.size()) {
+      std::fprintf(stderr, "output split count mismatch\n");
+      ++failures;
+    } else {
+      for (size_t i = 0; i < serial.outputs.size(); ++i) {
+        if (serial.outputs[i].records != parallel.outputs[i].records) {
+          std::fprintf(stderr, "output mismatch in split %zu\n", i);
+          ++failures;
+        }
       }
     }
   }

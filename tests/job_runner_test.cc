@@ -3,10 +3,15 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <condition_variable>
 #include <cstdio>
+#include <map>
 #include <memory>
+#include <mutex>
 #include <set>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "common/random.h"
@@ -416,6 +421,135 @@ TEST(JobRunnerTest, ReduceStagesSeeRecordsGroupedInByteOrder) {
   }
   EXPECT_EQ(reuse::ChecksumSplits(result.outputs), 0x36bdcccaf86890e4ULL);
   EXPECT_EQ(HexSeconds(result.sim_seconds), "0x1.2900ddd40ebe4p-6");
+}
+
+// A node-stateless stage whose tasks each wait, up to 10 s, for a second
+// task to be inside a task of the phase at the same time. Once one wait
+// times out, no later task waits, so a serial phase costs one timeout.
+class RendezvousStage : public RecordStage {
+ public:
+  std::string name() const override { return "rendezvous"; }
+  void BeginTask(TaskContext* ctx) override {
+    (void)ctx;
+    std::unique_lock<std::mutex> lock(mu_);
+    if (++inside_ >= 2) overlapped_ = true;
+    cv_.notify_all();
+    if (overlapped_ || timed_out_) return;
+    if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                      [this] { return overlapped_; })) {
+      timed_out_ = true;
+    }
+  }
+  void Process(Record record, TaskContext* ctx, Emitter* out) override {
+    (void)ctx;
+    out->Emit(std::move(record));
+  }
+  void EndTask(TaskContext* ctx, Emitter* out) override {
+    (void)ctx;
+    (void)out;
+    std::lock_guard<std::mutex> lock(mu_);
+    --inside_;
+  }
+  bool overlapped() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return overlapped_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int inside_ = 0;
+  bool overlapped_ = false;
+  bool timed_out_ = false;
+};
+
+// A phase whose stages hold no per-node state runs task by task: on a
+// one-node cluster, two of its tasks run at once on a 4-thread pool, in the
+// map phase and in the reduce phase.
+TEST(JobRunnerTest, NodeStatelessPhasesRunTasksConcurrently) {
+  ClusterConfig config;
+  config.num_nodes = 1;
+  JobRunner runner(config);
+  runner.set_num_threads(4);
+  auto map_stage = std::make_shared<RendezvousStage>();
+  auto reduce_stage = std::make_shared<RendezvousStage>();
+  JobConfig job;
+  job.map_stages.push_back(map_stage);
+  job.reducer = std::make_shared<CountReducer>();
+  job.reduce_stages.push_back(reduce_stage);
+  job.num_reduce_tasks = 6;
+  std::vector<InputSplit> input = MakeInput(8, 20);
+  for (InputSplit& split : input) split.node = 0;
+
+  const JobResult result = runner.Run(job, input);
+  EXPECT_TRUE(map_stage->overlapped());
+  EXPECT_TRUE(reduce_stage->overlapped());
+  EXPECT_EQ(result.num_map_tasks, 8u);
+  EXPECT_EQ(result.num_reduce_tasks, 6u);
+}
+
+// A stage that declares per-node state logs the task order it sees on each
+// node and flags any task that enters while another task of its node is
+// still inside.
+class NodeLogStage : public RecordStage {
+ public:
+  std::string name() const override { return "node_log"; }
+  bool holds_node_state() const override { return true; }
+  void BeginTask(TaskContext* ctx) override {
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (inside_[ctx->node_id()]++ > 0) overlap_ = true;
+      order_[ctx->node_id()].push_back(ctx->task_index());
+    }
+    // Hold the node a little so a concurrent entry would be seen.
+    std::this_thread::sleep_for(std::chrono::microseconds(200));
+  }
+  void Process(Record record, TaskContext* ctx, Emitter* out) override {
+    (void)ctx;
+    out->Emit(std::move(record));
+  }
+  void EndTask(TaskContext* ctx, Emitter* out) override {
+    (void)out;
+    std::lock_guard<std::mutex> lock(mu_);
+    --inside_[ctx->node_id()];
+  }
+  bool overlap() const { return overlap_; }
+  const std::map<int, std::vector<int>>& order() const { return order_; }
+
+ private:
+  std::mutex mu_;
+  std::map<int, int> inside_;
+  std::map<int, std::vector<int>> order_;
+  bool overlap_ = false;
+};
+
+// Declared per-node state keeps per-node strands at threads=8: each node
+// sees its tasks one at a time, in ascending task index, in both phases.
+TEST(JobRunnerTest, NodeStatePhasesKeepPerNodeStrands) {
+  ClusterConfig config;
+  JobRunner runner(config);
+  runner.set_num_threads(8);
+  auto map_stage = std::make_shared<NodeLogStage>();
+  auto reduce_stage = std::make_shared<NodeLogStage>();
+  JobConfig job;
+  job.map_stages.push_back(map_stage);
+  job.reducer = std::make_shared<CountReducer>();
+  job.reduce_stages.push_back(reduce_stage);
+  job.num_reduce_tasks = 30;
+  const std::vector<InputSplit> input = MakeInput(40, 10);
+
+  runner.Run(job, input);
+  for (const auto* stage : {map_stage.get(), reduce_stage.get()}) {
+    EXPECT_FALSE(stage->overlap());
+    size_t tasks = 0;
+    for (const auto& [node, order] : stage->order()) {
+      EXPECT_TRUE(std::is_sorted(order.begin(), order.end()))
+          << "node " << node;
+      tasks += order.size();
+    }
+    EXPECT_EQ(stage->order().size(), 12u);
+    EXPECT_EQ(tasks, stage == map_stage.get() ? 40u : 30u);
+  }
 }
 
 TEST(RecordTest, SizeIncludesVirtualBytesAndAttachment) {

@@ -3,9 +3,10 @@
 //
 // ThreadSanitizer smoke test of the service-level resilience path: a
 // stage-owned BreakerBank is *mutated* by `LookupFailover::Resilient` from
-// every worker strand concurrently — safe only because each (task node,
-// index partition) cell is touched exclusively from its node's strand, the
-// same argument that makes per-node lookup caches safe (DESIGN.md §6/§10).
+// every worker strand concurrently — safe only because the stage declares
+// per-node state (`holds_node_state`), so each (task node, index partition)
+// cell is touched exclusively from its node's strand, the same argument
+// that makes per-node lookup caches safe (DESIGN.md §6/§10).
 // Compiled standalone with -fsanitize=thread together with the engine
 // sources and src/efind/failover.cc so every access is instrumented. Runs
 // the full service-fault matrix (spikes + hedging, flaky errors,
@@ -79,7 +80,8 @@ class SmokeAccessor : public IndexAccessor {
 
 /// Every record issues one remote and one "local" resilient lookup through
 /// the shared LookupFailover + the stage-owned shared BreakerBank, from
-/// whatever strand the task runs on.
+/// whatever strand the task runs on. The bank is per-node state, so the
+/// stage declares it.
 class ResilientStage : public RecordStage {
  public:
   ResilientStage(SmokeAccessor* accessor, const LookupFailover* failover,
@@ -87,6 +89,7 @@ class ResilientStage : public RecordStage {
       : accessor_(accessor), failover_(failover), breakers_(breakers) {}
 
   std::string name() const override { return "resilience_churn"; }
+  bool holds_node_state() const override { return true; }
 
   void Process(Record record, TaskContext* ctx, Emitter* out) override {
     std::vector<IndexValue> values;

@@ -13,6 +13,7 @@
 #include <utility>
 #include <vector>
 
+#include "efind/accessors/accessors.h"
 #include "kvstore/kv_store.h"
 #include "obs/obs.h"
 #include "store/lookup_queue.h"
@@ -518,6 +519,53 @@ TEST(LookupSiteTest, NullAndInactiveFailoverChargeAlike) {
   EXPECT_EQ(charge(guarded, /*local=*/false), "0x1.029213f1d7fcbp-3");
   EXPECT_EQ(charge(bare, /*local=*/true), "0x1.020c49ba5e354p-3");
   EXPECT_EQ(charge(guarded, /*local=*/true), "0x1.020c49ba5e354p-3");
+}
+
+// A lookup stage declares per-node state, and so keeps its phase on
+// per-node strands, only for a node cache, a shadow-cache feed (an uncached
+// slot with a statistics runtime) or breakers under an active failover.
+TEST(LookupStageNodeStateTest, CachesShadowFeedsAndLiveBreakersOnly) {
+  ClusterConfig config;
+  config.breaker_failure_threshold = 2;
+  ClusterConfig faulted = config;
+  faulted.host_downtimes.push_back({3});
+  const HostAvailability healthy;
+  const HostAvailability outage(faulted);
+  const LookupFailover inactive(&config, &healthy);
+  const LookupFailover active(&faulted, &outage);
+  ASSERT_FALSE(inactive.active());
+  ASSERT_TRUE(active.active());
+  OperatorRuntime rt(1, config.num_nodes, 16);
+  KvStore store{KvStoreOptions{}};
+  auto op = std::make_shared<FakeOperator>();
+  op->AddIndex(std::make_shared<KvIndexAccessor>("kv", &store));
+
+  auto inline_holds = [&](bool use_cache, OperatorRuntime* runtime,
+                          const LookupFailover* failover) {
+    const InlineLookupStage stage(op, {{0, use_cache}}, runtime, &config, 16,
+                                  "efind.t", failover);
+    return stage.holds_node_state();
+  };
+  EXPECT_TRUE(inline_holds(/*use_cache=*/true, nullptr, nullptr));
+  EXPECT_TRUE(inline_holds(/*use_cache=*/false, &rt, nullptr));
+  EXPECT_FALSE(inline_holds(/*use_cache=*/false, nullptr, nullptr));
+  EXPECT_TRUE(inline_holds(/*use_cache=*/false, nullptr, &active));
+  EXPECT_FALSE(inline_holds(/*use_cache=*/false, nullptr, &inactive));
+
+  auto grouped_holds = [&](const LookupFailover* failover) {
+    const GroupedLookupStage stage(op, 0, /*local=*/true, &rt, &config,
+                                   "efind.t", failover);
+    return stage.holds_node_state();
+  };
+  EXPECT_TRUE(grouped_holds(&active));
+  EXPECT_FALSE(grouped_holds(&inactive));
+  EXPECT_FALSE(grouped_holds(nullptr));
+
+  // An accessor without a partition scheme gets no breakers to keep live.
+  StageHarness h;
+  const InlineLookupStage schemeless(h.op, {{0, false}}, nullptr, &config, 16,
+                                     "efind.t", &active);
+  EXPECT_FALSE(schemeless.holds_node_state());
 }
 
 // Records that skipped the shuffle (several keys for the index) pass through

@@ -7,6 +7,8 @@
 #include <atomic>
 #include <cstdlib>
 #include <mutex>
+#include <string>
+#include <thread>
 #include <vector>
 
 namespace efind {
@@ -89,6 +91,28 @@ TEST(ResolveThreadCountTest, EnvironmentOverridesAuto) {
   EXPECT_EQ(ResolveThreadCount(0), 5);
   unsetenv("EFIND_THREADS");
   EXPECT_GE(ResolveThreadCount(0), 1);  // Hardware fallback, never < 1.
+}
+
+// Only a whole positive decimal is a thread count; anything else falls back
+// to the hardware count, as an unset variable does. Each malformed value
+// starts with a number other than that count, so a prefix parse shows.
+// Resolving starts no threads.
+TEST(ResolveThreadCountTest, MalformedEnvironmentFallsBackToHardware) {
+  const unsigned hw_raw = std::thread::hardware_concurrency();
+  const int hw = hw_raw > 0 ? static_cast<int>(hw_raw) : 1;
+  const std::string other = std::to_string(hw + 3);
+  for (const std::string& value :
+       {other + "x", other + "e3", other + ".5", " " + other, other + " ",
+        std::string("0"), "-" + other, std::string(""),
+        std::string("99999999999999999999")}) {
+    setenv("EFIND_THREADS", value.c_str(), /*overwrite=*/1);
+    EXPECT_EQ(ResolveThreadCount(0), hw) << "EFIND_THREADS='" << value << "'";
+  }
+  setenv("EFIND_THREADS", other.c_str(), /*overwrite=*/1);
+  EXPECT_EQ(ResolveThreadCount(0), hw + 3);
+  EXPECT_EQ(ResolveThreadCount(2), 2);  // An explicit request still wins.
+  unsetenv("EFIND_THREADS");
+  EXPECT_EQ(ResolveThreadCount(0), hw);
 }
 
 }  // namespace
