@@ -78,10 +78,13 @@ struct LookupCharge {
 /// Per-(task node, index partition) circuit-breaker state. The breaker is
 /// deliberately *stateful* — its whole point is remembering consecutive
 /// failures — which is safe under the deterministic-schedule contract for
-/// the same reason per-node lookup caches are (DESIGN.md §6): all tasks of
-/// one node run serialized on that node's strand, so a (node, partition)
+/// the same reason per-node lookup caches are (DESIGN.md §6): the bank is
+/// per-node state, so a stage that charges through it while the failover
+/// is active declares `RecordStage::holds_node_state`. All tasks of one
+/// node then run serialized on that node's strand, so a (node, partition)
 /// cell is only ever touched from one strand, in task order, and the
-/// resulting decisions are identical for any thread count.
+/// resulting decisions are identical for any thread count. An inactive
+/// failover never touches the bank.
 class BreakerBank {
  public:
   enum class State { kClosed = 0, kOpen = 1, kHalfOpen = 2 };
@@ -174,7 +177,8 @@ class LookupFailover {
   /// flaky-error retries, latency spikes with an optional hedged backup,
   /// and checksum-driven corruption re-fetches. `local` selects the base
   /// charge shape; `breakers` (may be null) is the calling stage's breaker
-  /// bank, mutated only from the owning node's strand. While `!active()`,
+  /// bank, mutated only from the owning node's strand (the stage declares
+  /// `holds_node_state`). While `!active()`,
   /// or with every service-level knob at its default, this is exactly
   /// `local ? Local(...) : Remote(...)`.
   LookupCharge Resilient(const IndexAccessor& accessor, const std::string& ik,

@@ -167,8 +167,10 @@ struct IndexTally {
 /// state bag merges.
 ///
 /// The only shared structure it touches is the runtime's per-node shadow
-/// cache (`ShadowProbe`), which is safe because the engine serializes tasks
-/// of one node on a single strand.
+/// cache (`ShadowProbe`). That is safe because the stage that probes it (an
+/// `InlineLookupStage` slot without a real cache) declares
+/// `RecordStage::holds_node_state`, so the engine serializes tasks of one
+/// node on a single strand. Every other method writes only this object.
 class OperatorTaskStats {
  public:
   explicit OperatorTaskStats(OperatorRuntime* runtime);
@@ -259,8 +261,8 @@ class OperatorRuntime {
 
   /// Touches the per-node shadow LRU for (j, node): returns whether `key`
   /// was present, inserting it if not. No probe counters are updated (the
-  /// caller counts). Safe across tasks because a node's tasks run on one
-  /// strand.
+  /// caller counts). Safe across tasks because the probing stage declares
+  /// node state, so a node's tasks run on one strand.
   bool ShadowCacheTouch(int j, int node, const std::string& key);
 
   int num_indices_;
