@@ -44,9 +44,13 @@
 #      strand tests (job_runner_test's NodeStatelessPhasesRunTasks-
 #      Concurrently and NodeStatePhasesKeepPerNodeStrands), and the
 #      engine's threads=1 == threads=N contract (determinism_test, incl.
-#      FewerNodesThanThreadsMatchAcrossThreadCounts; thread_pool_test, incl.
+#      FewerNodesThanThreadsMatchAcrossThreadCounts and the task-local
+#      statistics tests DeterminismStatsTest.ShadowFedStatisticsMatch-
+#      AcrossThreadCounts and StatisticsRunDoesNotSerializeANodesTasks;
+#      thread_pool_test, incl.
 #      ResolveThreadCountTest.MalformedEnvironmentFallsBackToHardware;
-#      engine_tsan_smoke, pool_tsan_smoke) side by side; then the
+#      engine_tsan_smoke, pool_tsan_smoke, and knn_tsan_smoke, which runs
+#      spatial kNN lookups from concurrent map tasks) side by side; then the
 #      bench_perf_layout acceptance
 #      bench (exits nonzero unless the fig11a repartition leg matches its
 #      pinned output digest and simulated seconds, keeps >= 10 shuffled

@@ -20,9 +20,8 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
       slots;
   for (int s = 0; s < num_slots; ++s) slots.emplace(0.0, s);
 
-  const size_t first_wave =
+  out.first_wave_size =
       std::min(durations.size(), static_cast<size_t>(num_slots));
-  out.first_wave_size = first_wave;
 
   for (size_t i = 0; i < durations.size(); ++i) {
     auto [free_at, slot] = slots.top();
@@ -33,9 +32,6 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
     t.finish = free_at + durations[i];
     slots.emplace(t.finish, slot);
     out.makespan = std::max(out.makespan, t.finish);
-    if (i < first_wave) {
-      out.first_wave_finish = std::max(out.first_wave_finish, t.finish);
-    }
   }
   return out;
 }
@@ -98,7 +94,6 @@ PhaseSchedule ScheduleWaves(const std::vector<double>& durations,
     out.tasks[i].backup_won = backups[i].won;
     out.tasks[i].backup_rel_start = backups[i].rel_start;
     out.tasks[i].backup_rel_finish = backups[i].rel_finish;
-    out.tasks[i].primary_duration = durations[i];
   }
   return out;
 }

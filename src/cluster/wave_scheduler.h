@@ -23,8 +23,6 @@ struct TaskSchedule {
   /// the backup would finish, both relative to the primary's start.
   double backup_rel_start = 0.0;
   double backup_rel_finish = 0.0;
-  /// The primary attempt's full duration, even if the backup won.
-  double primary_duration = 0.0;
 };
 
 /// Result of scheduling a phase of tasks onto a fixed number of slots.
@@ -32,12 +30,8 @@ struct PhaseSchedule {
   std::vector<TaskSchedule> tasks;
   /// Completion time of the whole phase (last slot to finish).
   double makespan = 0.0;
-  /// Completion time of the first wave, i.e. the first `num_slots` tasks
-  /// (all tasks if fewer). The adaptive optimizer re-plans at this point
-  /// (paper Section 4.1: "the statistics collected from the tasks in the
-  /// first round of Map may trigger re-optimization").
-  double first_wave_finish = 0.0;
-  /// Number of tasks in the first wave.
+  /// Number of tasks in the first wave, i.e. the first `num_slots` tasks
+  /// (all tasks if fewer).
   size_t first_wave_size = 0;
   /// Speculative execution (the speculative overload): how many backup
   /// tasks launched, and how many finished before their primary.

@@ -65,7 +65,7 @@ class PipelineExecutor {
                    const EFindOptions& options, const IndexJobConf& conf,
                    const JobPlan& plan, EFindJobRunner::RunContext* rc,
                    const CollectedStats* stats_hint, EFindRunResult* result,
-                   const LookupFailover* failover = nullptr,
+                   const LookupFailover* failover,
                    reuse::MaterializedStore* store = nullptr,
                    uint64_t dataset_fp = 0, const std::string& tenant = {})
       : job_runner_(job_runner),
@@ -392,14 +392,10 @@ class PipelineExecutor {
       // the whole run — their chunks would only lose locality later.
       // Transiently-down hosts keep their chunks (the lookup path rides
       // the outage out with retries/failover).
-      const HostAvailability* avail =
-          failover_ != nullptr && failover_->active()
-              ? failover_->availability()
-              : nullptr;
+      const HostAvailability* avail = failover_->availability();
       std::vector<int> hosts;
       for (int n = 0; n < config_.num_nodes; ++n) {
-        if (scheme->NodeHostsPartition(n, p) &&
-            (avail == nullptr || !avail->IsDownWholeRun(n))) {
+        if (scheme->NodeHostsPartition(n, p) && !avail->IsDownWholeRun(n)) {
           hosts.push_back(n);
         }
       }
@@ -509,19 +505,13 @@ class PipelineExecutor {
       const bool store_eligible = s == 0 && store_ != nullptr && !salted;
       uint64_t artifact_fp = 0;
       if (store_eligible) {
-        artifact_fp = reuse::ArtifactFingerprint(
-            reuse::ChainFingerprint(conf_, dataset_fp_, pos,
-                                    static_cast<int>(op_index)),
-            *op, {choice.index}, layout, partitions);
-        const HostAvailability* avail =
-            failover_ != nullptr && failover_->active()
-                ? failover_->availability()
-                : nullptr;
+        artifact_fp = reuse::FirstShuffleFingerprint(
+            conf_, dataset_fp_, pos, static_cast<int>(op_index), choice.index,
+            layout, partitions);
         reuse::MaterializedStore::ResolveOutcome outcome;
         const std::vector<InputSplit>* artifact = store_->Resolve(
-            artifact_fp, avail,
-            failover_ != nullptr ? failover_->faults() : nullptr, &outcome,
-            tenant_);
+            artifact_fp, failover_->availability(), failover_->faults(),
+            &outcome, tenant_);
         if (artifact != nullptr) {
           // Hit: the artifact *is* the grouped output of everything the
           // pipeline has accumulated so far plus this shuffle (equal by
@@ -706,7 +696,7 @@ EFindJobRunner::EFindJobRunner(const ClusterConfig& config,
     : config_(config),
       options_(options),
       job_runner_(config),
-      optimizer_(config, options.optimizer),
+      optimizer_(config),
       avail_(config_),
       faults_(&config_, &avail_),
       failover_(&config_, &avail_, &faults_) {
@@ -823,30 +813,29 @@ void EFindJobRunner::AnnotateReuse(const IndexJobConf& conf,
                                    uint64_t dataset_fp,
                                    CollectedStats* stats) const {
   if (reuse_ == nullptr) return;
-  const HostAvailability* avail = avail_.any_faults() ? &avail_ : nullptr;
   for (OperatorPosition pos : kOperatorPositions) {
     const auto& ops = conf.ops(pos);
     std::vector<OperatorStats>& group = stats->at(pos);
     for (size_t i = 0; i < ops.size() && i < group.size(); ++i) {
-      const uint64_t chain_fp =
-          reuse::ChainFingerprint(conf, dataset_fp, pos, static_cast<int>(i));
       OperatorStats& st = group[i];
       for (int j = 0; j < ops[i]->num_indices() &&
                       j < static_cast<int>(st.index.size());
            ++j) {
-        st.index[j].artifact_repart = reuse_->Reachable(
-            reuse::ArtifactFingerprint(chain_fp, *ops[i], {j},
-                                       reuse::ArtifactLayout::kRepartition,
-                                       config_.total_map_slots()),
-            avail);
+        const auto reachable = [&](reuse::ArtifactLayout layout,
+                                   int partitions) {
+          return reuse_->Reachable(
+              reuse::FirstShuffleFingerprint(conf, dataset_fp, pos,
+                                             static_cast<int>(i), j, layout,
+                                             partitions),
+              failover_.availability());
+        };
+        st.index[j].artifact_repart = reachable(
+            reuse::ArtifactLayout::kRepartition, config_.total_map_slots());
         const PartitionScheme* scheme =
             ops[i]->accessors()[j]->partition_scheme();
         if (scheme != nullptr) {
-          st.index[j].artifact_idxloc = reuse_->Reachable(
-              reuse::ArtifactFingerprint(chain_fp, *ops[i], {j},
-                                         reuse::ArtifactLayout::kIndexLocality,
-                                         scheme->num_partitions()),
-              avail);
+          st.index[j].artifact_idxloc = reachable(
+              reuse::ArtifactLayout::kIndexLocality, scheme->num_partitions());
         }
       }
     }

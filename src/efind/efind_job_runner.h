@@ -31,8 +31,6 @@ struct EFindOptions {
   /// Lookup-cache entries per node (paper: "The lookup cache contains up to
   /// 1024 index key-value entries").
   size_t cache_capacity = 1024;
-  /// Optimizer configuration (FullEnumerate limit, k of k-Repart).
-  OptimizerOptions optimizer;
   /// Algorithm 1's variance gate: re-optimize only when every tracked
   /// statistic's sample mean is trustworthy — relative standard error
   /// (stddev / mean / sqrt(tasks)) below this (the paper's 0.05, applied

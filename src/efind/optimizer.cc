@@ -139,10 +139,8 @@ OperatorPlan Optimizer::OptimizeOperator(const OperatorStats& stats,
                                          OperatorPosition position) const {
   const int m = static_cast<int>(stats.index.size());
   if (m == 0) return OperatorPlan{};
-  if (m <= options_.full_enumerate_max_indices) {
-    return FullEnumerate(stats, position);
-  }
-  return KRepart(stats, position, options_.k_repart);
+  if (m <= kFullEnumerateMaxIndices) return FullEnumerate(stats, position);
+  return KRepart(stats, position, kFallbackRepartK);
 }
 
 JobPlan Optimizer::OptimizeJob(

@@ -15,16 +15,6 @@
 
 namespace efind {
 
-/// Optimizer knobs.
-struct OptimizerOptions {
-  /// Use Algorithm FullEnumerate while m! is tractable (paper: "m <= 5,
-  /// m! <= 120. It is feasible to employ Algorithm FullEnumerate"); above
-  /// this many indices, fall back to Algorithm k-Repart.
-  int full_enumerate_max_indices = 5;
-  /// k of the k-Repart fallback (paper suggests 1-Repart or 2-Repart).
-  int k_repart = 2;
-};
-
 /// Chooses index access strategies per operator (paper §3.5).
 ///
 /// For a single index the optimizer simply takes the cheapest feasible
@@ -36,8 +26,14 @@ struct OptimizerOptions {
 /// data), and an optimal order puts repart/idxloc indices first.
 class Optimizer {
  public:
-  Optimizer(const ClusterConfig& config, OptimizerOptions options = {})
-      : cost_model_(config), options_(options) {}
+  /// `OptimizeOperator` uses Algorithm FullEnumerate while m! is tractable
+  /// (paper: "m <= 5, m! <= 120. It is feasible to employ Algorithm
+  /// FullEnumerate"); above this many indices it falls back to k-Repart.
+  static constexpr int kFullEnumerateMaxIndices = 5;
+  /// k of the k-Repart fallback (the paper suggests 1- or 2-Repart).
+  static constexpr int kFallbackRepartK = 2;
+
+  explicit Optimizer(const ClusterConfig& config) : cost_model_(config) {}
 
   /// Optimizes one operator given its statistics. Feasibility flags inside
   /// `stats.index[j]` (idempotent, repartitionable, has_partition_scheme)
@@ -82,7 +78,6 @@ class Optimizer {
                              int repart_allowed_prefix) const;
 
   CostModel cost_model_;
-  OptimizerOptions options_;
   mutable size_t last_plans_considered_ = 0;
 };
 

@@ -52,19 +52,6 @@ struct IndexChoice {
 struct OperatorPlan {
   std::vector<IndexChoice> order;
   double estimated_cost = 0.0;
-
-  /// True if any index uses re-partitioning or index locality (the plan
-  /// then spawns extra shuffle jobs).
-  bool NeedsShuffle() const {
-    for (const auto& c : order) {
-      if (c.strategy == Strategy::kRepartition ||
-          c.strategy == Strategy::kSaltedRepartition ||
-          c.strategy == Strategy::kIndexLocality) {
-        return true;
-      }
-    }
-    return false;
-  }
 };
 
 /// Plan for a whole EFind-enhanced job: one `OperatorPlan` per operator,

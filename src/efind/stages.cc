@@ -512,7 +512,7 @@ std::string InlineLookupStage::name() const {
 
 bool InlineLookupStage::holds_node_state() const {
   for (size_t t = 0; t < tasks_.size(); ++t) {
-    if (caches_[t] || runtime_ != nullptr || BreakersLive(sites_[t])) {
+    if (caches_[t] || BreakersLive(sites_[t])) {
       return true;
     }
   }
@@ -583,8 +583,8 @@ void InlineLookupStage::Process(Record record, TaskContext* ctx,
           continue;
         }
       } else if (stats != nullptr) {
-        // No real cache: feed the shadow cache so R can be estimated for
-        // re-optimization (paper §4.2).
+        // No real cache: log a shadow-cache probe so R can be estimated
+        // for re-optimization (paper §4.2).
         stats->ShadowProbe(j, ctx->node_id(), ik);
       }
       // Resolve: a serial slot looks up now; a batched slot submits, and

@@ -23,12 +23,11 @@
 // phase's tasks run concurrently (see stage.h). Stages therefore keep
 // per-task state in the TaskContext, feed statistics through per-task
 // collectors (`OperatorRuntime::TaskLocal`), and only keep per-node
-// structures in members: lookup caches, the shadow caches they feed, and
-// live circuit breakers. A lookup stage that touches one of them declares
-// `holds_node_state`, so the engine serializes each node's tasks on one
-// strand; every other stage runs task by task. Counter names are interned
-// once at construction (`CounterHandle`) so per-record increments build no
-// strings.
+// structures in members: lookup caches and live circuit breakers. A lookup
+// stage that touches one of them declares `holds_node_state`, so the
+// engine serializes each node's tasks on one strand; every other stage
+// runs task by task. Counter names are interned once at construction
+// (`CounterHandle`) so per-record increments build no strings.
 
 #ifndef EFIND_EFIND_STAGES_H_
 #define EFIND_EFIND_STAGES_H_
@@ -210,7 +209,7 @@ struct InlineIndexTask {
 ///
 /// One per-key flow serves every task slot: probe the slot's node cache
 /// (on a batched slot, a key already pending rides its ticket as a hit),
-/// count the miss or feed the shadow cache, then resolve. A serial slot
+/// count the miss or log a shadow-cache probe, then resolve. A serial slot
 /// looks the key up at once; a slot whose accessor implements
 /// `BatchedLookupIndex` submits it to the task's pending-lookup buffer,
 /// which holds the record until its flush resolves it (DESIGN.md §13).
@@ -232,8 +231,7 @@ class InlineLookupStage : public RecordStage {
                     obs::ObsSession* session = nullptr);
 
   std::string name() const override;
-  /// True when a slot has node caches, feeds the runtime's shadow caches
-  /// (an uncached slot with a statistics runtime), or has live breakers.
+  /// True when a slot has node caches or live breakers.
   bool holds_node_state() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
   /// Flushes the batched slots' remaining buffered lookups, then takes the
@@ -345,7 +343,7 @@ class GroupedLookupStage : public RecordStage {
 
   std::string name() const override;
   /// True only when the site's breakers are live: the grouped stage has no
-  /// cache and feeds no shadow cache.
+  /// cache.
   bool holds_node_state() const override;
   void Process(Record record, TaskContext* ctx, Emitter* out) override;
   /// Flushes the remaining buffered lookups (none on a serial accessor).

@@ -43,7 +43,7 @@ void IndexTally::Merge(const IndexTally& other) {
 // ------------------------------------------------------ per-task collector --
 
 OperatorTaskStats::OperatorTaskStats(OperatorRuntime* runtime)
-    : runtime_(runtime), index_(runtime->num_indices_) {}
+    : index_(runtime->num_indices_) {}
 
 void OperatorTaskStats::PreRecord(
     uint64_t input_bytes, uint64_t pre_output_bytes,
@@ -110,8 +110,8 @@ void OperatorTaskStats::CacheProbe(int j, bool miss) {
 
 void OperatorTaskStats::ShadowProbe(int j, int node, const std::string& key) {
   if (j < 0 || j >= static_cast<int>(index_.size())) return;
-  const bool hit = runtime_->ShadowCacheTouch(j, node, key);
-  CacheProbe(j, /*miss=*/!hit);
+  shadow_probes_.push_back({j, node, key.size()});
+  shadow_keys_ += key;
 }
 
 void OperatorTaskStats::PostRecord(uint64_t output_bytes) {
@@ -168,19 +168,25 @@ void OperatorRuntime::AbsorbTask(const OperatorTaskStats& task) {
                        static_cast<double>(task.post_records_));
   }
   map_output_bytes_ += task.map_output_bytes_;
-}
-
-bool OperatorRuntime::ShadowCacheTouch(int j, int node,
-                                       const std::string& key) {
-  if (node < 0 || node >= num_nodes_) node = 0;
-  auto& cache = shadow_caches_[static_cast<size_t>(node) * num_indices_ + j];
-  if (!cache) {
-    cache = std::make_unique<LruCache<std::string, char>>(cache_capacity_);
+  std::string key;
+  size_t key_offset = 0;
+  for (const auto& p : task.shadow_probes_) {
+    key.assign(task.shadow_keys_, key_offset, p.key_size);
+    key_offset += p.key_size;
+    const int node = p.node >= 0 && p.node < num_nodes_ ? p.node : 0;
+    auto& cache =
+        shadow_caches_[static_cast<size_t>(node) * num_indices_ + p.j];
+    if (!cache) {
+      cache = std::make_unique<LruCache<std::string, char>>(cache_capacity_);
+    }
+    char unused = 0;
+    IndexTally& t = index_[p.j];
+    ++t.cache_probes;
+    if (!cache->Get(key, &unused)) {
+      ++t.cache_misses;
+      cache->Put(key, 0);
+    }
   }
-  char unused = 0;
-  const bool hit = cache->Get(key, &unused);
-  if (!hit) cache->Put(key, 0);
-  return hit;
 }
 
 namespace {

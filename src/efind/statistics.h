@@ -161,16 +161,10 @@ struct IndexTally {
 };
 
 /// One task's private statistics accumulator for an operator. Stages obtain
-/// it via `OperatorRuntime::TaskLocal(ctx)` and feed it with no shared-state
-/// writes, so concurrent tasks never contend; the execution engine folds it
-/// back into the runtime (`AbsorbTask`) in task-index order when the task's
-/// state bag merges.
-///
-/// The only shared structure it touches is the runtime's per-node shadow
-/// cache (`ShadowProbe`). That is safe because the stage that probes it (an
-/// `InlineLookupStage` slot without a real cache) declares
-/// `RecordStage::holds_node_state`, so the engine serializes tasks of one
-/// node on a single strand. Every other method writes only this object.
+/// it via `OperatorRuntime::TaskLocal(ctx)`, and every method writes only
+/// this object, so concurrent tasks never contend; the execution engine
+/// folds it back into the runtime (`AbsorbTask`) in task-index order when
+/// the task's state bag merges.
 class OperatorTaskStats {
  public:
   explicit OperatorTaskStats(OperatorRuntime* runtime);
@@ -201,8 +195,8 @@ class OperatorTaskStats {
   void LookupPages(int j, uint64_t uncoalesced_pages);
   /// A probe of the real lookup cache for index `j`.
   void CacheProbe(int j, bool miss);
-  /// Probes the runtime's shadow (key-only) cache on `node` for index `j`
-  /// and records the hit/miss in this task's counts.
+  /// A probe of the shadow (key-only) cache on `node` for index `j`: logged
+  /// here, replayed into the runtime's shadow LRU by `AbsorbTask`.
   void ShadowProbe(int j, int node, const std::string& key);
   /// One postProcess output record.
   void PostRecord(uint64_t output_bytes);
@@ -212,7 +206,6 @@ class OperatorTaskStats {
  private:
   friend class OperatorRuntime;
 
-  OperatorRuntime* runtime_;
   uint64_t inputs_ = 0;
   uint64_t input_bytes_ = 0;
   uint64_t pre_bytes_ = 0;
@@ -220,6 +213,15 @@ class OperatorTaskStats {
   uint64_t post_bytes_ = 0;
   uint64_t map_output_bytes_ = 0;
   std::vector<IndexTally> index_;
+  /// The task's shadow probes in issue order; their keys are concatenated
+  /// in `shadow_keys_`, so a probe costs no allocation of its own.
+  struct ShadowProbeEntry {
+    int j;
+    int node;
+    size_t key_size;
+  };
+  std::vector<ShadowProbeEntry> shadow_probes_;
+  std::string shadow_keys_;
 };
 
 /// Online statistics collector for one operator instance, mirroring the
@@ -227,8 +229,8 @@ class OperatorTaskStats {
 /// `OperatorTaskStats` (per-task counters, FM sketch and skew counts), and
 /// `AbsorbTask` folds each into the shared totals in task-index order —
 /// one sample per task for the variance gate, OR-merged sketches for
-/// Theta, and a per-node shadow cache for R — so results are bit-identical
-/// at any thread count.
+/// Theta, and the task's shadow probes replayed into a per-node shadow
+/// cache for R — so results are bit-identical at any thread count.
 class OperatorRuntime {
  public:
   /// `num_indices` accessors; `num_nodes` for per-node shadow caches of
@@ -245,7 +247,9 @@ class OperatorRuntime {
   OperatorTaskStats* TaskLocal(TaskContext* ctx);
   /// Folds one task's collected statistics into the shared totals: a task
   /// with preProcess records adds one N1/S1/Spre/Nik sample, one with
-  /// postProcess records one Spost sample.
+  /// postProcess records one Spost sample, and its shadow probes are
+  /// replayed, in issue order, into the per-node shadow caches. Restricted
+  /// to one node, task-index order is the order that node ran its tasks.
   void AbsorbTask(const OperatorTaskStats& task);
 
   /// Total operator input records observed so far (pre-side).
@@ -258,12 +262,6 @@ class OperatorRuntime {
 
  private:
   friend class OperatorTaskStats;
-
-  /// Touches the per-node shadow LRU for (j, node): returns whether `key`
-  /// was present, inserting it if not. No probe counters are updated (the
-  /// caller counts). Safe across tasks because the probing stage declares
-  /// node state, so a node's tasks run on one strand.
-  bool ShadowCacheTouch(int j, int node, const std::string& key);
 
   int num_indices_;
   int num_nodes_;
@@ -288,7 +286,8 @@ class OperatorRuntime {
   std::vector<IndexTally> index_;
   /// Per-task Nik_j samples, parallel to `index_`.
   std::vector<RunningStats> nik_samples_;
-  // shadow_caches_[node * num_indices_ + j]; key-only LRU, value unused.
+  // shadow_caches_[node * num_indices_ + j]; key-only LRU, value unused,
+  // created on first probe. Only `AbsorbTask` touches them.
   std::vector<std::unique_ptr<LruCache<std::string, char>>> shadow_caches_;
 };
 

@@ -366,9 +366,9 @@ void JobRunner::RunStrands(size_t count,
     return;
   }
   // Bucket task indices by strand key; each bucket preserves ascending
-  // index order, so per-node stateful structures (lookup caches, shadow
-  // caches, breakers) see exactly the serial probe sequence. Without a key
-  // every task is its own strand.
+  // index order, so per-node stateful structures (lookup caches, breakers)
+  // see exactly the serial probe sequence. Without a key every task is its
+  // own strand.
   std::map<int, std::vector<size_t>> strands;
   for (size_t i = 0; i < count; ++i) {
     strands[strand_of ? strand_of(i) : static_cast<int>(i)].push_back(i);

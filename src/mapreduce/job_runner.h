@@ -30,11 +30,11 @@ class ObsSession;
 /// all cross-task merges happen in task-index order after the phase — so
 /// outputs, counters, and simulated times are bit-identical for every thread
 /// count (DESIGN.md "Execution engine"). A phase whose stages hold per-node
-/// state (`RecordStage::holds_node_state`: lookup caches, shadow caches,
-/// live breakers) runs on per-node strands, one simulated node's tasks
-/// serially in ascending task index on one thread; any other phase runs
-/// task by task. The wave scheduler then converts per-task durations into a
-/// phase makespan over the cluster's slots.
+/// state (`RecordStage::holds_node_state`: lookup caches, live breakers)
+/// runs on per-node strands, one simulated node's tasks serially in
+/// ascending task index on one thread; any other phase runs task by task.
+/// The wave scheduler then converts per-task durations into a phase
+/// makespan over the cluster's slots.
 ///
 /// The low-level phase methods exist so EFind's adaptive runtime can execute
 /// the first map wave, re-optimize, and resume with a different plan while

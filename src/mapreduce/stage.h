@@ -163,10 +163,10 @@ class RecordStage {
 
   /// True when this stage keeps state that one simulated node's tasks share
   /// and that must see them in serial task order: EFind's per-node lookup
-  /// caches and shadow caches, and live circuit breakers. The engine then
-  /// runs the phase's tasks on per-node strands (each node's tasks serially,
-  /// in ascending task index); otherwise every task is its own strand and
-  /// the pool balances them. Must not change while a phase runs.
+  /// caches and live circuit breakers. The engine then runs the phase's
+  /// tasks on per-node strands (each node's tasks serially, in ascending
+  /// task index); otherwise every task is its own strand and the pool
+  /// balances them. Must not change while a phase runs.
   virtual bool holds_node_state() const { return false; }
 
   /// Called once before a task streams records through this stage.

@@ -58,6 +58,10 @@ uint64_t DatasetFingerprint(const IndexJobConf& conf,
   return FingerprintSplits(input);
 }
 
+namespace {
+
+/// Everything upstream of operator (`pos`, `op_index`): two confs with equal
+/// chain fingerprints feed byte-identical record streams into it.
 uint64_t ChainFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
                           OperatorPosition pos, int op_index) {
   FingerprintHasher h;
@@ -91,46 +95,21 @@ uint64_t ChainFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
   return h.Finish();
 }
 
-uint64_t ArtifactFingerprint(uint64_t chain_fp, const IndexOperator& op,
-                             const std::vector<int>& shuffled_prefix,
-                             ArtifactLayout layout, int partition_count) {
+}  // namespace
+
+uint64_t FirstShuffleFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
+                                 OperatorPosition pos, int op_index, int index,
+                                 ArtifactLayout layout, int partition_count) {
   FingerprintHasher h;
-  h.Fold(chain_fp);
-  h.Fold(OperatorChainToken(op));
-  // Ordered prefix of shuffled index positions (Property 4: their order is
-  // semantic — each shuffle regroups the previous one's output).
-  h.Fold(static_cast<uint64_t>(shuffled_prefix.size()));
-  for (int idx : shuffled_prefix) h.Fold(static_cast<uint64_t>(idx));
+  h.Fold(ChainFingerprint(conf, dataset_fp, pos, op_index));
+  h.Fold(OperatorChainToken(*conf.ops(pos)[op_index]));
+  // The index is folded as a one-entry list, length word first: that layout
+  // is the names' byte format, which journaled artifacts are stored under.
+  h.Fold(uint64_t{1});
+  h.Fold(static_cast<uint64_t>(index));
   h.Fold(static_cast<uint64_t>(layout));
   h.Fold(static_cast<uint64_t>(partition_count));
   return h.Finish();
-}
-
-uint64_t PlanArtifactFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
-                                 OperatorPosition pos, int op_index,
-                                 const OperatorPlan& oplan, int shuffle_ordinal,
-                                 int partition_count) {
-  const std::vector<std::shared_ptr<IndexOperator>>& ops = conf.ops(pos);
-  if (op_index < 0 || op_index >= static_cast<int>(ops.size())) return 0;
-  std::vector<int> prefix;
-  ArtifactLayout layout = ArtifactLayout::kRepartition;
-  for (const IndexChoice& choice : oplan.order) {
-    if (choice.strategy != Strategy::kRepartition &&
-        choice.strategy != Strategy::kIndexLocality) {
-      continue;
-    }
-    prefix.push_back(choice.index);
-    if (static_cast<int>(prefix.size()) == shuffle_ordinal + 1) {
-      layout = choice.strategy == Strategy::kIndexLocality
-                   ? ArtifactLayout::kIndexLocality
-                   : ArtifactLayout::kRepartition;
-      const uint64_t chain_fp =
-          ChainFingerprint(conf, dataset_fp, pos, op_index);
-      return ArtifactFingerprint(chain_fp, *ops[op_index], prefix, layout,
-                                 partition_count);
-    }
-  }
-  return 0;
 }
 
 }  // namespace reuse

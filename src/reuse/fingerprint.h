@@ -3,26 +3,28 @@
 //
 // Canonical plan fingerprints for cross-job artifact reuse (DESIGN.md §9).
 //
-// A re-partitioning shuffle (Eq. 3) produces a deterministic artifact: the
-// job's input records, transformed by every upstream pipeline stage, with
-// the operator's index keys extracted, re-keyed by the shuffled index's
-// lookup key and grouped cluster-wide. Two jobs that agree on
+// An operator's first re-partitioning shuffle (Eq. 3) produces a
+// deterministic artifact: the job's input records, transformed by every
+// upstream pipeline stage, with the operator's index keys extracted,
+// re-keyed by the shuffled index's lookup key and grouped cluster-wide.
+// Two jobs that agree on
 //
 //   input dataset  +  upstream operator chain  +  operator identity
-//   +  ordered shuffled-index prefix  +  layout (plain / co-partitioned)
+//   +  shuffled index  +  layout (plain / co-partitioned)  +  partitions
 //
 // produce byte-identical artifacts, so one can adopt the other's stored
 // output instead of paying the shuffle again (ReStore-style reuse). The
 // fingerprint is the collision-free-in-practice name of that equivalence
 // class: a 64-bit hash built only from splitmix-mixed words and FNV-1a
-// string hashes — endian-stable and platform-independent.
+// string hashes — endian-stable and platform-independent. Later shuffles
+// regroup data already augmented with earlier lookup results, so they are
+// never stored and have no name.
 //
 // Canonicalization rules (what is deliberately *excluded*):
 //  - Inline (baseline / lookup-cache) accesses of the operator: they run
 //    *after* the adopted artifact in the follow-up job, so neither their
 //    order nor their base-vs-cache choice affects artifact content
-//    (Properties 1–3). Only the ordered shuffled prefix participates
-//    (Property 4: shuffled indices sort first and their order matters).
+//    (Properties 1–3). The fingerprint takes the shuffled index only.
 //  - Record placement: which node hosts a split changes scheduling, not
 //    content, so `FingerprintSplits` hashes records only.
 // Everything that *can* change artifact content or reuse safety is folded
@@ -82,14 +84,6 @@ uint64_t OperatorChainToken(const IndexOperator& op);
 uint64_t DatasetFingerprint(const IndexJobConf& conf,
                             const std::vector<InputSplit>& input);
 
-/// Fingerprint of everything upstream of operator (`pos`, `op_index`) in
-/// the pipeline: dataset, prior head/body/tail operators in data-flow
-/// order, the mapper (for body/tail) and reducer + reduce-task count (for
-/// tail). Two confs with equal chain fingerprints feed byte-identical
-/// record streams into the operator.
-uint64_t ChainFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
-                          OperatorPosition pos, int op_index);
-
 /// Physical layout of a stored artifact.
 enum class ArtifactLayout {
   /// Plain re-partitioning: grouped by lookup key over the default
@@ -99,22 +93,16 @@ enum class ArtifactLayout {
   kIndexLocality,
 };
 
-/// Fingerprint of one materializable artifact: the upstream chain, the
-/// operator's own token, the *ordered* prefix of already-shuffled index
-/// positions (ending at the index this shuffle groups by), the layout and
-/// the partition count.
-uint64_t ArtifactFingerprint(uint64_t chain_fp, const IndexOperator& op,
-                             const std::vector<int>& shuffled_prefix,
-                             ArtifactLayout layout, int partition_count);
-
-/// Convenience wrapper used by the executor and the property tests: derives
-/// the shuffled prefix and layout from an `OperatorPlan` and names the
-/// artifact of that plan's `shuffle_ordinal`-th shuffle (0 = first).
-/// Returns 0 when the plan has no such shuffle.
-uint64_t PlanArtifactFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
-                                 OperatorPosition pos, int op_index,
-                                 const OperatorPlan& oplan, int shuffle_ordinal,
-                                 int partition_count);
+/// Name of the artifact operator (`pos`, `op_index`)'s first shuffle
+/// produces when it groups by `index` in `layout` over `partition_count`
+/// partitions. Folds everything upstream of the operator (dataset, prior
+/// head/body/tail operators in data-flow order, the mapper for body/tail,
+/// reducer and reduce-task count for tail), the operator's own
+/// `OperatorChainToken`, the index, the layout and the partition count.
+/// The executor publishes and resolves under it, and the planner probes it.
+uint64_t FirstShuffleFingerprint(const IndexJobConf& conf, uint64_t dataset_fp,
+                                 OperatorPosition pos, int op_index, int index,
+                                 ArtifactLayout layout, int partition_count);
 
 }  // namespace reuse
 }  // namespace efind

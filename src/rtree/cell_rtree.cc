@@ -109,11 +109,11 @@ void CellPartitionedRTree::Load(const std::vector<SpatialPoint>& points) {
   for (const auto& p : points) Insert(p);
 }
 
-std::vector<SpatialPoint> CellPartitionedRTree::KNearest(double x, double y,
-                                                         int k) const {
+std::vector<SpatialPoint> CellPartitionedRTree::KNearest(
+    double x, double y, int k, int* cells_touched) const {
   const int home = scheme_.CellOf(x, y);
   std::vector<SpatialPoint> candidates = cells_[home]->KNearest(x, y, k);
-  last_cells_touched_ = 1;
+  int touched = 1;
 
   // Radius within which the home tree is guaranteed complete: the distance
   // from the query point to the boundary of the home cell's expanded region.
@@ -138,7 +138,7 @@ std::vector<SpatialPoint> CellPartitionedRTree::KNearest(double x, double y,
           core.MinDist2(x, y) > radius * radius) {
         continue;
       }
-      if (c != home) ++last_cells_touched_;
+      if (c != home) ++touched;
       for (const auto& p : cells_[c]->KNearest(x, y, k)) {
         if (seen.insert(p.id).second) merged.push_back(p);
       }
@@ -154,8 +154,9 @@ std::vector<SpatialPoint> CellPartitionedRTree::KNearest(double x, double y,
                 return a.id < b.id;
               });
     if (static_cast<int>(merged.size()) > k) merged.resize(k);
-    return merged;
+    candidates = std::move(merged);
   }
+  if (cells_touched != nullptr) *cells_touched = touched;
   return candidates;
 }
 

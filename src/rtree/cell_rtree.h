@@ -85,12 +85,12 @@ class CellPartitionedRTree {
   /// Bulk insert.
   void Load(const std::vector<SpatialPoint>& points);
 
-  /// Exact k nearest neighbors of (x, y), closest first.
-  std::vector<SpatialPoint> KNearest(double x, double y, int k) const;
-
-  /// Number of cell trees consulted by the last KNearest call (1 in the
-  /// common case); exposes the effectiveness of the overlap margin.
-  int last_cells_touched() const { return last_cells_touched_; }
+  /// Exact k nearest neighbors of (x, y), closest first. When
+  /// `cells_touched` is non-null it receives the number of cell trees the
+  /// query consulted (1 in the common case), which exposes the
+  /// effectiveness of the overlap margin. Thread-safe: writes nothing.
+  std::vector<SpatialPoint> KNearest(double x, double y, int k,
+                                     int* cells_touched = nullptr) const;
 
   /// Server-side service time for a kNN lookup returning `result_bytes`.
   double ServiceSeconds(uint64_t result_bytes) const {
@@ -111,7 +111,6 @@ class CellPartitionedRTree {
   GridPartitionScheme scheme_;
   std::vector<std::unique_ptr<RStarTree>> cells_;
   size_t size_ = 0;
-  mutable int last_cells_touched_ = 0;
 };
 
 }  // namespace efind

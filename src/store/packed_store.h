@@ -186,8 +186,6 @@ class PackedStoreBuilder {
   /// Stages one value under `key` (repeat keys append to the value list).
   void Add(std::string_view key, const IndexValue& value);
 
-  size_t staged_records() const { return staged_.size(); }
-
   /// Writes the store and opens it. Returns null and sets `error` on
   /// invalid options or I/O failure. The builder is consumed (staging area
   /// cleared) on success.

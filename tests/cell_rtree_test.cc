@@ -123,8 +123,10 @@ TEST(CellPartitionedRTreeTest, MostQueriesTouchOneCell) {
   int single_cell = 0;
   const int queries = 100;
   for (int q = 0; q < queries; ++q) {
-    index.KNearest(rng.NextDouble() * 40, rng.NextDouble() * 80, 10);
-    if (index.last_cells_touched() == 1) ++single_cell;
+    int cells_touched = 0;
+    index.KNearest(rng.NextDouble() * 40, rng.NextDouble() * 80, 10,
+                   &cells_touched);
+    if (cells_touched == 1) ++single_cell;
   }
   // The overlap margin exists exactly so the common case is one tree.
   EXPECT_GT(single_cell, queries * 3 / 4);

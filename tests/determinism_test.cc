@@ -7,10 +7,15 @@
 
 #include <gtest/gtest.h>
 
+#include <chrono>
+#include <condition_variable>
+#include <cstdio>
 #include <memory>
+#include <mutex>
 #include <string>
 #include <vector>
 
+#include "efind/stages.h"
 #include "mapreduce/job_runner.h"
 #include "tests/test_util.h"
 
@@ -169,9 +174,9 @@ TEST_P(DeterminismTest, SaltedRepartitionMatchesAcrossThreadCounts) {
 
 // 30 splits on 2 nodes, fewer nodes than threads: the phases without
 // per-node state run their tasks over all 8 threads, while lookup stages
-// with node caches, shadow-cache feeds or live breakers keep each node's
-// tasks on one strand. Every strategy, the dynamic run, and both again
-// under the fault matrix with breakers on.
+// with node caches or live breakers keep each node's tasks on one strand.
+// Every strategy, the dynamic run, and both again under the fault matrix
+// with breakers on.
 TEST_P(DeterminismTest, FewerNodesThanThreadsMatchAcrossThreadCounts) {
   const bool with_reduce = GetParam();
   ToyWorld world;
@@ -214,6 +219,148 @@ INSTANTIATE_TEST_SUITE_P(MapOnlyAndReduce, DeterminismTest,
                          [](const ::testing::TestParamInfo<bool>& info) {
                            return info.param ? "WithReduce" : "MapOnly";
                          });
+
+/// Every statistic of every operator, doubles as exact hex floats.
+std::string StatsHex(const CollectedStats& stats) {
+  std::string out;
+  auto add = [&out](const char* name, double v) {
+    char buf[64];
+    std::snprintf(buf, sizeof(buf), " %s=%a", name, v);
+    out += buf;
+  };
+  for (OperatorPosition pos : kOperatorPositions) {
+    for (const OperatorStats& st : stats.at(pos)) {
+      out += "op";
+      add("n1", st.n1);
+      add("s1", st.s1);
+      add("spre", st.spre);
+      add("spost", st.spost);
+      add("smap", st.smap);
+      add("tasks", static_cast<double>(st.tasks_sampled));
+      add("max_cov", st.max_cov);
+      add("valid", st.valid);
+      for (const IndexStats& is : st.index) {
+        out += "\n idx";
+        add("nik", is.nik);
+        add("sik", is.sik);
+        add("siv", is.siv);
+        add("tj", is.tj);
+        add("theta", is.theta);
+        add("R", is.miss_ratio);
+        add("repart", is.repartitionable);
+        add("max_key_share", is.max_key_share);
+        for (uint64_t hk : is.hot_keys) out += " hot=" + std::to_string(hk);
+        add("salt_fanout", is.salt_fanout);
+        add("avail_excess", is.avail_excess);
+        add("down", is.down_share);
+        add("failover", is.failover_share);
+        add("hedge", is.hedge_share);
+        add("hedge_win", is.hedge_win_share);
+        add("flaky", is.flaky_share);
+        add("corrupt", is.corrupt_share);
+        add("breaker", is.breaker_share);
+        add("pages", is.pages_per_lookup);
+      }
+      out += "\n";
+    }
+  }
+  return out;
+}
+
+// A baseline run's uncached lookup slots feed the shadow caches behind R
+// from tasks that run task by task on all 8 threads; the merge replays
+// their probes per node in task order, so every statistic, R included, is
+// bit-identical to the serial run. 30 splits on 2 nodes.
+TEST(DeterminismStatsTest, ShadowFedStatisticsMatchAcrossThreadCounts) {
+  ToyWorld world;
+  const IndexJobConf conf = world.MakeJoinJob();
+  const auto input = world.MakeInput(30, 40, 400, /*seed=*/1,
+                                     /*num_nodes=*/2);
+  RunnerPair pair((ClusterConfig()));
+  const CollectedStats a = pair.serial.CollectStatistics(conf, input);
+  const CollectedStats b = pair.parallel.CollectStatistics(conf, input);
+  ASSERT_EQ(a.head.size(), 1u);
+  ASSERT_EQ(a.head[0].index.size(), 1u);
+  // The shadow caches saw both hits and misses.
+  EXPECT_GT(a.head[0].index[0].miss_ratio, 0.0);
+  EXPECT_LT(a.head[0].index[0].miss_ratio, 1.0);
+  EXPECT_EQ(StatsHex(a), StatsHex(b));
+}
+
+/// A serial accessor whose first lookup waits (up to 10 s) until a second
+/// lookup runs concurrently with it. Once they met, or the wait timed out,
+/// no lookup waits again.
+class RendezvousAccessor : public IndexAccessor {
+ public:
+  std::string name() const override { return "rendezvous"; }
+  double ServiceSeconds(uint64_t) const override { return 1e-4; }
+
+  Status Lookup(const std::string& ik, std::vector<IndexValue>* out) override {
+    {
+      std::unique_lock<std::mutex> lock(mu_);
+      if (!done_) {
+        if (++waiting_ >= 2) {
+          met_ = true;
+          done_ = true;
+          cv_.notify_all();
+        } else if (!cv_.wait_for(lock, std::chrono::seconds(10),
+                                 [this] { return done_; })) {
+          done_ = true;
+        }
+        --waiting_;
+      }
+    }
+    out->clear();
+    out->emplace_back("v:" + ik);
+    return Status::OK();
+  }
+
+  bool met() {
+    std::lock_guard<std::mutex> lock(mu_);
+    return met_;
+  }
+
+ private:
+  std::mutex mu_;
+  std::condition_variable cv_;
+  int waiting_ = 0;
+  bool done_ = false;
+  bool met_ = false;
+};
+
+// Statistics are task-local: an uncached lookup slot with a statistics
+// runtime holds no node state, so one node's tasks run concurrently. On a
+// 1-node cluster at 4 threads, two of its tasks must be inside a lookup at
+// once; a node strand would run them one at a time and time out.
+TEST(DeterminismStatsTest, StatisticsRunDoesNotSerializeANodesTasks) {
+  ClusterConfig config;
+  config.num_nodes = 1;
+  auto accessor = std::make_shared<RendezvousAccessor>();
+  auto op = std::make_shared<testing_util::JoinOperator>();
+  op->AddIndex(accessor);
+  OperatorRuntime rt(1, config.num_nodes, 16);
+  JobConfig job;
+  job.map_stages.push_back(
+      std::make_shared<PreProcessStage>(op, &rt, "efind.h0"));
+  job.map_stages.push_back(std::make_shared<InlineLookupStage>(
+      op, std::vector<InlineIndexTask>{{0, /*use_cache=*/false}}, &rt,
+      &config, 16, "efind.h0"));
+  std::vector<InputSplit> input(4);
+  for (size_t s = 0; s < input.size(); ++s) {
+    input[s].node = 0;
+    for (int r = 0; r < 3; ++r) {
+      input[s].records.push_back(Record("k" + std::to_string(r), "v"));
+    }
+  }
+  JobRunner runner(config);
+  runner.set_num_threads(4);
+  runner.Run(job, input);
+  EXPECT_TRUE(accessor->met());
+  // The merge still replayed every shadow probe: 3 distinct keys, 12 probes.
+  const OperatorStats stats = rt.Compute(config.num_nodes, 1.0);
+  ASSERT_EQ(stats.index.size(), 1u);
+  EXPECT_EQ(stats.index[0].miss_ratio, 3.0 / 12.0);
+}
 
 // The plain JobRunner (no EFind stages) must also be thread-count
 // invariant, including per-task counters and the reduce-side grouping.

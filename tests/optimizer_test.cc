@@ -165,17 +165,15 @@ TEST(OptimizerTest, KRepartNeverBeatsFullEnumerate) {
 }
 
 TEST(OptimizerTest, ManyIndicesFallBackToKRepart) {
-  OptimizerOptions options;
-  options.full_enumerate_max_indices = 3;
-  options.k_repart = 1;
-  Optimizer opt((ClusterConfig()), options);
+  Optimizer opt((ClusterConfig()));
+  // Six indices: one past FullEnumerate's m <= 5, so 2-Repart plans.
   OperatorStats stats = MakeStats({
       MakeIndex(1, 100, 1e-3, 2, 0.9), MakeIndex(1, 100, 1e-3, 2, 0.9),
       MakeIndex(1, 100, 1e-3, 2, 0.9), MakeIndex(1, 100, 1e-3, 2, 0.9),
-      MakeIndex(1, 100, 1e-3, 2, 0.9),
+      MakeIndex(1, 100, 1e-3, 2, 0.9), MakeIndex(1, 100, 1e-3, 2, 0.9),
   });
   opt.OptimizeOperator(stats, OperatorPosition::kHead);
-  EXPECT_EQ(opt.last_plans_considered(), 6u);  // 1 + P(5,1).
+  EXPECT_EQ(opt.last_plans_considered(), 37u);  // 1 + P(6,1) + P(6,2).
 }
 
 TEST(OptimizerTest, PlanCoversEveryIndexExactlyOnce) {

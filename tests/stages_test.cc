@@ -522,9 +522,10 @@ TEST(LookupSiteTest, NullAndInactiveFailoverChargeAlike) {
 }
 
 // A lookup stage declares per-node state, and so keeps its phase on
-// per-node strands, only for a node cache, a shadow-cache feed (an uncached
-// slot with a statistics runtime) or breakers under an active failover.
-TEST(LookupStageNodeStateTest, CachesShadowFeedsAndLiveBreakersOnly) {
+// per-node strands, only for a node cache or breakers under an active
+// failover. An uncached slot with a statistics runtime holds none: its
+// shadow-cache probes are task-local.
+TEST(LookupStageNodeStateTest, CachesAndLiveBreakersOnly) {
   ClusterConfig config;
   config.breaker_failure_threshold = 2;
   ClusterConfig faulted = config;
@@ -547,7 +548,8 @@ TEST(LookupStageNodeStateTest, CachesShadowFeedsAndLiveBreakersOnly) {
     return stage.holds_node_state();
   };
   EXPECT_TRUE(inline_holds(/*use_cache=*/true, nullptr, nullptr));
-  EXPECT_TRUE(inline_holds(/*use_cache=*/false, &rt, nullptr));
+  // Shadow-cache probes are task-local: the merge replays them.
+  EXPECT_FALSE(inline_holds(/*use_cache=*/false, &rt, nullptr));
   EXPECT_FALSE(inline_holds(/*use_cache=*/false, nullptr, nullptr));
   EXPECT_TRUE(inline_holds(/*use_cache=*/false, nullptr, &active));
   EXPECT_FALSE(inline_holds(/*use_cache=*/false, nullptr, &inactive));

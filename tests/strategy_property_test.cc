@@ -13,6 +13,7 @@
 #include "efind/accessors/accessors.h"
 #include "efind/efind_job_runner.h"
 #include "reuse/fingerprint.h"
+#include "reuse/materialized_store.h"
 #include "store/packed_store.h"
 #include "tests/test_util.h"
 
@@ -228,12 +229,14 @@ struct TriWorld {
     conf.set_input_dataset("tri_input", 1);
   }
 
-  uint64_t Fp(const OperatorPlan& oplan, int ordinal = 0,
-              int partitions = 48) const {
+  uint64_t Fp(
+      int index,
+      reuse::ArtifactLayout layout = reuse::ArtifactLayout::kRepartition,
+      int partitions = 48) const {
     const uint64_t dataset_fp = reuse::DatasetFingerprint(conf, {});
-    return reuse::PlanArtifactFingerprint(conf, dataset_fp,
-                                          OperatorPosition::kHead, 0, oplan,
-                                          ordinal, partitions);
+    return reuse::FirstShuffleFingerprint(conf, dataset_fp,
+                                          OperatorPosition::kHead, 0, index,
+                                          layout, partitions);
   }
 
   std::unique_ptr<KvStore> sa, sb, sc;
@@ -246,83 +249,90 @@ OperatorPlan PlanOf(std::vector<IndexChoice> order) {
   return p;
 }
 
+// The executor publishes an operator's first shuffle under the name the
+// planner probes, whatever the rest of the plan does: inline accesses
+// commute behind the shuffle (Property 1/4), base <-> cache swaps never
+// change its output (Properties 2/3), a later shuffle cannot reach back
+// into it, and a salted choice without detected hot keys runs, and is
+// named, as the plain re-partitioning it degenerates to.
 TEST(FingerprintCanonTest, InvariantUnderPermittedPlanRewrites) {
   TriWorld w;
-  // Reference: shuffle index 0, indices 1 and 2 resolved inline.
-  const uint64_t ref = w.Fp(PlanOf({{0, Strategy::kRepartition},
-                                    {1, Strategy::kLookupCache},
-                                    {2, Strategy::kBaseline}}));
-  ASSERT_NE(ref, 0u);
-  // Property 1/4: inline accesses commute freely behind the shuffle.
-  EXPECT_EQ(ref, w.Fp(PlanOf({{0, Strategy::kRepartition},
-                              {2, Strategy::kBaseline},
-                              {1, Strategy::kLookupCache}})));
-  // Properties 2/3: base <-> cache swaps never change the shuffle output.
-  EXPECT_EQ(ref, w.Fp(PlanOf({{0, Strategy::kRepartition},
-                              {1, Strategy::kBaseline},
-                              {2, Strategy::kLookupCache}})));
-  EXPECT_EQ(ref, w.Fp(PlanOf({{0, Strategy::kRepartition},
-                              {1, Strategy::kLookupCache},
-                              {2, Strategy::kLookupCache}})));
-  // A later shuffle cannot reach back into the first artifact.
-  EXPECT_EQ(ref, w.Fp(PlanOf({{0, Strategy::kRepartition},
-                              {1, Strategy::kRepartition},
-                              {2, Strategy::kBaseline}}),
-                      /*ordinal=*/0));
+  std::vector<InputSplit> input(4);
+  for (size_t s = 0; s < input.size(); ++s) {
+    input[s].node = static_cast<int>(s);
+    for (int r = 0; r < 20; ++r) {
+      input[s].records.push_back(
+          Record("k" + std::to_string((s * 7 + r) % 20), "v"));
+    }
+  }
+  const ClusterConfig config;
+  const uint64_t ref = w.Fp(0, reuse::ArtifactLayout::kRepartition,
+                            config.total_map_slots());
+  for (const OperatorPlan& oplan :
+       {PlanOf({{0, Strategy::kRepartition},
+                {1, Strategy::kLookupCache},
+                {2, Strategy::kBaseline}}),
+        PlanOf({{0, Strategy::kRepartition},
+                {2, Strategy::kBaseline},
+                {1, Strategy::kLookupCache}}),
+        PlanOf({{0, Strategy::kRepartition},
+                {1, Strategy::kBaseline},
+                {2, Strategy::kLookupCache}}),
+        PlanOf({{0, Strategy::kRepartition},
+                {1, Strategy::kRepartition},
+                {2, Strategy::kBaseline}}),
+        PlanOf({{0, Strategy::kSaltedRepartition},
+                {1, Strategy::kLookupCache},
+                {2, Strategy::kBaseline}})}) {
+    reuse::MaterializedStore store(64ull << 20, config.num_nodes);
+    EFindJobRunner runner(config);
+    runner.set_reuse(&store);
+    JobPlan plan;
+    plan.head.push_back(oplan);
+    runner.RunWithPlan(w.conf, input, plan);
+    const std::vector<reuse::ArtifactMeta> entries = store.Entries();
+    ASSERT_EQ(entries.size(), 1u) << plan.ToString();
+    EXPECT_EQ(entries[0].fingerprint, ref) << plan.ToString();
+  }
 }
 
-TEST(FingerprintCanonTest, ShuffledPrefixOrderMatters) {
+TEST(FingerprintCanonTest, ShuffledIndexNamesTheArtifact) {
   TriWorld w;
-  const auto ab = PlanOf({{0, Strategy::kRepartition},
-                          {1, Strategy::kRepartition},
-                          {2, Strategy::kBaseline}});
-  const auto ba = PlanOf({{1, Strategy::kRepartition},
-                          {0, Strategy::kRepartition},
-                          {2, Strategy::kBaseline}});
-  // The second shuffle's input depends on which index shuffled first
-  // (Property 4 keeps the shuffled prefix ordered for exactly this reason).
-  EXPECT_NE(w.Fp(ab, 1), w.Fp(ba, 1));
-  // And the first artifacts group by different indices outright.
-  EXPECT_NE(w.Fp(ab, 0), w.Fp(ba, 0));
-  // No third shuffle exists: no artifact, sentinel zero.
-  EXPECT_EQ(w.Fp(ab, 2), 0u);
+  EXPECT_NE(w.Fp(0), w.Fp(1));
+  EXPECT_NE(w.Fp(1), w.Fp(2));
 }
 
 TEST(FingerprintCanonTest, DistinctUnderContentChangingEdits) {
   TriWorld w;
-  const auto plan = PlanOf({{0, Strategy::kRepartition},
-                            {1, Strategy::kLookupCache},
-                            {2, Strategy::kBaseline}});
-  const uint64_t ref = w.Fp(plan);
+  const uint64_t ref = w.Fp(0);
 
   // Accessor configuration: a differently-configured index is a different
   // artifact even when everything else matches.
   TriWorld renamed("ia2");
-  EXPECT_NE(ref, renamed.Fp(plan));
+  EXPECT_NE(ref, renamed.Fp(0));
 
   // Index version: a write to the shuffled index's backing store must
   // invalidate (the artifact's attachments embed looked-up state).
   w.sa->Put("k0", IndexValue("a'", 8)).ok();
-  const uint64_t bumped = w.Fp(plan);
+  const uint64_t bumped = w.Fp(0);
   EXPECT_NE(ref, bumped);
   // ... and a write to an *inline* index too: PreProcess extracts keys for
   // every index, so all accessors shape the artifact.
   w.sb->Put("k0", IndexValue("b'", 8)).ok();
-  EXPECT_NE(bumped, w.Fp(plan));
+  EXPECT_NE(bumped, w.Fp(0));
 
   // Dataset version (ReStore-style named input).
   TriWorld v2;
   v2.conf.set_input_dataset("tri_input", 2);
-  EXPECT_NE(ref, v2.Fp(plan));
+  EXPECT_NE(ref, v2.Fp(0));
 
   // Layout: co-partitioned (idxloc) and hash-partitioned (repart)
   // artifacts are physically different.
-  EXPECT_NE(ref, w.Fp(PlanOf({{0, Strategy::kIndexLocality},
-                              {1, Strategy::kLookupCache},
-                              {2, Strategy::kBaseline}})));
+  EXPECT_NE(ref, w.Fp(0, reuse::ArtifactLayout::kIndexLocality));
 
   // Partition count.
-  EXPECT_NE(w.Fp(plan, 0, 48), w.Fp(plan, 0, 64));
+  EXPECT_NE(w.Fp(0, reuse::ArtifactLayout::kRepartition, 48),
+            w.Fp(0, reuse::ArtifactLayout::kRepartition, 64));
 }
 
 // Storage-backed index version: a rebuilt packed store (DESIGN.md §13) is
@@ -349,9 +359,9 @@ TEST(FingerprintCanonTest, RebuiltPackedStoreInvalidatesArtifacts) {
     conf.AddHeadIndexOperator(op);
     conf.set_input_dataset("store_input", 1);
     const uint64_t dataset_fp = reuse::DatasetFingerprint(conf, {});
-    return reuse::PlanArtifactFingerprint(
-        conf, dataset_fp, OperatorPosition::kHead, 0,
-        PlanOf({{0, Strategy::kRepartition}}), 0, 48);
+    return reuse::FirstShuffleFingerprint(
+        conf, dataset_fp, OperatorPosition::kHead, 0, 0,
+        reuse::ArtifactLayout::kRepartition, 48);
   };
 
   auto v1 = build();
@@ -373,20 +383,17 @@ TEST(FingerprintCanonTest, HeadArtifactSharedAcrossJobs) {
   auto input = world.MakeInput(8, 20, 50);
   IndexJobConf job_a = world.MakeJoinJob(/*with_reduce=*/false);
   IndexJobConf job_b = world.MakeJoinJob(/*with_reduce=*/true);
-  const auto plan = PlanOf({{0, Strategy::kRepartition}});
-  const uint64_t fp_a = reuse::PlanArtifactFingerprint(
-      job_a, reuse::DatasetFingerprint(job_a, input),
-      OperatorPosition::kHead, 0, plan, 0, 48);
-  const uint64_t fp_b = reuse::PlanArtifactFingerprint(
-      job_b, reuse::DatasetFingerprint(job_b, input),
-      OperatorPosition::kHead, 0, plan, 0, 48);
+  const auto fp = [](const IndexJobConf& conf,
+                     const std::vector<InputSplit>& in) {
+    return reuse::FirstShuffleFingerprint(
+        conf, reuse::DatasetFingerprint(conf, in), OperatorPosition::kHead, 0,
+        0, reuse::ArtifactLayout::kRepartition, 48);
+  };
+  const uint64_t fp_a = fp(job_a, input);
   ASSERT_NE(fp_a, 0u);
-  EXPECT_EQ(fp_a, fp_b);
+  EXPECT_EQ(fp_a, fp(job_b, input));
   // A different input, though, names a different dataset (content hash).
-  auto other = world.MakeInput(8, 20, 50, /*seed=*/99);
-  EXPECT_NE(fp_a, reuse::PlanArtifactFingerprint(
-                      job_a, reuse::DatasetFingerprint(job_a, other),
-                      OperatorPosition::kHead, 0, plan, 0, 48));
+  EXPECT_NE(fp_a, fp(job_a, world.MakeInput(8, 20, 50, /*seed=*/99)));
 }
 
 }  // namespace
