@@ -97,6 +97,11 @@
 #      simulated times; the store-side batch contract in packed_store_test,
 #      store_accessor_test and store_tsan_smoke; the failover charger in
 #      fault_model_test; and strategy_property_test).
+#  18. the adaptive leg: the Algorithm 1 suite alone (ctest -L adaptive —
+#      adaptive_test, including the pinned Fig. 10b tail re-plan;
+#      batch_boundary_test's pinned LOG re-plans; and ledger_test, which
+#      checks that every run's job summaries sum to its simulated seconds,
+#      with one `job` span per summary, fixed plan or adaptive).
 # Usage: scripts/verify.sh [build-dir]   (default: build)
 
 set -euo pipefail
@@ -183,5 +188,7 @@ cmake --build "$BUILD-asan" -j"$(nproc)"
 (cd "$BUILD" && ctest --output-on-failure -L stats)
 
 (cd "$BUILD" && ctest --output-on-failure -L lookup)
+
+(cd "$BUILD" && ctest --output-on-failure -L adaptive)
 
 echo "verify: OK"

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <cstdio>
+#include <functional>
 #include <span>
 #include <utility>
 
@@ -32,12 +33,6 @@ struct EFindJobRunner::RunContext {
 
 namespace {
 
-/// Outputs leave the engine in record form: converts batch-form splits (a
-/// pass-through reduce's output) in place.
-void MaterializeOutputs(std::vector<InputSplit>* outputs) {
-  for (InputSplit& split : *outputs) split.Materialize();
-}
-
 std::string FpHex(uint64_t fp) {
   char buf[17];
   std::snprintf(buf, sizeof(buf), "%016llx",
@@ -57,8 +52,21 @@ const char* PosTag(OperatorPosition pos) {
   return "?";
 }
 
+/// A plan change: the plan to re-expand with and the statistics it was
+/// chosen from (the re-expansion's boundary-placement and salting hint).
+struct Replan {
+  JobPlan plan;
+  const CollectedStats* stats = nullptr;
+};
+
+/// Algorithm 1 after the main job's first map (`map_phase`) or reduce wave,
+/// `done` of `total` tasks run (paper §4, Figs. 9-10). Returns true and
+/// fills `*replan` to change the plan.
+using ReplanHook =
+    std::function<bool(bool map_phase, size_t done, size_t total, Replan*)>;
+
 /// Builds and executes the physical job pipeline for one (conf, plan) pair.
-/// See stages.h for the composition rules.
+/// See stages.h for the composition rules; `FinishJob` for the hook.
 class PipelineExecutor {
  public:
   PipelineExecutor(JobRunner* job_runner, const ClusterConfig& config,
@@ -66,13 +74,13 @@ class PipelineExecutor {
                    const JobPlan& plan, EFindJobRunner::RunContext* rc,
                    const CollectedStats* stats_hint, EFindRunResult* result,
                    const LookupFailover* failover,
-                   reuse::MaterializedStore* store = nullptr,
-                   uint64_t dataset_fp = 0, const std::string& tenant = {})
+                   reuse::MaterializedStore* store, uint64_t dataset_fp,
+                   const std::string& tenant, ReplanHook hook)
       : job_runner_(job_runner),
         config_(config),
         options_(options),
         conf_(conf),
-        plan_(plan),
+        plan_(&result->plan),
         rc_(rc),
         stats_hint_(stats_hint),
         result_(result),
@@ -81,39 +89,54 @@ class PipelineExecutor {
         cost_model_(config),
         store_(store),
         dataset_fp_(dataset_fp),
-        tenant_(tenant) {
-    StartJob();
+        tenant_(tenant),
+        hook_(std::move(hook)),
+        booked_seconds_(&result->sim_seconds),
+        booked_counters_(&result->counters) {
+    result_->plan = plan;
   }
 
-  /// Executes the whole pipeline; outputs land in result_->outputs.
-  void RunAll(const std::vector<InputSplit>& input) {
-    JobConfig final_job = Prepare(input);
-    if (!final_job.map_stages.empty() || final_job.reducer ||
-        !final_job.reduce_stages.empty()) {
-      cur_ = std::move(final_job);
-      FinishJob("final");
+  /// Executes the whole pipeline over a borrowed view of the input splits
+  /// (they must outlive the call; no records are copied); outputs land in
+  /// result_->outputs in record form.
+  void RunAll(std::vector<const InputSplit*> input) {
+    view_ = std::move(input);
+    StartJob();
+    ExpandPipeline();
+    if (!cur_.map_stages.empty() || cur_.reducer ||
+        !cur_.reduce_stages.empty()) {
+      cur_.name = conf_.name() + ":main";
+      FinishJob("final", hook_ ? &hook_ : nullptr);
     }
     TakeOutputs();
   }
 
-  /// Runs all intermediate jobs and returns the final job's config without
-  /// executing it (its input is `view()`). Requires that no tail operator
-  /// needs a shuffle (holds for baseline tail plans, which is what the
-  /// adaptive runtime uses this for).
-  JobConfig Prepare(const std::vector<InputSplit>& input) {
-    return Prepare(ViewOf(input));
+ private:
+  const OperatorPlan* PlanAt(OperatorPosition pos, size_t i) const {
+    const std::vector<OperatorPlan>& group = plan_->at(pos);
+    return i < group.size() ? &group[i] : nullptr;
   }
 
-  /// As above over a borrowed view of splits; the pointed-to splits must
-  /// stay valid until the next job boundary consumes them. No records are
-  /// copied.
-  JobConfig Prepare(std::vector<const InputSplit*> input) {
-    view_ = std::move(input);
-    view_is_data_ = false;
+  const OperatorStats* StatsHintAt(OperatorPosition pos, size_t i) const {
+    if (stats_hint_ == nullptr) return nullptr;
+    const std::vector<OperatorStats>& group = stats_hint_->at(pos);
+    return i < group.size() && group[i].valid ? &group[i] : nullptr;
+  }
+
+  void StartJob() {
+    cur_ = JobConfig{};
+    cur_.name = conf_.name() + ":job" + std::to_string(job_counter_++);
+  }
+
+  void ExpandOps(OperatorPosition pos) {
+    for (size_t i = 0; i < conf_.ops(pos).size(); ++i) ExpandOperator(pos, i);
+  }
+
+  /// Expands the plan around the user's Map and Reduce over the current
+  /// data, finishing its shuffle jobs; `cur_` is then the final job.
+  void ExpandPipeline() {
     reduce_side_ = false;
-    for (size_t i = 0; i < conf_.head_ops().size(); ++i) {
-      ExpandOperator(OperatorPosition::kHead, i);
-    }
+    ExpandOps(OperatorPosition::kHead);
     if (conf_.mapper()) cur_.map_stages.push_back(conf_.mapper());
     if (!conf_.head_ops().empty()) {
       std::vector<OperatorRuntime*> rts;
@@ -122,43 +145,17 @@ class PipelineExecutor {
       }
       cur_.map_stages.push_back(std::make_shared<MapMeterStage>(rts));
     }
-    for (size_t i = 0; i < conf_.body_ops().size(); ++i) {
-      ExpandOperator(OperatorPosition::kBody, i);
-    }
+    ExpandOps(OperatorPosition::kBody);
     if (conf_.reducer()) {
       cur_.reducer = conf_.reducer();
       cur_.num_reduce_tasks = conf_.num_reduce_tasks();
       reduce_side_ = true;
     }
-    for (size_t i = 0; i < conf_.tail_ops().size(); ++i) {
-      ExpandOperator(OperatorPosition::kTail, i);
-    }
-    JobConfig final_job = std::move(cur_);
-    final_job.name = conf_.name() + ":main";
-    StartJob();
-    return final_job;
+    ExpandOps(OperatorPosition::kTail);
   }
-
-  /// Expands only the tail operators as a map-side pipeline over `input`
-  /// (dynamic plan change in the middle of the reduce phase, Fig. 10b:
-  /// the remaining reduce tasks' outputs flow through the new tail plan).
-  void RunTailPipeline(const std::vector<InputSplit>& input) {
-    view_ = ViewOf(input);
-    view_is_data_ = false;
-    reduce_side_ = false;
-    first_job_ = false;  // Input comes from a prior job: boundary applies.
-    for (size_t i = 0; i < conf_.tail_ops().size(); ++i) {
-      ExpandOperator(OperatorPosition::kTail, i);
-    }
-    if (!cur_.map_stages.empty() || cur_.reducer) FinishJob("tail");
-    TakeOutputs();
-  }
-
-  /// The current intermediate data as a borrowed view.
-  const std::vector<const InputSplit*>& view() const { return view_; }
 
   /// Charges the DFS boundary into the job `into_job` about to run over
-  /// `view()`, and returns its simulated seconds. Unless that job is the
+  /// `view_`, and returns its simulated seconds. Unless that job is the
   /// pipeline's first or reads an adopted artifact, the previous job stored
   /// its output in the DFS (replicated write, parallel across nodes); the
   /// job's map tasks charge the retrieval as their input read, so only the
@@ -188,60 +185,170 @@ class PipelineExecutor {
     return seconds;
   }
 
- private:
-  const OperatorPlan* PlanAt(OperatorPosition pos, size_t i) const {
-    const std::vector<OperatorPlan>& group = plan_.at(pos);
-    return i < group.size() ? &group[i] : nullptr;
-  }
-
-  const OperatorStats* StatsHintAt(OperatorPosition pos, size_t i) const {
-    if (stats_hint_ == nullptr) return nullptr;
-    const std::vector<OperatorStats>& group = stats_hint_->at(pos);
-    return i < group.size() && group[i].valid ? &group[i] : nullptr;
-  }
-
-  void StartJob() {
-    cur_ = JobConfig{};
-    cur_.name = conf_.name() + ":job" + std::to_string(job_counter_++);
-  }
-
-  void FinishJob(const char* label) {
-    cur_.name += std::string(":") + label;
+  /// Runs the current job over the current data (the pipeline's own data
+  /// by ownership, the caller's input borrowed) and books it, the one
+  /// place any job is: boundary charge, summary, `job` span, counters and
+  /// simulated seconds. With `hook` it is the adaptive main job (keeping
+  /// the bare `<conf>:main` name): the hook decides after the first map
+  /// wave (Fig. 10a) and, if that kept the plan and the job has tail
+  /// operators and more reduce tasks than slots, after the first reduce
+  /// wave (Fig. 10b). Jobs a plan change runs inside it are added into its
+  /// tally where they ran, so every sum keeps its order.
+  void FinishJob(const char* label, const ReplanHook* hook = nullptr) {
+    if (hook == nullptr) cur_.name += std::string(":") + label;
+    JobConfig job = std::move(cur_);
     JobStageSummary summary;
-    summary.name = cur_.name;
-    summary.boundary_seconds = ChargeBoundary(cur_.name, label);
-    double job_t0 = 0.0;
-    if (obs_ != nullptr) job_t0 = obs_->trace().clock();
-    // The pipeline's own intermediate data is handed over by ownership
-    // (its records move into the map tasks); the caller's input is only
-    // ever borrowed.
-    JobResult job = view_is_data_ ? job_runner_->Run(cur_, std::move(data_))
-                                  : job_runner_->Run(cur_, view_);
-    summary.map_seconds = job.map_seconds;
-    summary.reduce_seconds = job.reduce_seconds;
-    summary.map_tasks = job.num_map_tasks;
-    summary.reduce_tasks = job.num_reduce_tasks;
-    summary.map_task_durations = job.map_task_durations;
-    summary.map_task_base_durations = job.map_task_base_durations;
-    summary.reduce_task_durations = job.reduce_task_durations;
-    summary.reduce_task_base_durations = job.reduce_task_base_durations;
-    // The map/reduce phase spans advanced the clock by job.sim_seconds, so
-    // the job span covers exactly the phases it contains.
-    if (obs_ != nullptr) {
-      obs_->trace().Span(cur_.name, "job", job_t0, job.sim_seconds,
-                         obs::kClusterTrack, 0,
-                         {{"map_tasks", std::to_string(job.num_map_tasks)},
-                          {"reduce_tasks",
-                           std::to_string(job.num_reduce_tasks)}});
+    summary.name = job.name;
+    const double boundary = ChargeBoundary(job.name, label);
+    summary.boundary_seconds = boundary;
+    const double job_t0 = obs_ != nullptr ? obs_->trace().clock() : 0.0;
+    Counters counters;
+    // Seconds since the job started, in the order run (phases, nested jobs).
+    double elapsed = 0.0;
+
+    std::vector<MapPhaseResult> map_waves;
+    auto run_map = [&](JobInput& in, size_t begin, size_t end) {
+      MapPhaseResult wave = job_runner_->RunMapPhase(
+          job, in.view, begin, end, in.owned ? &in.data : nullptr);
+      for (const MapTaskResult& t : wave.tasks) {
+        counters.Merge(t.counters);
+        summary.map_task_durations.push_back(t.duration);
+        summary.map_task_base_durations.push_back(t.base_duration);
+      }
+      summary.map_seconds += wave.makespan();
+      elapsed += wave.makespan();
+      map_waves.push_back(std::move(wave));
+    };
+    JobInput input = TakeInput();
+    bool replanned = false;
+    const size_t total = input.view.size();
+    if (hook == nullptr) {
+      run_map(input, 0, total);
+    } else {
+      // The statistics wave (paper §4.1): the first round of map tasks.
+      const size_t first = std::min<size_t>(total, config_.total_map_slots());
+      run_map(input, 0, first);
+      result_->stats_wave_seconds = map_waves[0].makespan();
+      Replan replan;
+      replanned = (*hook)(true, first, total, &replan);
+      if (!replanned) {
+        run_map(input, first, total);
+      } else {
+        // The splits not yet started run the new plan; its final job is this.
+        view_.assign(input.view.begin() + first, input.view.end());
+        elapsed += RunReplanned(replan, /*map_phase=*/true, &counters);
+        const double into_rest = ChargeBoundary(job.name, label);
+        summary.boundary_seconds += into_rest;
+        elapsed += into_rest;
+        cur_.name = std::move(job.name);
+        job = std::move(cur_);
+        JobInput rest = TakeInput();
+        run_map(rest, 0, rest.view.size());
+      }
     }
-    result_->jobs.push_back(summary);
-    result_->counters.Merge(job.counters);
-    result_->sim_seconds +=
-        job.sim_seconds + summary.boundary_seconds;
-    AdoptData(std::move(job.outputs));
+
+    std::vector<InputSplit> outputs;
+    if (job.reducer || !job.reduce_stages.empty()) {
+      // Every map wave's tasks feed the reduce, kept first-wave ones too.
+      std::vector<const MapTaskResult*> map_outputs;
+      for (const MapPhaseResult& wave : map_waves) {
+        for (const MapTaskResult& t : wave.tasks) map_outputs.push_back(&t);
+      }
+      auto run_reduce = [&](int begin, int end) {
+        ReducePhaseResult wave =
+            job_runner_->RunReduceRange(job, map_outputs, begin, end);
+        for (const Counters& c : wave.task_counters) counters.Merge(c);
+        std::vector<double>& d = summary.reduce_task_durations;
+        std::vector<double>& b = summary.reduce_task_base_durations;
+        d.insert(d.end(), wave.durations.begin(), wave.durations.end());
+        b.insert(b.end(), wave.base_durations.begin(), wave.base_durations.end());
+        summary.reduce_seconds += wave.makespan();
+        elapsed += wave.makespan();
+        return std::move(wave.outputs);
+      };
+      const int num_reduce = job_runner_->ResolveNumReduceTasks(job);
+      const int slots = config_.total_reduce_slots();
+      const bool split = hook != nullptr && !replanned &&
+                         !conf_.tail_ops().empty() && num_reduce > slots;
+      outputs = run_reduce(0, split ? slots : num_reduce);
+      if (split) {
+        Replan replan;
+        const bool tail_replanned = (*hook)(false, slots, num_reduce, &replan);
+        // The first wave's outputs are final; after a tail plan change the
+        // rest run without the tail stages and flow through the new tail.
+        if (tail_replanned) job.reduce_stages.clear();
+        std::vector<InputSplit> rest = run_reduce(slots, num_reduce);
+        if (tail_replanned) {
+          AdoptData(std::move(rest));
+          elapsed += RunReplanned(replan, /*map_phase=*/false, &counters);
+          rest = std::move(data_);
+        }
+        for (InputSplit& s : rest) outputs.push_back(std::move(s));
+      }
+    } else {
+      for (MapPhaseResult& wave : map_waves) wave.MoveOutputsTo(&outputs);
+    }
+
+    summary.map_tasks = summary.map_task_durations.size();
+    summary.reduce_tasks = summary.reduce_task_durations.size();
+    // The phase spans (and any nested jobs) advanced the clock by
+    // `elapsed`, so the job span covers exactly what the job ran.
+    if (obs_ != nullptr) {
+      obs_->trace().Span(job.name, "job", job_t0, elapsed, obs::kClusterTrack,
+                         0,
+                         {{"map_tasks", std::to_string(summary.map_tasks)},
+                          {"reduce_tasks",
+                           std::to_string(summary.reduce_tasks)}});
+    }
+    result_->jobs.push_back(std::move(summary));
+    booked_counters_->Merge(counters);
+    *booked_seconds_ += elapsed + boundary;
+    AdoptData(std::move(outputs));
     first_job_ = false;
     StartJob();
   }
+
+  /// Switches to `replan` and re-expands over the current data: the whole
+  /// pipeline into `cur_` (map decision) or the tail alone, map-side and
+  /// finished (reduce decision). Jobs it finishes are tallied apart: their
+  /// counters merge into `*counters`, their seconds are returned.
+  double RunReplanned(const Replan& replan, bool map_phase,
+                      Counters* counters) {
+    result_->plan = replan.plan;
+    result_->replanned = true;
+    stats_hint_ = replan.stats;
+    double seconds = 0.0;
+    Counters nested;
+    double* const outer_seconds = std::exchange(booked_seconds_, &seconds);
+    Counters* const outer_counters = std::exchange(booked_counters_, &nested);
+    job_counter_ = 0;
+    StartJob();
+    if (map_phase) {
+      ExpandPipeline();
+    } else {
+      reduce_side_ = false;
+      first_job_ = false;  // The tail reads the reduce output via the DFS.
+      ExpandOps(OperatorPosition::kTail);
+      if (!cur_.map_stages.empty() || cur_.reducer) FinishJob("tail");
+    }
+    booked_seconds_ = outer_seconds;
+    booked_counters_ = outer_counters;
+    counters->Merge(nested);
+    return seconds;
+  }
+
+  /// A job's input: its view and, if the executor owned them, the splits
+  /// behind it (consumed by the map tasks). Moved out of the current data.
+  struct JobInput {
+    std::vector<const InputSplit*> view;
+    std::vector<InputSplit> data;
+    bool owned;
+  };
+  JobInput TakeInput() {
+    return {std::move(view_), std::move(data_),
+            std::exchange(view_is_data_, false)};
+  }
+
 
   /// Takes ownership of `splits` as the current intermediate data and
   /// points the view at it.
@@ -261,7 +368,9 @@ class PipelineExecutor {
       result_->outputs.reserve(view_.size());
       for (const InputSplit* s : view_) result_->outputs.push_back(*s);
     }
-    MaterializeOutputs(&result_->outputs);
+    // Outputs leave the engine in record form (a pass-through reduce
+    // writes batch-form splits).
+    for (InputSplit& split : result_->outputs) split.Materialize();
     data_.clear();
     view_.clear();
     view_is_data_ = false;
@@ -659,7 +768,8 @@ class PipelineExecutor {
   const ClusterConfig& config_;
   const EFindOptions& options_;
   const IndexJobConf& conf_;
-  const JobPlan& plan_;
+  /// The plan in effect: `result_->plan`, which a plan change replaces.
+  const JobPlan* plan_;
   EFindJobRunner::RunContext* rc_;
   const CollectedStats* stats_hint_;
   EFindRunResult* result_;
@@ -672,6 +782,12 @@ class PipelineExecutor {
   uint64_t dataset_fp_;
   /// Tenant identity store traffic is attributed to ("" = untenanted).
   const std::string tenant_;
+  /// Algorithm 1 on the main job (null = a fixed-plan run).
+  const ReplanHook hook_;
+  /// Where FinishJob books a job's simulated seconds and counters: the
+  /// run's totals, or a plan change's tally inside the main job.
+  double* booked_seconds_;
+  Counters* booked_counters_;
 
   JobConfig cur_;
   /// Intermediate splits owned by the executor (outputs of the last job),
@@ -765,13 +881,12 @@ EFindRunResult EFindJobRunner::RunWithPlan(const IndexJobConf& conf,
                                            const CollectedStats* stats_hint) {
   auto rc = MakeRunContext(conf);
   EFindRunResult result;
-  result.plan = plan;
   const uint64_t dataset_fp =
       reuse_ != nullptr ? reuse::DatasetFingerprint(conf, input) : 0;
   PipelineExecutor px(&job_runner_, config_, options_, conf, plan, rc.get(),
                       stats_hint, &result, &failover_, reuse_, dataset_fp,
-                      tenant_);
-  px.RunAll(input);
+                      tenant_, /*hook=*/nullptr);
+  px.RunAll(ViewOf(input));
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
   if (obs_ != nullptr && stats_hint != nullptr) {
     RecordCostModelError(obs_, "static", PlanCost(plan, *stats_hint),
@@ -913,13 +1028,6 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   auto rc = MakeRunContext(conf);
   EFindRunResult result;
   const JobPlan base_plan = MakeUniformPlan(conf, Strategy::kBaseline);
-  result.plan = base_plan;
-
-  PipelineExecutor px(&job_runner_, config_, options_, conf, base_plan,
-                      rc.get(), nullptr, &result, &failover_);
-  const size_t total_splits = input.size();
-  const size_t wave =
-      std::min(total_splits, static_cast<size_t>(config_.total_map_slots()));
 
   // Hadoop assigns splits to the first round of map tasks in no particular
   // file order (locality-driven), so the statistics sample is spread over
@@ -927,6 +1035,9 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
   // takes every (num_waves)-th split, making phenomena like DUP10's
   // file-level duplication visible to the collected statistics. The
   // schedule is a view of the caller's splits — no records are copied.
+  const size_t total_splits = input.size();
+  const size_t wave =
+      std::min(total_splits, static_cast<size_t>(config_.total_map_slots()));
   std::vector<const InputSplit*> scheduled;
   scheduled.reserve(total_splits);
   const size_t num_waves =
@@ -937,156 +1048,39 @@ EFindRunResult EFindJobRunner::RunDynamic(const IndexJobConf& conf,
     }
   }
 
-  JobConfig baseline_job = px.Prepare(scheduled);
-
-  // Statistics phase: the first round of map tasks runs the baseline plan
-  // (paper §4.1). Task results are kept for reuse (Fig. 10a).
-  MapPhaseResult first_wave =
-      job_runner_.RunMapPhase(baseline_job, scheduled, 0, wave);
-  double elapsed = first_wave.schedule.makespan;
-  result.stats_wave_seconds = elapsed;
-  for (const auto& t : first_wave.tasks) result.counters.Merge(t.counters);
-
-  const double extrapolation =
-      wave > 0 ? static_cast<double>(total_splits) / wave : 1.0;
-  CollectedStats wave_stats = ComputeStatsWithConf(*rc, conf, extrapolation);
-
-  // Re-optimizing the map phase only makes sense while map tasks remain
-  // (the paper assumes jobs run "much larger number of Map tasks than the
-  // number of machine nodes so that Map tasks are performed in multiple
-  // rounds", §4.1).
-  JobPlan new_plan;
-  bool changed = wave < total_splits &&
-                 Reoptimize(/*at_map_phase=*/true, base_plan, wave_stats,
-                            &new_plan);
-  // Algorithm 1's decision point: the simulated moment the first map wave
-  // finished and statistics were inspected.
-  if (obs_ != nullptr) {
-    obs::TraceRecorder& tr = obs_->trace();
-    if (changed) {
-      tr.Instant("plan_switch", "plan", tr.clock(), obs::kClusterTrack,
-                 {{"phase", "map"}, {"plan", new_plan.ToString()}});
-      obs_->metrics().Add(obs_->metrics().Counter("efind.plan_switches"),
-                          1.0);
-    } else {
-      tr.Instant("plan_kept", "plan", tr.clock(), obs::kClusterTrack,
-                 {{"phase", "map"}});
-    }
-  }
-
-  JobConfig final_job = baseline_job;
-  MapPhaseResult rest_wave;
-  if (!changed) {
-    rest_wave = job_runner_.RunMapPhase(baseline_job, scheduled, wave,
-                                        total_splits);
-  } else {
-    result.replanned = true;
-    result.plan = new_plan;
-    // Apply the new plan to the splits that have not started (Fig. 10a):
-    // the remaining input flows through the new pipeline (which may contain
-    // shuffle jobs), whose final job feeds the same reduce as the old plan.
-    EFindRunResult sub;
-    PipelineExecutor px2(&job_runner_, config_, options_, conf, new_plan,
-                         rc.get(), &wave_stats, &sub, &failover_);
-    std::vector<const InputSplit*> remaining(scheduled.begin() + wave,
-                                             scheduled.end());
-    final_job = px2.Prepare(std::move(remaining));
-    elapsed += sub.sim_seconds;
-    for (auto& j : sub.jobs) result.jobs.push_back(j);
-    result.counters.Merge(sub.counters);
-    // A new plan with a shuffle job left its output in the DFS, which the
-    // final job's map tasks read, as `FinishJob("final")` charges it in a
-    // fixed-plan run.
-    elapsed += px2.ChargeBoundary(final_job.name, "final");
-    rest_wave =
-        job_runner_.RunMapPhase(final_job, px2.view(), 0, px2.view().size());
-  }
-  elapsed += rest_wave.schedule.makespan;
-  for (const auto& t : rest_wave.tasks) result.counters.Merge(t.counters);
-
-  if (!final_job.reducer && final_job.reduce_stages.empty()) {
-    // Map-only job: first-wave tasks' outputs first.
-    first_wave.MoveOutputsTo(&result.outputs);
-    rest_wave.MoveOutputsTo(&result.outputs);
-    MaterializeOutputs(&result.outputs);
-    result.sim_seconds += elapsed;
-    result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
-    return result;
-  }
-
-  // The reduce retrieves outputs from both the reused first-wave tasks and
-  // the new-plan map tasks.
-  std::vector<const MapTaskResult*> all_map_tasks;
-  for (const auto& t : first_wave.tasks) all_map_tasks.push_back(&t);
-  for (const auto& t : rest_wave.tasks) all_map_tasks.push_back(&t);
-
-  const int num_reduce = job_runner_.ResolveNumReduceTasks(final_job);
-  const int reduce_slots = config_.total_reduce_slots();
-  const bool try_tail_replan = !changed && !conf.tail_ops().empty() &&
-                               num_reduce > reduce_slots;
-  if (!try_tail_replan) {
-    ReducePhaseResult reduce =
-        job_runner_.RunReducePhase(final_job, all_map_tasks);
-    elapsed += reduce.makespan();
-    for (const auto& c : reduce.task_counters) result.counters.Merge(c);
-    result.outputs = std::move(reduce.outputs);
-  } else {
-    // Plan change in the middle of the reduce phase (Fig. 10b): the first
-    // reduce wave runs the baseline tail stages; completed outputs "move to
-    // the output directory"; a better tail plan applies to the rest.
-    ReducePhaseResult wave1 =
-        job_runner_.RunReduceRange(final_job, all_map_tasks, 0, reduce_slots);
-    elapsed += wave1.makespan();
-    for (const auto& c : wave1.task_counters) result.counters.Merge(c);
-
-    CollectedStats tail_stats = ComputeStatsWithConf(
-        *rc, conf,
-        static_cast<double>(num_reduce) / static_cast<double>(reduce_slots));
-    JobPlan tail_plan;
-    const bool tail_changed = Reoptimize(/*at_map_phase=*/false, base_plan,
-                                         tail_stats, &tail_plan);
-    if (!tail_changed) {
-      ReducePhaseResult wave2 = job_runner_.RunReduceRange(
-          final_job, all_map_tasks, reduce_slots, num_reduce);
-      elapsed += wave2.makespan();
-      for (const auto& c : wave2.task_counters) result.counters.Merge(c);
-      result.outputs = std::move(wave1.outputs);
-      for (auto& s : wave2.outputs) result.outputs.push_back(std::move(s));
-    } else {
-      result.replanned = true;
-      result.plan.tail = tail_plan.tail;
-      if (obs_ != nullptr) {
-        obs_->trace().Instant("plan_switch", "plan", obs_->trace().clock(),
-                              obs::kClusterTrack,
-                              {{"phase", "tail"},
-                               {"plan", tail_plan.ToString()}});
+  // Algorithm 1 on statistics extrapolated from the tasks run so far, traced
+  // at the moment the wave finished (a kept tail leaves no instant). The map
+  // phase re-optimizes only while map tasks remain (the paper assumes "much
+  // larger number of Map tasks than the number of machine nodes", §4.1).
+  CollectedStats wave_stats, tail_stats;
+  const ReplanHook hook = [&](bool map_phase, size_t done, size_t total,
+                              Replan* replan) {
+    CollectedStats& stats = map_phase ? wave_stats : tail_stats;
+    stats = ComputeStatsWithConf(
+        *rc, conf, done > 0 ? static_cast<double>(total) / done : 1.0);
+    const bool changed =
+        done < total && Reoptimize(map_phase, base_plan, stats, &replan->plan);
+    replan->stats = &stats;
+    if (obs_ != nullptr) {
+      obs::TraceRecorder& tr = obs_->trace();
+      const char* phase = map_phase ? "map" : "tail";
+      if (changed) {
+        tr.Instant("plan_switch", "plan", tr.clock(), obs::kClusterTrack,
+                   {{"phase", phase}, {"plan", replan->plan.ToString()}});
         obs_->metrics().Add(obs_->metrics().Counter("efind.plan_switches"),
                             1.0);
+      } else if (map_phase) {
+        tr.Instant("plan_kept", "plan", tr.clock(), obs::kClusterTrack,
+                   {{"phase", phase}});
       }
-      // Remaining reduce tasks run without the inline tail stages; their
-      // outputs flow through the new tail pipeline.
-      JobConfig bare = final_job;
-      bare.reduce_stages.clear();
-      ReducePhaseResult wave2 = job_runner_.RunReduceRange(
-          bare, all_map_tasks, reduce_slots, num_reduce);
-      elapsed += wave2.makespan();
-      for (const auto& c : wave2.task_counters) result.counters.Merge(c);
-
-      EFindRunResult sub;
-      PipelineExecutor px3(&job_runner_, config_, options_, conf, tail_plan,
-                           rc.get(), &tail_stats, &sub, &failover_);
-      px3.RunTailPipeline(wave2.outputs);
-      elapsed += sub.sim_seconds;
-      for (auto& j : sub.jobs) result.jobs.push_back(j);
-      result.counters.Merge(sub.counters);
-
-      result.outputs = std::move(wave1.outputs);
-      for (auto& s : sub.outputs) result.outputs.push_back(std::move(s));
     }
-  }
+    return changed;
+  };
+  PipelineExecutor px(&job_runner_, config_, options_, conf, base_plan,
+                      rc.get(), /*stats_hint=*/nullptr, &result, &failover_,
+                      /*store=*/nullptr, /*dataset_fp=*/0, tenant_, hook);
+  px.RunAll(std::move(scheduled));
 
-  MaterializeOutputs(&result.outputs);
-  result.sim_seconds += elapsed;
   result.stats = ComputeStatsWithConf(*rc, conf, 1.0);
   if (obs_ != nullptr) {
     RecordCostModelError(obs_, "dynamic", PlanCost(result.plan, wave_stats),

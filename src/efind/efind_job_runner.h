@@ -74,7 +74,10 @@ struct CollectedStats {
   }
 };
 
-/// Execution summary of one physical MapReduce job in an EFind pipeline.
+/// Execution summary of one physical MapReduce job in an EFind pipeline;
+/// a run's summaries sum to its `sim_seconds`. An adaptive main job's
+/// phases list its waves in schedule order: the statistics wave, then the
+/// rest of the map; one or two reduce waves.
 struct JobStageSummary {
   std::string name;
   double map_seconds = 0.0;
@@ -127,7 +130,8 @@ struct EFindRunResult {
 ///    optimization with sufficient statistics ("Optimized").
 ///  - `RunDynamic`: start with baseline, collect statistics during the
 ///    first map wave, re-optimize per Algorithm 1, change the plan mid-job
-///    reusing completed tasks ("Dynamic", Figures 9-10).
+///    reusing completed tasks ("Dynamic", Figures 9-10): `RunWithPlan`'s
+///    run loop with Algorithm 1 hooked after the first map/reduce wave.
 class EFindJobRunner {
  public:
   explicit EFindJobRunner(const ClusterConfig& config,

@@ -447,18 +447,6 @@ MapTaskResult JobRunner::RunMapTask(const JobConfig& job,
   return result;
 }
 
-MapPhaseResult JobRunner::RunMapPhase(const JobConfig& job,
-                                      const std::vector<InputSplit>& input,
-                                      size_t begin, size_t end) {
-  return RunMapPhase(job, ViewOf(input), begin, end);
-}
-
-MapPhaseResult JobRunner::RunMapPhase(
-    const JobConfig& job, const std::vector<const InputSplit*>& input,
-    size_t begin, size_t end) {
-  return RunMapPhase(job, input, begin, end, /*owned=*/nullptr);
-}
-
 MapPhaseResult JobRunner::RunMapPhase(
     const JobConfig& job, const std::vector<const InputSplit*>& input,
     size_t begin, size_t end, std::vector<InputSplit>* owned) {
@@ -501,12 +489,6 @@ MapPhaseResult JobRunner::RunMapPhase(
                config_.total_map_slots(), static_cast<int>(begin));
   }
   return phase;
-}
-
-ReducePhaseResult JobRunner::RunReducePhase(
-    const JobConfig& job,
-    const std::vector<const MapTaskResult*>& map_outputs) {
-  return RunReduceRange(job, map_outputs, 0, ResolveNumReduceTasks(job));
 }
 
 ReducePhaseResult JobRunner::RunReduceRange(
@@ -732,24 +714,9 @@ ReducePhaseResult JobRunner::RunReduceRange(
 
 JobResult JobRunner::Run(const JobConfig& job,
                          const std::vector<InputSplit>& input) {
-  return Run(job, ViewOf(input));
-}
-
-JobResult JobRunner::Run(const JobConfig& job,
-                         std::vector<InputSplit>&& input) {
-  return Run(job, ViewOf(input), &input);
-}
-
-JobResult JobRunner::Run(const JobConfig& job,
-                         const std::vector<const InputSplit*>& input) {
-  return Run(job, input, /*owned=*/nullptr);
-}
-
-JobResult JobRunner::Run(const JobConfig& job,
-                         const std::vector<const InputSplit*>& input,
-                         std::vector<InputSplit>* owned) {
   JobResult result;
-  MapPhaseResult map_phase = RunMapPhase(job, input, 0, input.size(), owned);
+  MapPhaseResult map_phase =
+      RunMapPhase(job, ViewOf(input), 0, input.size(), /*owned=*/nullptr);
   result.num_map_tasks = map_phase.tasks.size();
   result.map_seconds = map_phase.makespan();
   for (auto& t : map_phase.tasks) {
@@ -762,7 +729,8 @@ JobResult JobRunner::Run(const JobConfig& job,
     std::vector<const MapTaskResult*> ptrs;
     ptrs.reserve(map_phase.tasks.size());
     for (const auto& t : map_phase.tasks) ptrs.push_back(&t);
-    ReducePhaseResult reduce_phase = RunReducePhase(job, ptrs);
+    ReducePhaseResult reduce_phase =
+        RunReduceRange(job, ptrs, 0, ResolveNumReduceTasks(job));
     result.num_reduce_tasks = reduce_phase.outputs.size();
     result.reduce_seconds = reduce_phase.makespan();
     for (const auto& c : reduce_phase.task_counters) result.counters.Merge(c);

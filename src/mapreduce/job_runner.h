@@ -36,8 +36,10 @@ class ObsSession;
 /// The wave scheduler then converts per-task durations into a phase
 /// makespan over the cluster's slots.
 ///
-/// The low-level phase methods exist so EFind's adaptive runtime can execute
-/// the first map wave, re-optimize, and resume with a different plan while
+/// The phase methods run a job phase by phase, or a phase in ranges of
+/// tasks: EFind's pipeline executor drives every job through them, and
+/// its adaptive main job pauses after the first map wave and the first
+/// reduce wave to re-optimize, resuming with a different plan while
 /// reusing completed tasks (paper Figures 9-10).
 class JobRunner {
  public:
@@ -64,38 +66,26 @@ class JobRunner {
   /// Runs the whole job: map phase over `input`, then (if a reducer is
   /// configured) shuffle + reduce phase.
   JobResult Run(const JobConfig& job, const std::vector<InputSplit>& input);
-  /// As above, consuming `input`: map tasks move each record into the
-  /// stage chain instead of copying it, and free their split's record
-  /// storage when they finish. `input` is left holding emptied splits.
-  /// Outputs, counters and simulated times equal the borrowing overload's.
-  JobResult Run(const JobConfig& job, std::vector<InputSplit>&& input);
-  /// As above over a borrowed view of splits (no copies; pointers must stay
-  /// valid for the duration of the call).
-  JobResult Run(const JobConfig& job,
-                const std::vector<const InputSplit*>& input);
 
-  /// Executes map tasks for splits [begin, end) and schedules them.
-  MapPhaseResult RunMapPhase(const JobConfig& job,
-                             const std::vector<InputSplit>& input,
-                             size_t begin, size_t end);
-  /// As above over a borrowed view of splits. Task index i corresponds to
-  /// `input[i]`; the adaptive runtime schedules strided views this way
-  /// without deep-copying records.
+  /// Executes map tasks for splits [begin, end) of `input` and schedules
+  /// them; task index i corresponds to `input[i]`, so a view (say, a
+  /// strided schedule) runs without deep-copying records. `owned`, when
+  /// non-null, is the vector `input` points into: the tasks move each
+  /// record into the stage chain instead of copying it and free their
+  /// split's record storage when they finish, leaving emptied splits.
+  /// Outputs, counters and simulated times equal a borrowing run's.
   MapPhaseResult RunMapPhase(const JobConfig& job,
                              const std::vector<const InputSplit*>& input,
-                             size_t begin, size_t end);
+                             size_t begin, size_t end,
+                             std::vector<InputSplit>* owned);
 
-  /// Shuffles the given map outputs and executes the reduce phase.
+  /// Shuffles the given map outputs and executes reduce tasks [begin, end).
   /// `map_outputs` may combine tasks from different plans (adaptive plan
   /// change reuses completed old-plan map tasks, Fig. 10a), as long as all
-  /// were partitioned with the same partitioner and reducer count.
-  ReducePhaseResult RunReducePhase(
-      const JobConfig& job,
-      const std::vector<const MapTaskResult*>& map_outputs);
-
-  /// Executes only reduce tasks [begin, end) — used by the adaptive runtime
-  /// to change plans in the middle of the reduce phase while keeping the
-  /// outputs of already-completed reduce tasks (Fig. 10b).
+  /// were partitioned with the same partitioner and reducer count; a range
+  /// short of the whole phase keeps the outputs of already-completed
+  /// reduce tasks across a plan change in the middle of the reduce phase
+  /// (Fig. 10b).
   ReducePhaseResult RunReduceRange(
       const JobConfig& job,
       const std::vector<const MapTaskResult*>& map_outputs, int begin,
@@ -113,17 +103,6 @@ class JobRunner {
 
  private:
   int ReduceTaskNode(const JobConfig& job, int reduce_index) const;
-
-  /// The shared body of the `Run` overloads. `owned`, when non-null, is the
-  /// vector `input` points into, and its splits are consumed.
-  JobResult Run(const JobConfig& job,
-                const std::vector<const InputSplit*>& input,
-                std::vector<InputSplit>* owned);
-  /// RunMapPhase over `input`; `owned` as in `Run`.
-  MapPhaseResult RunMapPhase(const JobConfig& job,
-                             const std::vector<const InputSplit*>& input,
-                             size_t begin, size_t end,
-                             std::vector<InputSplit>* owned);
 
   /// Executes one map task over `split` as task `task_index`, placed on
   /// `split.node` (the job may ask for remote input): the input loop feeds

@@ -1,12 +1,16 @@
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <cstring>
 #include <memory>
 #include <string>
 #include <vector>
 
+#include "common/checksum.h"
 #include "efind/efind_job_runner.h"
 #include "efind/stages.h"
 #include "obs/obs.h"
+#include "reuse/materialized_store.h"
 #include "tests/test_util.h"
 #include "workloads/log_trace.h"
 
@@ -125,9 +129,10 @@ TEST_F(AdaptiveTest, SingleWaveInputStillWorks) {
   EXPECT_EQ(Sorted(dynamic.CollectRecords()), Sorted(base.CollectRecords()));
 }
 
-// Reduce-phase re-optimization (Fig. 10b): a tail operator with heavy
-// duplication, more reduce tasks than slots so there is a second wave.
-TEST_F(AdaptiveTest, TailReplanPreservesOutput) {
+// Reduce-phase decision point (Fig. 10b) on a tail that has nothing to
+// gain: the count reducer emits one record per key, so the tail operator
+// sees no duplicate lookups and the first reduce wave keeps the plan.
+TEST_F(AdaptiveTest, TailKeptPreservesOutput) {
   ToyWorld world(60, /*value_bytes=*/400);
   // Map side: nothing index-related (head/body clean). Reduce emits keys
   // over a small domain -> tail operator sees heavy duplication.
@@ -156,7 +161,87 @@ TEST_F(AdaptiveTest, TailReplanPreservesOutput) {
   EFindJobRunner runner(config_, options);
   auto dynamic = runner.RunDynamic(conf, input);
   auto base = runner.RunWithStrategy(conf, input, Strategy::kBaseline);
+  EXPECT_FALSE(dynamic.replanned) << dynamic.plan.ToString();
   EXPECT_EQ(Sorted(dynamic.CollectRecords()), Sorted(base.CollectRecords()));
+}
+
+std::string Hex(double v) {
+  char buf[64];
+  std::snprintf(buf, sizeof(buf), "%a", v);
+  return buf;
+}
+
+// Digest of every `efind.` counter's name and value bits, leaving out the
+// `efind.alloc.` host heap telemetry.
+uint64_t CounterDigest(const Counters& counters) {
+  Checksum64 sum;
+  for (const auto& [name, value] : counters.values()) {
+    if (name.rfind("efind.", 0) != 0 || name.rfind("efind.alloc.", 0) == 0) {
+      continue;
+    }
+    uint64_t bits = 0;
+    std::memcpy(&bits, &value, sizeof(bits));
+    sum.UpdateFramed(name);
+    sum.UpdateU64(bits);
+  }
+  return sum.Digest();
+}
+
+// Plan change in the middle of the reduce phase (Fig. 10b): the tail
+// operator sees every key repeated, so after the first reduce wave
+// Algorithm 1 switches the tail to the lookup cache. The first wave's
+// outputs are kept, the rest of the reduce runs without the tail stages and
+// its outputs flow through the new tail plan. Outputs equal the baseline's;
+// the output digest, hex simulated seconds and counter digest are pinned.
+TEST_F(AdaptiveTest, TailReplanSwitchesToCache) {
+  ToyWorld world(60, /*value_bytes=*/400);
+  std::vector<InputSplit> input(96);
+  Rng rng(5);
+  int id = 0;
+  for (int s = 0; s < 96; ++s) {
+    input[s].node = s % 12;
+    for (int r = 0; r < 60; ++r) {
+      input[s].records.push_back(Record(
+          "k" + std::to_string(rng.Uniform(40)), "r" + std::to_string(id++)));
+    }
+  }
+  IndexJobConf conf;
+  conf.set_name("tail_adaptive");
+  conf.SetReducer(std::make_shared<testing_util::RegroupReducer>());
+  conf.set_num_reduce_tasks(96);  // 2 reduce waves on 48 slots.
+  auto op = std::make_shared<testing_util::JoinOperator>();
+  op->AddIndex(std::make_shared<KvIndexAccessor>("toy", world.store.get()));
+  conf.AddTailIndexOperator(op);
+
+  EFindOptions options;
+  options.plan_change_cost_sec = 0.0;
+  options.variance_threshold = 10.0;
+  obs::ObsSession session;
+  EFindJobRunner runner(config_, options);
+  runner.set_obs(&session);
+  const EFindRunResult dynamic = runner.RunDynamic(conf, input);
+  runner.set_obs(nullptr);
+  const EFindRunResult base =
+      runner.RunWithStrategy(conf, input, Strategy::kBaseline);
+
+  ASSERT_TRUE(dynamic.replanned) << dynamic.plan.ToString();
+  ASSERT_EQ(dynamic.plan.tail.size(), 1u);
+  EXPECT_EQ(dynamic.plan.tail[0].order[0].strategy, Strategy::kLookupCache);
+  EXPECT_EQ(Sorted(dynamic.CollectRecords()), Sorted(base.CollectRecords()));
+  int tail_switches = 0;
+  for (const obs::TraceEvent& e : session.trace().events()) {
+    if (e.name != "plan_switch") continue;
+    for (const obs::TraceArg& arg : e.args) {
+      if (arg.key == "phase" && arg.value == "tail") ++tail_switches;
+    }
+  }
+  EXPECT_EQ(tail_switches, 1);
+
+  const uint64_t digest = reuse::ChecksumSplits(dynamic.outputs);
+  const uint64_t counters = CounterDigest(dynamic.counters);
+  EXPECT_EQ(digest, 0xcbe06a55987e853aULL) << "actual digest 0x" << std::hex << digest;
+  EXPECT_EQ(Hex(dynamic.sim_seconds), "0x1.5aa5679ce1111p-3");
+  EXPECT_EQ(counters, 0xca8a28c5f79c40a9ULL) << "actual counters 0x" << std::hex << counters;
 }
 
 // A pass-through reducer with no tail operator: the re-planned run's reduce

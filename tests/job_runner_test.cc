@@ -279,11 +279,12 @@ TEST(JobRunnerTest, ReduceRangeMatchesFullPhase) {
   job.reducer = std::make_shared<CountReducer>();
   job.num_reduce_tasks = 8;
   auto input = MakeInput(4, 25);
-  MapPhaseResult mp = runner.RunMapPhase(job, input, 0, input.size());
+  MapPhaseResult mp = runner.RunMapPhase(job, ViewOf(input), 0, input.size(),
+                                         /*owned=*/nullptr);
   std::vector<const MapTaskResult*> ptrs;
   for (const auto& t : mp.tasks) ptrs.push_back(&t);
 
-  ReducePhaseResult whole = runner.RunReducePhase(job, ptrs);
+  const JobResult whole = runner.Run(job, input);
   ReducePhaseResult lo = runner.RunReduceRange(job, ptrs, 0, 3);
   ReducePhaseResult hi = runner.RunReduceRange(job, ptrs, 3, 8);
   ASSERT_EQ(lo.outputs.size() + hi.outputs.size(), whole.outputs.size());

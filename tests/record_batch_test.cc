@@ -558,14 +558,30 @@ TEST(RecordBatchTest, PassThroughOutputFeedsTheNextJobInBatchForm) {
                                                                 : "map-only");
     const JobResult want = runner.Run(*job, as_records);
     const JobResult borrowed = runner.Run(*job, grouped.outputs);
+    EXPECT_EQ(reuse::ChecksumSplits(borrowed.outputs),
+              reuse::ChecksumSplits(want.outputs));
+    EXPECT_EQ(borrowed.sim_seconds, want.sim_seconds);
+    EXPECT_EQ(borrowed.counters.Get("mr.shuffle.records"),
+              want.counters.Get("mr.shuffle.records"));
+
+    // A map phase that consumes its splits (as a pipeline's own
+    // intermediate data is handed over) equals one that borrows them.
+    const MapPhaseResult lent =
+        runner.RunMapPhase(*job, ViewOf(grouped.outputs), 0,
+                           grouped.outputs.size(), /*owned=*/nullptr);
     std::vector<InputSplit> owned = grouped.outputs;
-    const JobResult consumed = runner.Run(*job, std::move(owned));
-    for (const JobResult* got : {&borrowed, &consumed}) {
-      EXPECT_EQ(reuse::ChecksumSplits(got->outputs),
-                reuse::ChecksumSplits(want.outputs));
-      EXPECT_EQ(got->sim_seconds, want.sim_seconds);
-      EXPECT_EQ(got->counters.Get("mr.shuffle.records"),
-                want.counters.Get("mr.shuffle.records"));
+    const MapPhaseResult consumed =
+        runner.RunMapPhase(*job, ViewOf(owned), 0, owned.size(), &owned);
+    EXPECT_EQ(consumed.makespan(), lent.makespan());
+    ASSERT_EQ(consumed.tasks.size(), lent.tasks.size());
+    for (size_t t = 0; t < lent.tasks.size(); ++t) {
+      EXPECT_EQ(consumed.tasks[t].duration, lent.tasks[t].duration);
+      EXPECT_EQ(consumed.tasks[t].output, lent.tasks[t].output);
+      EXPECT_EQ(consumed.tasks[t].partition_checksums,
+                lent.tasks[t].partition_checksums);
+      EXPECT_EQ(consumed.tasks[t].counters.Get("mr.shuffle.records"),
+                lent.tasks[t].counters.Get("mr.shuffle.records"));
+      EXPECT_EQ(owned[t].num_records(), 0u);
     }
   }
   // Neither run disturbed the batch-form splits they read.

@@ -55,6 +55,18 @@ class CountReducer : public Reducer {
   }
 };
 
+/// Re-emits every value under its group's key, so a tail operator looking
+/// up the key repeats each lookup once per input record.
+class RegroupReducer : public Reducer {
+ public:
+  std::string name() const override { return "regroup"; }
+  void Reduce(const std::string& key, std::vector<Record> values,
+              TaskContext* ctx, Emitter* out) override {
+    (void)ctx;
+    for (Record& v : values) out->Emit(Record(key, std::move(v.value)));
+  }
+};
+
 /// Small world: a KV store with `num_keys` entries ("k0".."kN"), input
 /// records drawn by the caller.
 struct ToyWorld {
