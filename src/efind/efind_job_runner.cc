@@ -197,12 +197,11 @@ class PipelineExecutor {
   void FinishJob(const char* label, const ReplanHook* hook = nullptr) {
     if (hook == nullptr) cur_.name += std::string(":") + label;
     JobConfig job = std::move(cur_);
-    JobStageSummary summary;
-    summary.name = job.name;
     const double boundary = ChargeBoundary(job.name, label);
-    summary.boundary_seconds = boundary;
+    double boundary_seconds = boundary;
     const double job_t0 = obs_ != nullptr ? obs_->trace().clock() : 0.0;
-    Counters counters;
+    // The job's waves (and nested jobs' counters) in the order they ran.
+    JobResult tally;
     // Seconds since the job started, in the order run (phases, nested jobs).
     double elapsed = 0.0;
 
@@ -210,12 +209,7 @@ class PipelineExecutor {
     auto run_map = [&](JobInput& in, size_t begin, size_t end) {
       MapPhaseResult wave = job_runner_->RunMapPhase(
           job, in.view, begin, end, in.owned ? &in.data : nullptr);
-      for (const MapTaskResult& t : wave.tasks) {
-        counters.Merge(t.counters);
-        summary.map_task_durations.push_back(t.duration);
-        summary.map_task_base_durations.push_back(t.base_duration);
-      }
-      summary.map_seconds += wave.makespan();
+      tally.AddMapWave(wave);
       elapsed += wave.makespan();
       map_waves.push_back(std::move(wave));
     };
@@ -236,9 +230,9 @@ class PipelineExecutor {
       } else {
         // The splits not yet started run the new plan; its final job is this.
         view_.assign(input.view.begin() + first, input.view.end());
-        elapsed += RunReplanned(replan, /*map_phase=*/true, &counters);
+        elapsed += RunReplanned(replan, /*map_phase=*/true, &tally.counters);
         const double into_rest = ChargeBoundary(job.name, label);
-        summary.boundary_seconds += into_rest;
+        boundary_seconds += into_rest;
         elapsed += into_rest;
         cur_.name = std::move(job.name);
         job = std::move(cur_);
@@ -257,12 +251,7 @@ class PipelineExecutor {
       auto run_reduce = [&](int begin, int end) {
         ReducePhaseResult wave =
             job_runner_->RunReduceRange(job, map_outputs, begin, end);
-        for (const Counters& c : wave.task_counters) counters.Merge(c);
-        std::vector<double>& d = summary.reduce_task_durations;
-        std::vector<double>& b = summary.reduce_task_base_durations;
-        d.insert(d.end(), wave.durations.begin(), wave.durations.end());
-        b.insert(b.end(), wave.base_durations.begin(), wave.base_durations.end());
-        summary.reduce_seconds += wave.makespan();
+        tally.AddReduceWave(wave);
         elapsed += wave.makespan();
         return std::move(wave.outputs);
       };
@@ -280,7 +269,8 @@ class PipelineExecutor {
         std::vector<InputSplit> rest = run_reduce(slots, num_reduce);
         if (tail_replanned) {
           AdoptData(std::move(rest));
-          elapsed += RunReplanned(replan, /*map_phase=*/false, &counters);
+          elapsed +=
+              RunReplanned(replan, /*map_phase=*/false, &tally.counters);
           rest = std::move(data_);
         }
         for (InputSplit& s : rest) outputs.push_back(std::move(s));
@@ -289,8 +279,18 @@ class PipelineExecutor {
       for (MapPhaseResult& wave : map_waves) wave.MoveOutputsTo(&outputs);
     }
 
-    summary.map_tasks = summary.map_task_durations.size();
-    summary.reduce_tasks = summary.reduce_task_durations.size();
+    JobStageSummary summary;
+    summary.name = job.name;
+    summary.boundary_seconds = boundary_seconds;
+    summary.map_seconds = tally.map_seconds;
+    summary.reduce_seconds = tally.reduce_seconds;
+    summary.map_tasks = tally.num_map_tasks;
+    summary.reduce_tasks = tally.num_reduce_tasks;
+    summary.map_task_durations = std::move(tally.map_task_durations);
+    summary.map_task_base_durations = std::move(tally.map_task_base_durations);
+    summary.reduce_task_durations = std::move(tally.reduce_task_durations);
+    summary.reduce_task_base_durations =
+        std::move(tally.reduce_task_base_durations);
     // The phase spans (and any nested jobs) advanced the clock by
     // `elapsed`, so the job span covers exactly what the job ran.
     if (obs_ != nullptr) {
@@ -301,7 +301,7 @@ class PipelineExecutor {
                            std::to_string(summary.reduce_tasks)}});
     }
     result_->jobs.push_back(std::move(summary));
-    booked_counters_->Merge(counters);
+    booked_counters_->Merge(tally.counters);
     *booked_seconds_ += elapsed + boundary;
     AdoptData(std::move(outputs));
     first_job_ = false;
@@ -348,7 +348,6 @@ class PipelineExecutor {
     return {std::move(view_), std::move(data_),
             std::exchange(view_is_data_, false)};
   }
-
 
   /// Takes ownership of `splits` as the current intermediate data and
   /// points the view at it.

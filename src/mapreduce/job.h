@@ -127,6 +127,32 @@ struct JobResult {
   size_t num_map_tasks = 0;
   size_t num_reduce_tasks = 0;
 
+  /// Books one map wave: merges its task counters in task order, appends
+  /// its task durations and adds its makespan to `map_seconds`. A job run
+  /// in several waves books them in schedule order, so every sum keeps the
+  /// order the waves ran in.
+  void AddMapWave(const MapPhaseResult& wave) {
+    for (const MapTaskResult& t : wave.tasks) {
+      counters.Merge(t.counters);
+      map_task_durations.push_back(t.duration);
+      map_task_base_durations.push_back(t.base_duration);
+    }
+    num_map_tasks += wave.tasks.size();
+    map_seconds += wave.makespan();
+  }
+
+  /// Books one reduce wave likewise; its outputs stay with the caller.
+  void AddReduceWave(const ReducePhaseResult& wave) {
+    for (const Counters& c : wave.task_counters) counters.Merge(c);
+    reduce_task_durations.insert(reduce_task_durations.end(),
+                                 wave.durations.begin(), wave.durations.end());
+    reduce_task_base_durations.insert(reduce_task_base_durations.end(),
+                                      wave.base_durations.begin(),
+                                      wave.base_durations.end());
+    num_reduce_tasks += wave.outputs.size();
+    reduce_seconds += wave.makespan();
+  }
+
   /// Flattens the outputs into one vector, materializing batch-form splits
   /// (test convenience).
   std::vector<Record> CollectRecords() const {

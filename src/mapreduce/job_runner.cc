@@ -717,13 +717,7 @@ JobResult JobRunner::Run(const JobConfig& job,
   JobResult result;
   MapPhaseResult map_phase =
       RunMapPhase(job, ViewOf(input), 0, input.size(), /*owned=*/nullptr);
-  result.num_map_tasks = map_phase.tasks.size();
-  result.map_seconds = map_phase.makespan();
-  for (auto& t : map_phase.tasks) {
-    result.counters.Merge(t.counters);
-    result.map_task_durations.push_back(t.duration);
-    result.map_task_base_durations.push_back(t.base_duration);
-  }
+  result.AddMapWave(map_phase);
 
   if (job.reducer || !job.reduce_stages.empty()) {
     std::vector<const MapTaskResult*> ptrs;
@@ -731,11 +725,7 @@ JobResult JobRunner::Run(const JobConfig& job,
     for (const auto& t : map_phase.tasks) ptrs.push_back(&t);
     ReducePhaseResult reduce_phase =
         RunReduceRange(job, ptrs, 0, ResolveNumReduceTasks(job));
-    result.num_reduce_tasks = reduce_phase.outputs.size();
-    result.reduce_seconds = reduce_phase.makespan();
-    for (const auto& c : reduce_phase.task_counters) result.counters.Merge(c);
-    result.reduce_task_durations = reduce_phase.durations;
-    result.reduce_task_base_durations = reduce_phase.base_durations;
+    result.AddReduceWave(reduce_phase);
     result.outputs = std::move(reduce_phase.outputs);
   } else {
     map_phase.MoveOutputsTo(&result.outputs);

@@ -64,7 +64,10 @@ class JobRunner {
   obs::ObsSession* obs() const { return obs_; }
 
   /// Runs the whole job: map phase over `input`, then (if a reducer is
-  /// configured) shuffle + reduce phase.
+  /// configured) shuffle + reduce phase. The entry point for plain
+  /// MapReduce jobs; EFind's pipeline executor runs its jobs through the
+  /// phase methods instead, and both book their waves with
+  /// `JobResult::AddMapWave` / `AddReduceWave`.
   JobResult Run(const JobConfig& job, const std::vector<InputSplit>& input);
 
   /// Executes map tasks for splits [begin, end) of `input` and schedules

@@ -194,35 +194,14 @@ uint64_t CounterDigest(const Counters& counters) {
 // its outputs flow through the new tail plan. Outputs equal the baseline's;
 // the output digest, hex simulated seconds and counter digest are pinned.
 TEST_F(AdaptiveTest, TailReplanSwitchesToCache) {
-  ToyWorld world(60, /*value_bytes=*/400);
-  std::vector<InputSplit> input(96);
-  Rng rng(5);
-  int id = 0;
-  for (int s = 0; s < 96; ++s) {
-    input[s].node = s % 12;
-    for (int r = 0; r < 60; ++r) {
-      input[s].records.push_back(Record(
-          "k" + std::to_string(rng.Uniform(40)), "r" + std::to_string(id++)));
-    }
-  }
-  IndexJobConf conf;
-  conf.set_name("tail_adaptive");
-  conf.SetReducer(std::make_shared<testing_util::RegroupReducer>());
-  conf.set_num_reduce_tasks(96);  // 2 reduce waves on 48 slots.
-  auto op = std::make_shared<testing_util::JoinOperator>();
-  op->AddIndex(std::make_shared<KvIndexAccessor>("toy", world.store.get()));
-  conf.AddTailIndexOperator(op);
-
-  EFindOptions options;
-  options.plan_change_cost_sec = 0.0;
-  options.variance_threshold = 10.0;
+  const testing_util::TailReplanJob job;
   obs::ObsSession session;
-  EFindJobRunner runner(config_, options);
+  EFindJobRunner runner(config_, job.options);
   runner.set_obs(&session);
-  const EFindRunResult dynamic = runner.RunDynamic(conf, input);
+  const EFindRunResult dynamic = runner.RunDynamic(job.conf, job.input);
   runner.set_obs(nullptr);
   const EFindRunResult base =
-      runner.RunWithStrategy(conf, input, Strategy::kBaseline);
+      runner.RunWithStrategy(job.conf, job.input, Strategy::kBaseline);
 
   ASSERT_TRUE(dynamic.replanned) << dynamic.plan.ToString();
   ASSERT_EQ(dynamic.plan.tail.size(), 1u);
@@ -239,9 +218,11 @@ TEST_F(AdaptiveTest, TailReplanSwitchesToCache) {
 
   const uint64_t digest = reuse::ChecksumSplits(dynamic.outputs);
   const uint64_t counters = CounterDigest(dynamic.counters);
-  EXPECT_EQ(digest, 0xcbe06a55987e853aULL) << "actual digest 0x" << std::hex << digest;
+  EXPECT_EQ(digest, 0xcbe06a55987e853aULL)
+      << "actual digest 0x" << std::hex << digest;
   EXPECT_EQ(Hex(dynamic.sim_seconds), "0x1.5aa5679ce1111p-3");
-  EXPECT_EQ(counters, 0xca8a28c5f79c40a9ULL) << "actual counters 0x" << std::hex << counters;
+  EXPECT_EQ(counters, 0xca8a28c5f79c40a9ULL)
+      << "actual counters 0x" << std::hex << counters;
 }
 
 // A pass-through reducer with no tail operator: the re-planned run's reduce

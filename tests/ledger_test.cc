@@ -164,33 +164,13 @@ TEST_F(LedgerTest, DynamicToyReplan) {
   ExpectLedger(r, session);
 }
 
-// The Fig. 10b job of AdaptiveTest.TailReplanSwitchesToCache.
+// The Fig. 10b job AdaptiveTest.TailReplanSwitchesToCache pins.
 TEST_F(LedgerTest, DynamicTailReplan) {
-  ToyWorld world(60, /*value_bytes=*/400);
-  std::vector<InputSplit> input(96);
-  Rng rng(5);
-  int id = 0;
-  for (int s = 0; s < 96; ++s) {
-    input[s].node = s % 12;
-    for (int r = 0; r < 60; ++r) {
-      input[s].records.push_back(Record(
-          "k" + std::to_string(rng.Uniform(40)), "r" + std::to_string(id++)));
-    }
-  }
-  IndexJobConf conf;
-  conf.set_name("tail_adaptive");
-  conf.SetReducer(std::make_shared<testing_util::RegroupReducer>());
-  conf.set_num_reduce_tasks(96);
-  auto op = std::make_shared<testing_util::JoinOperator>();
-  op->AddIndex(std::make_shared<KvIndexAccessor>("toy", world.store.get()));
-  conf.AddTailIndexOperator(op);
-  EFindOptions options;
-  options.plan_change_cost_sec = 0.0;
-  options.variance_threshold = 10.0;
+  const testing_util::TailReplanJob job;
   obs::ObsSession session;
-  EFindJobRunner runner(config_, options);
+  EFindJobRunner runner(config_, job.options);
   runner.set_obs(&session);
-  const EFindRunResult r = runner.RunDynamic(conf, input);
+  const EFindRunResult r = runner.RunDynamic(job.conf, job.input);
   ASSERT_TRUE(r.replanned);
   ExpectLedger(r, session);
 }

@@ -138,6 +138,38 @@ struct ToyWorld {
   std::unique_ptr<KvStore> store;
 };
 
+/// The Fig. 10b job: a regrouping reduce over 96 reduce tasks (two waves on
+/// 48 reduce slots) feeding one tail join, so the tail sees every key
+/// repeated. With the options' variance gate of 10, Algorithm 1 switches
+/// the tail to the lookup cache after the first reduce wave.
+struct TailReplanJob {
+  TailReplanJob() : world(60, /*value_bytes=*/400), input(96) {
+    Rng rng(5);
+    int id = 0;
+    for (int s = 0; s < 96; ++s) {
+      input[s].node = s % 12;
+      for (int r = 0; r < 60; ++r) {
+        input[s].records.push_back(
+            Record("k" + std::to_string(rng.Uniform(40)),
+                   "r" + std::to_string(id++)));
+      }
+    }
+    conf.set_name("tail_adaptive");
+    conf.SetReducer(std::make_shared<RegroupReducer>());
+    conf.set_num_reduce_tasks(96);
+    auto op = std::make_shared<JoinOperator>();
+    op->AddIndex(std::make_shared<KvIndexAccessor>("toy", world.store.get()));
+    conf.AddTailIndexOperator(op);
+    options.plan_change_cost_sec = 0.0;
+    options.variance_threshold = 10.0;
+  }
+
+  ToyWorld world;
+  std::vector<InputSplit> input;
+  IndexJobConf conf;
+  EFindOptions options;
+};
+
 /// Sorted copy of the records (for order-insensitive output comparison).
 inline std::vector<Record> Sorted(std::vector<Record> records) {
   std::sort(records.begin(), records.end());
